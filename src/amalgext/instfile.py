@@ -79,7 +79,10 @@ class InstanceFile:
         char = self.characteristic if characteristic is None else characteristic
         if char == 0 or not is_prime(char):
             raise ValidationError(0, f"characteristic must be a prime, got {char}")
-        fld = Field(char)
+        try:
+            fld = Field(char)
+        except ValueError as exc:  # a prime too large for exact arithmetic
+            raise ValidationError(0, str(exc)) from exc
         d = self.datum
         groups = {TAG_K1: d.K1, TAG_K2: d.K2, TAG_I: d.I}
         modules = {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -11,14 +12,35 @@ class CompositionNonzero(ValueError):
     """Two maps that were required to compose to zero do not."""
 
 
+# Fixed Miller-Rabin witnesses: the first twelve primes decide primality
+# exactly for every n below 3.3e24, far beyond any characteristic Field accepts.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Largest p with (p - 1)^2 < 2^63: a product of two reduced entries fits in int64.
+MAX_CHARACTERISTIC = isqrt(2**63 - 1) + 1
+
+
 def is_prime(n: int) -> bool:
+    """Miller-Rabin with the fixed bases 2..37 (deterministic below 3.3e24)."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -28,13 +50,20 @@ class Field:
     Matrices are plain numpy arrays: int64 with entries canonically in
     [0, p) for prime characteristic, object arrays of Fraction for Q.
     Every operation is exact and equality is structural; there are no
-    tolerances anywhere.
+    tolerances anywhere.  A prime is accepted only while (p - 1)^2 fits in
+    int64, so elementwise products are exact; matmul switches to Python
+    integers when a dot product of its length could overflow.
     """
 
     def __init__(self, characteristic: int):
         if characteristic != 0 and not is_prime(characteristic):
             raise ValueError(f"characteristic must be 0 or a prime, got {characteristic}")
+        if characteristic > MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic {characteristic} is too large for exact int64 "
+                             f"arithmetic (at most {MAX_CHARACTERISTIC})")
         self.p = int(characteristic)
+        # longest contraction whose int64 dot products cannot overflow
+        self._exact_len = (2**63 - 1) // (self.p - 1) ** 2 if self.p else np.inf
 
     def __repr__(self):
         return "Field(Q)" if self.p == 0 else f"Field(F_{self.p})"
@@ -79,6 +108,9 @@ class Field:
         return a % self.p if self.p else a
 
     def matmul(self, a, b) -> np.ndarray:
+        if a.shape[-1] > self._exact_len:
+            exact = a.astype(object) @ np.asarray(b).astype(object)
+            return np.asarray(exact % self.p).astype(np.int64)
         return self.reduce(a @ b)
 
     def add(self, a, b) -> np.ndarray:
@@ -104,30 +136,45 @@ class Field:
         """Reduced row echelon form and the (strictly increasing) pivot columns.
 
         Pivot choice is deterministic: first nonzero entry scanning
-        top-to-bottom within each column, columns left-to-right.
+        top-to-bottom within each column, columns left-to-right.  Each step
+        touches only the rows with a nonzero entry in the pivot column, and
+        only the columns from the pivot onward (the ones left of it are
+        already zero in the pivot row).
         """
-        r = self.array(a).copy()
+        r = self.array(a)  # a fresh array: rows are swapped and updated in place
         m, n = r.shape
+        p = self.p
         pivots: list[int] = []
         row = 0
-        for col in range(n):
-            piv = None
-            for i in range(row, m):
-                if r[i, col] != 0:
-                    piv = i
+        col = 0
+        while row < m and col < n:
+            hits = r[:, col].nonzero()[0]
+            k = hits.searchsorted(row)
+            if k == hits.size:
+                # no pivot here: jump to the next column with a nonzero below `row`
+                live = r[row:, col + 1 :].any(axis=0).nonzero()[0]
+                if not live.size:
                     break
-            if piv is None:
+                col += 1 + int(live[0])
                 continue
+            piv = hits[k]
             if piv != row:
                 r[[row, piv]] = r[[piv, row]]
-            r[row] = self.reduce(r[row] * self.inv_scalar(r[row, col]))
-            coeffs = r[:, col].copy()
-            coeffs[row] = 0
-            r = self.reduce(r - np.outer(coeffs, r[row]))
+            # the pivot row is not updated; after a swap, row piv holds a zero here
+            hits = hits[hits != piv]
+            head = r[row, col]
+            if head != 1:
+                r[row, col:] = self.reduce(r[row, col:] * self.inv_scalar(head))
+            if p == 2:
+                # every hit row has coefficient 1, and subtraction is xor
+                r[hits, col:] ^= r[row, col:]
+            elif hits.size:
+                # |entries| < p and (p - 1)^2 < 2^63, so the update is exact in int64
+                upd = r[hits, col:] - r[hits, col, None] * r[row, col:]
+                r[hits, col:] = upd % p if p else upd
             pivots.append(col)
             row += 1
-            if row == m:
-                break
+            col += 1
         return r, pivots
 
     def rank(self, a) -> int:
@@ -138,52 +185,44 @@ class Field:
 
     def kernel_basis(self, a) -> list[np.ndarray]:
         """Basis of {x : a @ x = 0}, one vector per free column, deterministic."""
-        a = self.array(a)
-        m, n = a.shape
-        r, pivots = self.rref(a)
-        free = [c for c in range(n) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = self.zeros(n)
-            v[fc] = self.one
-            for i, pc in enumerate(pivots):
-                v[pc] = self.reduce(-r[i, fc])
-            basis.append(v)
-        return basis
+        return list(self.kernel_matrix(a).T.copy())
 
     def kernel_matrix(self, a) -> np.ndarray:
-        basis = self.kernel_basis(a)
-        n = np.asarray(a).shape[1]
-        if not basis:
-            return self.zeros(n, 0)
-        return np.column_stack(basis)
+        """The kernel basis as columns: free column c pinned to one, the others to zero."""
+        r, pivots = self.rref(a)
+        pivot_set = set(pivots)
+        free = [c for c in range(r.shape[1]) if c not in pivot_set]
+        out = self.zeros(r.shape[1], len(free))
+        out[free, np.arange(len(free))] = self.one
+        out[pivots] = self.neg(r[: len(pivots), free])
+        return out
 
     def solve(self, a, b):
         """First RREF back-substitution solution of a @ x = b, or None."""
-        a = self.array(a)
-        b = self.array(b)
-        aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-        r, pivots = self.rref(aug)
-        n = a.shape[1]
-        if n in pivots:
+        x = self.solve_many(a, np.reshape(b, (-1, 1)))
+        return None if x is None else x[:, 0]
+
+    def solve_many(self, a, b):
+        """The column-by-column solve(a, b[:, c]) from one rref of [a | b], or None.
+
+        None means some column of b lies outside the column span of a.
+        """
+        n = np.shape(a)[1]
+        if np.shape(b)[1] == 0:
+            return self.zeros(n, 0)
+        r, pivots = self.rref(np.concatenate([a, b], axis=1))
+        if pivots and pivots[-1] >= n:
             return None
-        x = self.zeros(n)
-        for i, pc in enumerate(pivots):
-            x[pc] = r[i, n]
+        x = self.zeros(n, r.shape[1] - n)
+        x[pivots, :] = r[: len(pivots), n:]
         return x
 
     def in_column_span(self, a, v) -> bool:
-        a = self.array(a)
-        v = self.array(v).reshape(-1, 1)
-        return self.rank(np.concatenate([a, v], axis=1)) == self.rank(a)
+        return self.solve(a, v) is not None
 
     def columns_contained(self, a, b) -> bool:
         """True iff every column of b lies in the column span of a."""
-        a = self.array(a)
-        b = self.array(b)
-        if b.shape[1] == 0:
-            return True
-        return self.rank(np.concatenate([a, b], axis=1)) == self.rank(a)
+        return self.solve_many(a, b) is not None
 
     def random_matrix(self, rng, m, n) -> np.ndarray:
         if self.p:

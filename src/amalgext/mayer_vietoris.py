@@ -15,14 +15,14 @@ import numpy as np
 from amalgext.amalgam import AmalgamDatum, TAG_I, TAG_K1, TAG_K2
 from amalgext.induction import GRep
 from amalgext.linalg import Field, subquotient_dim
-from amalgext.reps import KModule, hom_space
+from amalgext.reps import hom_space
 from amalgext.resolutions import (
     AlgebraMatrix,
     FreeResolution,
     LiftFailed,
+    _flat_to_alg_row,
     coefficient_delta,
     free_resolution,
-    rho,
 )
 
 
@@ -31,9 +31,9 @@ def chain_lift_pi(datum: AmalgamDatum, side: int, q: FreeResolution, p: FreeReso
     """Chain map from the induced resolution ind(Q) to P lifting the counit.
 
     Degree 0 satisfies aug_P o phi_0 = (counit o ind(aug_Q)); higher degrees
-    solve phi_j d_P = d_indQ phi_{j-1} row by row, taking the first
-    back-substitution solution each time.  Exactness of P guarantees a
-    solution; failure signals a broken resolution.
+    solve phi_j d_P = d_indQ phi_{j-1}, all rows of one degree from a single
+    elimination, taking the first back-substitution solution each time.
+    Exactness of P guarantees a solution; failure signals a broken resolution.
     """
     emb = datum.emb1 if side == 1 else datum.emb2
     K = emb.target
@@ -44,43 +44,30 @@ def chain_lift_pi(datum: AmalgamDatum, side: int, q: FreeResolution, p: FreeReso
     ind_diffs = {j: q.diffs[j].map_entries(emb, K) for j in range(1, length + 1)}
 
     lifts: list[AlgebraMatrix] = []
-    aug_p = p.aug_operator()
-    x0 = AlgebraMatrix(K, f, q.ranks[0], p.ranks[0])
-    for i in range(q.ranks[0]):
-        target = f.zeros(q.module.dim)
-        target[i] = f.one  # aug_Q sends basis row i to module basis vector i
-        sol = f.solve(aug_p, target)
-        if sol is None:
-            raise LiftFailed("degree-0 lift has no solution; augmentation not surjective")
-        x0.entries[i] = _flat_to_row(K, sol, p.ranks[0])
-    lifts.append(x0)
-
+    # aug_Q sends basis row i to module basis vector i
+    targets = f.eye(q.module.dim)[:, : q.ranks[0]]
+    lifts.append(_lift_degree(f, K, p.aug_operator(), targets, p.ranks[0],
+                              "degree-0 lift has no solution; augmentation not surjective"))
     for j in range(1, length + 1):
-        rhs = ind_diffs[j].mul(lifts[j - 1])
-        op = p.diff_operator(j)
-        xj = AlgebraMatrix(K, f, q.ranks[j], p.ranks[j])
-        for i in range(q.ranks[j]):
-            m_i = _row_to_flat(f, K, rhs.entries[i], p.ranks[j - 1])
-            sol = f.solve(op, m_i)
-            if sol is None:
-                raise LiftFailed(f"degree-{j} lift has no solution")
-            xj.entries[i] = _flat_to_row(K, sol, p.ranks[j])
-        lifts.append(xj)
+        if not q.ranks[j]:  # Q has stopped, so the lift starts from the zero module
+            lifts.append(AlgebraMatrix(K, f, 0, p.ranks[j]))
+            continue
+        # row i of d_indQ is the image of basis row i, whose coordinate is (i, identity)
+        ind = ind_diffs[j]
+        rows = ind.to_k_matrix()[np.arange(ind.rows) * n + K.identity]
+        targets = f.matmul(lifts[j - 1].operator(), rows.T)
+        lifts.append(_lift_degree(f, K, p.diff_operator(j), targets, p.ranks[j],
+                                  f"degree-{j} lift has no solution"))
     return lifts
 
 
-def _flat_to_row(group, vec, rank):
-    n = group.order
-    return [{g: vec[i * n + g] for g in range(n) if vec[i * n + g] != 0} for i in range(rank)]
-
-
-def _row_to_flat(field, group, row, rank):
-    n = group.order
-    out = field.zeros(rank * n)
-    for i, entry in enumerate(row):
-        for g, c in entry.items():
-            out[i * n + g] = c
-    return out
+def _lift_degree(f, group, op, targets, rank, failure) -> AlgebraMatrix:
+    """The lift whose i-th row solves op @ x = targets[:, i], all from one elimination."""
+    sols = f.solve_many(op, targets)
+    if sols is None:
+        raise LiftFailed(failure)
+    rows = [_flat_to_alg_row(group, sols[:, i], rank) for i in range(sols.shape[1])]
+    return AlgebraMatrix.from_rows(group, f, rows, rank)
 
 
 class MVComplex:
@@ -121,22 +108,12 @@ class MVComplex:
         self.delta_q = [coefficient_delta(self.q.diffs[j + 1], w_i) for j in range(length)]
         self.delta_p1 = [coefficient_delta(self.p1.diffs[j + 1], w_1) for j in range(length)]
         self.delta_p2 = [coefficient_delta(self.p2.diffs[j + 1], w_2) for j in range(length)]
-        self.fmap1 = [self._pullback(self.x1[j], w_1) for j in range(length + 1)]
-        self.fmap2 = [self._pullback(self.x2[j], w_2) for j in range(length + 1)]
+        # precomposition with the lifts: V2^(rank P_j) -> V2^(rank Q_j)
+        self.fmap1 = [coefficient_delta(self.x1[j], w_1) for j in range(length + 1)]
+        self.fmap2 = [coefficient_delta(self.x2[j], w_2) for j in range(length + 1)]
 
         self.deltas = [self._delta(j) for j in range(length - 1)]
         self.cone_sizes = [self._sizes(j) for j in range(length)]
-
-    def _pullback(self, x: AlgebraMatrix, w: KModule) -> np.ndarray:
-        """Precomposition with a lift: V2^(rank P_j) -> V2^(rank Q_j)."""
-        f = self.field
-        dw = w.dim
-        out = f.zeros(x.rows * dw, x.cols * dw)
-        for i in range(x.rows):
-            for l in range(x.cols):
-                if x.entries[i][l]:
-                    out[i * dw : (i + 1) * dw, l * dw : (l + 1) * dw] = rho(w, x.entries[i][l])
-        return out
 
     def _sizes(self, j: int) -> tuple[int, int, int]:
         a = self.q.ranks[j - 1] * self.d2 if j >= 1 else 0
@@ -332,18 +309,20 @@ def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
     # one degree of headroom: exactness at degree n looks into degree n+1
     mv = MVComplex(v1, v2, n + 1)
 
+    def coboundaries(deltas, top):
+        return [deltas[j - 1] if j >= 1 else f.zeros(deltas[0].shape[1], 0)
+                for j in range(top + 1)]
+
     def complex_data(deltas, top):
-        z, b, dims = [], [], []
-        for j in range(top + 1):
-            delta_out = deltas[j]
-            delta_in = deltas[j - 1] if j >= 1 else f.zeros(deltas[j].shape[1], 0)
-            z.append(f.kernel_matrix(delta_out))
-            b.append(delta_in)
-            dims.append(subquotient_dim(f, delta_in, delta_out))
-        return z, b, dims
+        z = [f.kernel_matrix(deltas[j]) for j in range(top + 1)]
+        return z, coboundaries(deltas, top)
+
+    def cohomology_dims(deltas, top):
+        return [subquotient_dim(f, b, d) for b, d in zip(coboundaries(deltas, top), deltas)]
 
     # cone complex through degree n+1, the factor complexes through n
-    cone_z, cone_b, cone_dims = complex_data(mv.deltas, n + 1)
+    cone_z, cone_b = complex_data(mv.deltas, n + 1)
+    cone_dims = cohomology_dims(mv.deltas, n + 1)
     prod_deltas = []
     for j in range(n + 1):
         b1 = mv.delta_p1[j]
@@ -352,16 +331,13 @@ def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
         big[: b1.shape[0], : b1.shape[1]] = b1
         big[b1.shape[0] :, b1.shape[1] :] = b2
         prod_deltas.append(big)
-    prod_z, prod_b, prod_dims = complex_data(prod_deltas, n)
-    edge_z, edge_b, edge_dims = complex_data(mv.delta_q, n)
-
-    dims_k1 = []
-    dims_k2 = []
-    for j in range(n + 1):
-        din1 = mv.delta_p1[j - 1] if j >= 1 else f.zeros(mv.delta_p1[j].shape[1], 0)
-        din2 = mv.delta_p2[j - 1] if j >= 1 else f.zeros(mv.delta_p2[j].shape[1], 0)
-        dims_k1.append(subquotient_dim(f, din1, mv.delta_p1[j]))
-        dims_k2.append(subquotient_dim(f, din2, mv.delta_p2[j]))
+    prod_z, prod_b = complex_data(prod_deltas, n)
+    edge_z, edge_b = complex_data(mv.delta_q, n)
+    edge_dims = cohomology_dims(mv.delta_q, n)
+    dims_k1 = cohomology_dims(mv.delta_p1, n)
+    dims_k2 = cohomology_dims(mv.delta_p2, n)
+    # the product complex is block diagonal, so its cohomology is the direct sum
+    prod_dims = [d1 + d2 for d1, d2 in zip(dims_k1, dims_k2)]
 
     nodes = []
     for j in range(n + 1):

@@ -25,7 +25,8 @@ def alg_mul(group: FiniteGroup, field: Field, a: dict, b: dict) -> dict:
     for g, ca in a.items():
         for h, cb in b.items():
             k = group.mul(g, h)
-            out[k] = out.get(k, 0) + ca * cb
+            # reduce every product: a sum of two unreduced ones can overflow int64
+            out[k] = out.get(k, 0) + field.reduce(ca * cb)
     return {g: c for g, c in ((g, field.reduce(np.int64(c) if field.p else c))
                               for g, c in out.items()) if c != 0}
 
@@ -97,16 +98,14 @@ class AlgebraMatrix:
         This expansion is multiplicative: to_k(A.mul(B)) = to_k(A) @ to_k(B).
         """
         n = self.group.order
-        f = self.field
-        out = f.zeros(self.rows * n, self.cols * n)
+        out = self.field.zeros(self.rows * n, self.cols * n)
         table = self.group.table
         rng = np.arange(n)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                block = f.zeros(n, n)
-                for h, c in self.entries[i][j].items():
-                    block[rng, table[:, h]] = f.add(block[rng, table[:, h]], c)
-                out[i * n : (i + 1) * n, j * n : (j + 1) * n] = block
+        for i, row in enumerate(self.entries):
+            for j, entry in enumerate(row):
+                # x * h runs over a permutation of the group, so no two terms collide
+                for h, c in entry.items():
+                    out[i * n + rng, j * n + table[:, h]] = c
         return out
 
     def operator(self) -> np.ndarray:
@@ -200,29 +199,39 @@ class FreeResolution:
         self.diffs.append(AlgebraMatrix.from_rows(self.group, f, rows, prev_rank))
 
     def _module_generators(self, kernel_vectors, rank: int) -> list[np.ndarray]:
-        """Greedy algebra generators of a group-stable scalar subspace."""
+        """Greedy algebra generators of a group-stable scalar subspace.
+
+        Each kernel vector that is not yet in the span of the translates of
+        the generators so far becomes a generator, until the span is full.
+        The span is kept as a fully reduced echelon basis: rows `basis` with
+        the identity in the pivot columns `pivots`, so a vector v lies in the
+        span iff v - v[pivots] @ basis vanishes.
+        """
         f = self.field
         n = self.group.order
-        table = self.group.table
+        # translate by h moves coordinate (i, g) to (i, h g): row h of `gather`
+        # lists, for each target coordinate, the element it is read from
+        gather = self.group.table[self.group.inverse_table]
         target = len(kernel_vectors)
-        span_cols: list[np.ndarray] = []
-        span_rank = 0
+        basis = f.zeros(0, rank * n)
+        pivots: list[int] = []
         gens = []
         for v in kernel_vectors:
-            if span_cols and f.in_column_span(np.column_stack(span_cols), v):
+            if pivots and not np.any(f.sub(v, f.matmul(v[pivots], basis))):
                 continue
             gens.append(v)
-            for h in range(n):
-                moved = f.zeros(rank * n)
-                for i in range(rank):
-                    seg = v[i * n : (i + 1) * n]
-                    moved[i * n + table[h]] = seg
-                span_cols.append(moved)
-            m = np.column_stack(span_cols)
-            r, piv = f.rref(m)
-            span_cols = [m[:, c] for c in piv]
-            span_rank = len(piv)
-            if span_rank == target:
+            # all |G| translates of v at once, reduced against the span, then
+            # echelonized; the new pivot columns are then cleared from `basis`
+            block = v.reshape(rank, n)[:, gather].transpose(1, 0, 2).reshape(n, rank * n)
+            if pivots:
+                block = f.sub(block, f.matmul(block[:, pivots], basis))
+            new, new_pivots = f.rref(block)
+            new = new[: len(new_pivots)]
+            if pivots:
+                basis = f.sub(basis, f.matmul(basis[:, new_pivots], new))
+            basis = np.concatenate([basis, new])
+            pivots += new_pivots
+            if len(pivots) == target:
                 break
         return gens
 

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,28 @@ def test_cli_invalid_file_exit_two(tmp_path):
     code, text = run(["validate", str(bad)])
     assert code == 2
     assert "error" in text
+
+
+def test_cli_huge_characteristic_exits_two_fast():
+    for char in ("1000000000000000003", "3037000507"):  # primes too large for int64 products
+        start = time.perf_counter()
+        code, text = run(["validate", fixture("sl2z.amg"), "--char", char])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert text.startswith("error: ") and f"characteristic {char} is too large" in text
+    code, text = run(["validate", fixture("sl2z.amg"), "--char", "1000000000000000001"])
+    assert code == 2 and "characteristic must be a prime" in text
+
+
+def test_declared_characteristic_too_large_is_refused(tmp_path):
+    text = Path(fixture("sl2z.amg")).read_text()
+    big = tmp_path / "big.amg"
+    big.write_text(text.replace("characteristic = 2", "characteristic = 3037000507"))
+    code, out = run(["validate", str(big)])
+    assert code == 2 and "too large" in out
+    big.write_text(text.replace("characteristic = 2", "characteristic = 3037000493"))
+    code, out = run(["validate", str(big)])
+    assert code == 0 and "characteristic: 3037000493" in out
 
 
 def test_cli_unknown_grep_exit_two():

@@ -1,7 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from amalgext.linalg import CompositionNonzero, Field, subquotient_dim
+from amalgext.linalg import MAX_CHARACTERISTIC, CompositionNonzero, Field, is_prime, subquotient_dim
 
 from conftest import brute_force_rank
 
@@ -130,3 +132,116 @@ def test_columns_contained_and_span():
     assert f.in_column_span(a, f.array([2, 3, 0]))
     assert not f.in_column_span(a, f.array([0, 0, 1]))
     assert f.columns_contained(a, f.array([[1, 2], [4, 0], [0, 0]]))
+
+
+def _random_low_rank(f, rng, m, n, k):
+    """An m x n matrix of rank at most k (a product through dimension k)."""
+    if k == 0 or m == 0 or n == 0:
+        return f.zeros(m, n)
+    return f.matmul(f.random_matrix(rng, m, k), f.random_matrix(rng, k, n))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 0])
+def test_rref_rank_matches_minor_oracle_over_shapes(p):
+    f = Field(p)
+    rng = np.random.default_rng(100 + p)
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 5), (2, 6), (5, 2), (6, 3), (4, 4), (3, 4)]
+    for m, n in shapes:
+        for k in range(min(m, n) + 1):
+            a = _random_low_rank(f, rng, m, n, k)
+            if m >= 2:
+                a[rng.integers(0, m)] = f.zeros(n)  # a zero row
+            if n >= 2:
+                a[:, rng.integers(0, n)] = f.zeros(m)  # a zero column
+            r, pivots = f.rref(a)
+            assert r.shape == (m, n)
+            assert len(pivots) == f.rank(a) == brute_force_rank(f, a)
+            assert not np.any(r[len(pivots):] != 0)
+            if pivots:
+                assert np.array_equal(r[: len(pivots)][:, pivots], f.eye(len(pivots)))
+
+
+def test_solve_many_matches_columnwise_solve():
+    rng = np.random.default_rng(8)
+    for p in (2, 3, 7, 0):
+        f = Field(p)
+        for m, n, k in ((5, 7, 3), (7, 4, 4), (6, 6, 2), (4, 9, 4)):
+            a = _random_low_rank(f, rng, m, n, k)
+            b = f.matmul(a, f.random_matrix(rng, n, 5))  # every column is consistent
+            x = f.solve_many(a, b)
+            assert x.shape == (n, 5)
+            for c in range(5):
+                assert np.array_equal(x[:, c], f.solve(a, b[:, c]))
+            assert np.array_equal(f.matmul(a, x), b)
+            assert f.solve_many(a, f.zeros(m, 0)).shape == (n, 0)
+
+
+def test_solve_many_is_none_when_one_column_is_inconsistent():
+    rng = np.random.default_rng(9)
+    for p in (2, 5, 0):
+        f = Field(p)
+        a = _random_low_rank(f, rng, 6, 5, 2)
+        b = f.matmul(a, f.random_matrix(rng, 5, 4))
+        outside = next(v for v in f.eye(6) if f.solve(a, v) is None)
+        b[:, 2] = outside
+        assert f.solve_many(a, b) is None
+        assert f.solve(a, b[:, 2]) is None
+        assert not f.columns_contained(a, b)
+
+
+def test_matmul_exact_at_large_primes():
+    # 3 * (p - 1)^2 overflows int64 for p = 2^31 - 1; the true product is 3 mod p
+    f = Field(2147483647)
+    a = f.array([[f.p - 1] * 3])
+    assert f.matmul(a, a.T)[0, 0] == 3
+    g = Field(3037000493)  # the largest prime with (p - 1)^2 < 2^63
+    a = g.array([[g.p - 1] * 40])
+    assert g.matmul(a, a.T)[0, 0] == 40
+    rng = np.random.default_rng(4)
+    a = np.asarray(rng.integers(0, g.p, size=(4, 6)), dtype=np.int64)
+    b = np.asarray(rng.integers(0, g.p, size=(6, 3)), dtype=np.int64)
+    exact = (a.astype(object) @ b.astype(object)) % g.p
+    assert np.array_equal(g.matmul(a, b), exact.astype(np.int64))
+    assert g.matmul(a, b).dtype == np.int64
+
+
+def test_elimination_exact_at_the_largest_prime():
+    f = Field(3037000493)
+    rng = np.random.default_rng(6)
+    a = _random_low_rank(f, rng, 6, 7, 4)
+    basis = f.kernel_matrix(a)
+    assert basis.shape[1] == 7 - f.rank(a)
+    assert not np.any(f.matmul(a, basis))
+    b = f.matmul(a, f.random_matrix(rng, 7, 2))
+    assert np.array_equal(f.matmul(a, f.solve_many(a, b)), b)
+
+
+def test_field_refuses_primes_beyond_int64_products():
+    assert (MAX_CHARACTERISTIC - 1) ** 2 < 2**63 <= MAX_CHARACTERISTIC**2
+    Field(3037000493)
+    with pytest.raises(ValueError, match="too large"):
+        Field(3037000507)  # the smallest prime past the bound
+    with pytest.raises(ValueError, match="too large"):
+        Field(1000000000000000003)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    limit = 20000
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, int(limit**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    assert [n for n in range(-3, limit) if is_prime(n)] == list(np.flatnonzero(sieve))
+
+
+def test_is_prime_large_inputs_fast():
+    start = time.perf_counter()
+    assert is_prime(1000000000000000003)
+    assert is_prime(2**61 - 1) and is_prime(2**89 - 1)
+    assert not is_prime(2**61 + 1)
+    # Carmichael numbers and strong pseudoprimes to many of the smaller bases
+    for n in (561, 1105, 41041, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
+    assert time.perf_counter() - start < 1.0

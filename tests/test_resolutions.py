@@ -5,7 +5,13 @@ import pytest
 
 from amalgext.groups import FiniteGroup
 from amalgext.linalg import Field, subquotient_dim
-from amalgext.reps import KModule, hom_space, regular_module, trivial_module
+from amalgext.reps import (
+    KModule,
+    hom_space,
+    module_from_generators,
+    regular_module,
+    trivial_module,
+)
 from amalgext.resolutions import (
     AlgebraMatrix,
     FreeResolution,
@@ -53,6 +59,14 @@ def test_algebra_multiplication_against_regular_action():
         b = {g: np.int64(rng.randrange(3)) for g in range(6)}
         prod = alg_mul(group, f, a, b)
         assert np.array_equal(rho(reg, prod), f.matmul(rho(reg, a), rho(reg, b)))
+
+
+def test_algebra_multiplication_exact_at_the_largest_prime():
+    f = Field(3037000493)
+    z2 = FiniteGroup.cyclic(2)
+    top = np.int64(f.p - 1)
+    # (1 + s)(1 + s) with both coefficients -1: each coefficient is 2 (p - 1)^2 = 2 mod p
+    assert alg_mul(z2, f, {0: top, 1: top}, {0: top, 1: top}) == {0: 2, 1: 2}
 
 
 def periodic_resolution_z2(field) -> FreeResolution:
@@ -175,3 +189,66 @@ def test_coefficient_complex_squares_to_zero():
     deltas = [coefficient_delta(res.diffs[j], w) for j in range(1, 6)]
     for j in range(len(deltas) - 1):
         assert not np.any(f.matmul(deltas[j + 1], deltas[j]))
+
+
+def naive_generators(group, field, kernel_vectors, rank):
+    """Greedy generators by the definition: one full rank test per candidate."""
+    n = group.order
+    target = len(kernel_vectors)
+    span = []
+    gens = []
+    for v in kernel_vectors:
+        if span and field.rank(np.column_stack(span + [v])) == field.rank(np.column_stack(span)):
+            continue
+        gens.append(v)
+        for h in range(n):
+            moved = field.zeros(rank * n)
+            for i in range(rank):
+                for g in range(n):
+                    moved[i * n + group.mul(h, g)] = v[i * n + g]
+            span.append(moved)
+        if field.rank(np.column_stack(span)) == target:
+            break
+    return gens
+
+
+def _permutation_matrix(field, perm):
+    m = field.zeros(len(perm), len(perm))
+    for i, image in enumerate(perm):
+        m[image, i] = field.one
+    return m
+
+
+def _generator_cases():
+    perms = {
+        "Z/4": [[1, 2, 3, 0]],
+        "S3": [[1, 0, 2], [1, 2, 0]],
+        "D8": [[1, 2, 3, 0], [0, 3, 2, 1]],
+    }
+    for name, gens in perms.items():
+        group = FiniteGroup.from_permutations(gens, name=name)
+        for p in (2, 3):
+            f = Field(p)
+            # generators are elements 1.. in breadth-first order
+            perm_module = module_from_generators(
+                group, f, {i + 1: _permutation_matrix(f, g) for i, g in enumerate(gens)})
+            for module in (trivial_module(group, f), perm_module):
+                yield name, p, module
+
+
+@pytest.mark.parametrize("case", list(_generator_cases()),
+                         ids=lambda c: f"{c[0]}-F{c[1]}-dim{c[2].dim}")
+def test_module_generators_match_naive_greedy(case):
+    name, p, module = case
+    f = module.field
+    res = FreeResolution(module)
+    for j in range(4):
+        op = res.aug_operator() if j == 0 else res.diff_operator(j)
+        kernel = f.kernel_basis(op)
+        fast = res._module_generators(kernel, res.ranks[j])
+        slow = naive_generators(module.group, f, kernel, res.ranks[j])
+        assert len(fast) == len(slow)
+        assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
+        res.extend(j + 1)
+        assert res.ranks[j + 1] == len(fast)
+    assert res.verify(4)
