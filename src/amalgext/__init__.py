@@ -1,7 +1,7 @@
 """Exact homological computations for amalgams of finite groups."""
 
 from amalgext.linalg import Field, subquotient_dim
-from amalgext.groups import FiniteGroup, SubgroupEmbedding, validate_embedding
+from amalgext.groups import FiniteGroup, SubgroupEmbedding
 from amalgext.reps import (
     KModule,
     trivial_module,

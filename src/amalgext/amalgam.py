@@ -241,9 +241,6 @@ class AmalgamDatum:
             w = self.multiply(w, self._embed_word(side, self._factor(side).inv(t)))
         return w
 
-    def equal(self, u: GWord, v: GWord) -> bool:
-        return u == v
-
     # -- cosets ----------------------------------------------------------
 
     def canon_with_witness(self, tag: str, g: GWord):

@@ -58,6 +58,8 @@ class FiniteGroup:
                 raise ValueError(f"element {x} has no two-sided inverse")
             inv[x] = hits[0]
         self.inverse_table = inv
+        # quotient_table[x, y] is the index of x^-1 y
+        self.quotient_table = table[inv]
 
         if labels is None:
             labels = [f"g{i}" for i in range(n)]
@@ -184,7 +186,3 @@ class SubgroupEmbedding:
         if len(hits) != 1:
             raise ValueError(f"{t} is not in the embedded image")
         return int(hits[0])
-
-
-def validate_embedding(e: SubgroupEmbedding) -> bool:
-    return e.validate()

@@ -84,10 +84,6 @@ def trivial_grep(datum: AmalgamDatum, field: Field, dim: int = 1) -> GRep:
                 trivial_module(datum.K2, field, dim), validate=False)
 
 
-def grep_from_modules(datum: AmalgamDatum, m1: KModule, m2: KModule) -> GRep:
-    return GRep(datum, m1, m2)
-
-
 def grep_from_generators(datum: AmalgamDatum, field: Field,
                          gens1: dict[int, np.ndarray], gens2: dict[int, np.ndarray]) -> GRep:
     m1 = module_from_generators(datum.K1, field, gens1)

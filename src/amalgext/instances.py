@@ -44,17 +44,6 @@ def sl2z_datum() -> AmalgamDatum:
     return AmalgamDatum(K1, K2, I, e1, e2, name="sl2z")
 
 
-_BUILDERS = {
-    "d-infinity": d_infinity_datum,
-    "psl2z": psl2z_datum,
-    "sl2z": sl2z_datum,
-}
-
-
-def datum_by_name(name: str) -> AmalgamDatum:
-    return _BUILDERS[name]()
-
-
 def standard_grep2(datum: AmalgamDatum, field: Field) -> GRep:
     """A two-dimensional representation for each bundled amalgam.
 

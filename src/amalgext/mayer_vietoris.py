@@ -15,12 +15,11 @@ import numpy as np
 from amalgext.amalgam import AmalgamDatum, TAG_I, TAG_K1, TAG_K2
 from amalgext.induction import GRep
 from amalgext.linalg import Field, subquotient_dim
-from amalgext.reps import hom_space
+from amalgext.reps import hom_space, intertwiner_constraints
 from amalgext.resolutions import (
     AlgebraMatrix,
     FreeResolution,
     LiftFailed,
-    _flat_to_alg_row,
     coefficient_delta,
     free_resolution,
 )
@@ -41,7 +40,6 @@ def chain_lift_pi(datum: AmalgamDatum, side: int, q: FreeResolution, p: FreeReso
     n = K.order
     q.extend(length)
     p.extend(length)
-    ind_diffs = {j: q.diffs[j].map_entries(emb, K) for j in range(1, length + 1)}
 
     lifts: list[AlgebraMatrix] = []
     # aug_Q sends basis row i to module basis vector i
@@ -50,11 +48,10 @@ def chain_lift_pi(datum: AmalgamDatum, side: int, q: FreeResolution, p: FreeReso
                               "degree-0 lift has no solution; augmentation not surjective"))
     for j in range(1, length + 1):
         if not q.ranks[j]:  # Q has stopped, so the lift starts from the zero module
-            lifts.append(AlgebraMatrix(K, f, 0, p.ranks[j]))
+            lifts.append(AlgebraMatrix(K, f, f.zeros(0, p.ranks[j], n)))
             continue
-        # row i of d_indQ is the image of basis row i, whose coordinate is (i, identity)
-        ind = ind_diffs[j]
-        rows = ind.to_k_matrix()[np.arange(ind.rows) * n + K.identity]
+        # row i of d_indQ is the image of basis row i
+        rows = q.diffs[j].map_entries(emb).coeffs.reshape(q.ranks[j], -1)
         targets = f.matmul(lifts[j - 1].operator(), rows.T)
         lifts.append(_lift_degree(f, K, p.diff_operator(j), targets, p.ranks[j],
                                   f"degree-{j} lift has no solution"))
@@ -66,8 +63,7 @@ def _lift_degree(f, group, op, targets, rank, failure) -> AlgebraMatrix:
     sols = f.solve_many(op, targets)
     if sols is None:
         raise LiftFailed(failure)
-    rows = [_flat_to_alg_row(group, sols[:, i], rank) for i in range(sols.shape[1])]
-    return AlgebraMatrix.from_rows(group, f, rows, rank)
+    return AlgebraMatrix(group, f, sols.T.reshape(sols.shape[1], rank, group.order))
 
 
 class MVComplex:
@@ -113,7 +109,6 @@ class MVComplex:
         self.fmap2 = [coefficient_delta(self.x2[j], w_2) for j in range(length + 1)]
 
         self.deltas = [self._delta(j) for j in range(length - 1)]
-        self.cone_sizes = [self._sizes(j) for j in range(length)]
 
     def _sizes(self, j: int) -> tuple[int, int, int]:
         a = self.q.ranks[j - 1] * self.d2 if j >= 1 else 0
@@ -178,17 +173,9 @@ def ext_G(v1: GRep, v2: GRep, n: int) -> list[int]:
 
 def hom_G_direct(v1: GRep, v2: GRep) -> list[np.ndarray]:
     """Basis of maps intertwining both factor actions simultaneously."""
-    f = v1.field
-    d1, d2 = v1.dim, v2.dim
-    blocks = []
-    for g in range(v1.datum.K1.order):
-        blocks.append(f.sub(np.kron(f.eye(d2), v1.module1.mats[g].T),
-                            np.kron(v2.module1.mats[g], f.eye(d1))))
-    for g in range(v1.datum.K2.order):
-        blocks.append(f.sub(np.kron(f.eye(d2), v1.module2.mats[g].T),
-                            np.kron(v2.module2.mats[g], f.eye(d1))))
-    stacked = np.concatenate(blocks, axis=0)
-    return [vec.reshape(d2, d1) for vec in f.kernel_basis(stacked)]
+    stacked = np.concatenate([intertwiner_constraints(v1.module1, v2.module1),
+                              intertwiner_constraints(v1.module2, v2.module2)])
+    return [vec.reshape(v2.dim, v1.dim) for vec in v1.field.kernel_basis(stacked)]
 
 
 def hom_sequence_check(v1: GRep, v2: GRep) -> dict:
@@ -239,21 +226,22 @@ def abelianized_hom_dim(datum: AmalgamDatum, characteristic: int) -> int:
     """
     f = Field(characteristic)
     n1, n2 = datum.K1.order, datum.K2.order
-    rows = []
+    blocks = []
     for group, offset in ((datum.K1, 0), (datum.K2, n1)):
-        for x in range(group.order):
-            for y in range(group.order):
-                row = f.zeros(n1 + n2)
-                row[offset + group.mul(x, y)] = f.add(row[offset + group.mul(x, y)], f.one)
-                row[offset + x] = f.sub(row[offset + x], f.one)
-                row[offset + y] = f.sub(row[offset + y], f.one)
-                rows.append(row)
-    for i in range(datum.I.order):
-        row = f.zeros(n1 + n2)
-        row[datum.emb1(i)] = f.add(row[datum.emb1(i)], f.one)
-        row[n1 + datum.emb2(i)] = f.sub(row[n1 + datum.emb2(i)], f.one)
-        rows.append(row)
-    return len(f.kernel_basis(np.vstack(rows)))
+        # row x*n + y is the relation c(xy) - c(x) - c(y) = 0
+        n = group.order
+        pairs = np.arange(n * n)
+        rows = np.zeros((n * n, n1 + n2), dtype=np.int64)
+        rows[pairs, offset + group.table.reshape(-1)] += 1
+        rows[pairs, offset + pairs // n] -= 1
+        rows[pairs, offset + pairs % n] -= 1
+        blocks.append(rows)
+    # row i is the gluing relation c1(emb1(i)) - c2(emb2(i)) = 0
+    rows = np.zeros((datum.I.order, n1 + n2), dtype=np.int64)
+    rows[np.arange(datum.I.order), datum.emb1.mapping] = 1
+    rows[np.arange(datum.I.order), n1 + datum.emb2.mapping] = -1
+    blocks.append(rows)
+    return len(f.kernel_basis(f.array(np.concatenate(blocks))))
 
 
 class LESReport:
@@ -289,8 +277,8 @@ class LESReport:
         return "\n".join(lines)
 
 
-def _rank_on_cohomology(f: Field, t: np.ndarray, z_src: np.ndarray, b_tgt: np.ndarray) -> int:
-    image = f.matmul(t, z_src)
+def _rank_on_cohomology(f: Field, image: np.ndarray, b_tgt: np.ndarray) -> int:
+    """Rank on cohomology of a map, given its image of the source cocycles."""
     if b_tgt.shape[1] == 0:
         return f.rank(image)
     return f.rank(np.concatenate([image, b_tgt], axis=1)) - f.rank(b_tgt)
@@ -339,39 +327,36 @@ def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
     # the product complex is block diagonal, so its cohomology is the direct sum
     prod_dims = [d1 + d2 for d1, d2 in zip(dims_k1, dims_k2)]
 
+    # Each map of the sequence leaves one node and enters the next, so its image
+    # of cocycles and its rank on cohomology are computed once and read twice.
+    # The connecting map into degree 0 is zero.
     nodes = []
+    conn_image, conn_rank = None, 0
     for j in range(n + 1):
         proj = mv.projection(j)
         comp = mv.comparison(j)
         conn = mv.connecting(j)
+        proj_image = f.matmul(proj, cone_z[j])
+        proj_rank = _rank_on_cohomology(f, proj_image, prod_b[j])
+        comp_image = f.matmul(comp, prod_z[j])
+        comp_rank = _rank_on_cohomology(f, comp_image, edge_b[j])
 
         # node G at degree j
-        if j == 0:
-            rank_in = 0
-            im_in_ker = True
-        else:
-            prev_conn = mv.connecting(j - 1)
-            rank_in = _rank_on_cohomology(f, prev_conn, edge_z[j - 1], cone_b[j])
-            carried = f.matmul(proj, f.matmul(prev_conn, edge_z[j - 1]))
-            im_in_ker = f.columns_contained(prod_b[j], carried)
-        rank_out = _rank_on_cohomology(f, proj, cone_z[j], prod_b[j])
-        nodes.append((j, "G", cone_dims[j], rank_in, rank_out, im_in_ker,
-                      rank_in + rank_out == cone_dims[j]))
+        im_in_ker = j == 0 or f.columns_contained(prod_b[j], f.matmul(proj, conn_image))
+        nodes.append((j, "G", cone_dims[j], conn_rank, proj_rank, im_in_ker,
+                      conn_rank + proj_rank == cone_dims[j]))
 
         # node K1 x K2 at degree j
-        rank_in = _rank_on_cohomology(f, proj, cone_z[j], prod_b[j])
-        rank_out = _rank_on_cohomology(f, comp, prod_z[j], edge_b[j])
-        carried = f.matmul(comp, f.matmul(proj, cone_z[j]))
-        im_in_ker = f.columns_contained(edge_b[j], carried)
-        nodes.append((j, "K1xK2", prod_dims[j], rank_in, rank_out, im_in_ker,
-                      rank_in + rank_out == prod_dims[j]))
+        im_in_ker = f.columns_contained(edge_b[j], f.matmul(comp, proj_image))
+        nodes.append((j, "K1xK2", prod_dims[j], proj_rank, comp_rank, im_in_ker,
+                      proj_rank + comp_rank == prod_dims[j]))
 
         # node I at degree j
-        rank_in = _rank_on_cohomology(f, comp, prod_z[j], edge_b[j])
-        rank_out = _rank_on_cohomology(f, conn, edge_z[j], cone_b[j + 1])
-        carried = f.matmul(conn, f.matmul(comp, prod_z[j]))
-        im_in_ker = f.columns_contained(cone_b[j + 1], carried)
-        nodes.append((j, "I", edge_dims[j], rank_in, rank_out, im_in_ker,
-                      rank_in + rank_out == edge_dims[j]))
+        conn_image = f.matmul(conn, edge_z[j])
+        conn_rank_out = _rank_on_cohomology(f, conn_image, cone_b[j + 1])
+        im_in_ker = f.columns_contained(cone_b[j + 1], f.matmul(conn, comp_image))
+        nodes.append((j, "I", edge_dims[j], comp_rank, conn_rank_out, im_in_ker,
+                      comp_rank + conn_rank_out == edge_dims[j]))
+        conn_rank = conn_rank_out
 
     return LESReport(v1.datum, n, cone_dims[: n + 1], dims_k1, dims_k2, edge_dims, nodes)

@@ -48,9 +48,6 @@ class KModule:
     def act(self, x: int) -> np.ndarray:
         return self.mats[x]
 
-    def apply(self, x: int, v: np.ndarray) -> np.ndarray:
-        return self.field.matmul(self.mats[x], v)
-
     def character(self, x: int):
         return self.field.reduce(np.trace(self.mats[x]))
 
@@ -148,14 +145,17 @@ def hom_space(v: KModule, w: KModule) -> list[np.ndarray]:
     f = v.field
     if f != w.field:
         raise GroupMismatch("intertwiners need one coefficient field")
-    dv, dw = v.dim, w.dim
-    blocks = []
-    eye_w = f.eye(dw)
-    eye_v = f.eye(dv)
-    for g in range(v.group.order):
-        blocks.append(f.sub(np.kron(eye_w, v.mats[g].T), np.kron(w.mats[g], eye_v)))
-    stacked = np.concatenate(blocks, axis=0)
-    return [vec.reshape(dw, dv) for vec in f.kernel_basis(stacked)]
+    return [vec.reshape(w.dim, v.dim) for vec in f.kernel_basis(intertwiner_constraints(v, w))]
+
+
+def intertwiner_constraints(v: KModule, w: KModule) -> np.ndarray:
+    """The conditions S v(g) = w(g) S for every g, stacked, on S flattened row-major."""
+    f = v.field
+    eye_w = f.eye(w.dim)
+    eye_v = f.eye(v.dim)
+    blocks = [f.sub(np.kron(eye_w, v.mats[g].T), np.kron(w.mats[g], eye_v))
+              for g in range(v.group.order)]
+    return np.concatenate(blocks, axis=0)
 
 
 class InducedModule:

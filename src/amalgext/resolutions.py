@@ -5,13 +5,19 @@ free modules is right multiplication by a matrix of algebra elements, so
 composition reads left to right and the expansion to scalar matrices is a
 ring homomorphism (rows act on the right).  The scalar coordinates of rank r
 are indexed by (component, group element), flattened as i*|H| + g.
+
+An AlgebraMatrix stores its entries as one dense coefficient array of shape
+(rows, cols, |H|): coeffs[i, j, g] is the coefficient of g in entry (i, j),
+so coeffs[i].reshape(-1) is the image of basis row i in these coordinates.
+Its scalar expansion gathers coeffs[i, j, x^-1 y] into row i*|H| + x and
+column j*|H| + y.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from amalgext.groups import FiniteGroup
+from amalgext.groups import FiniteGroup, SubgroupEmbedding
 from amalgext.linalg import Field, subquotient_dim
 from amalgext.reps import KModule
 
@@ -20,123 +26,51 @@ class LiftFailed(RuntimeError):
     pass
 
 
-def alg_mul(group: FiniteGroup, field: Field, a: dict, b: dict) -> dict:
-    out: dict[int, object] = {}
-    for g, ca in a.items():
-        for h, cb in b.items():
-            k = group.mul(g, h)
-            # reduce every product: a sum of two unreduced ones can overflow int64
-            out[k] = out.get(k, 0) + field.reduce(ca * cb)
-    return {g: c for g, c in ((g, field.reduce(np.int64(c) if field.p else c))
-                              for g, c in out.items()) if c != 0}
-
-
-def alg_add(field: Field, a: dict, b: dict) -> dict:
-    out = dict(a)
-    for g, c in b.items():
-        out[g] = out.get(g, 0) + c
-    return {g: c for g, c in ((g, field.reduce(np.int64(c) if field.p else c))
-                              for g, c in out.items()) if c != 0}
-
-
-def alg_neg(field: Field, a: dict) -> dict:
-    return {g: field.reduce(-c) for g, c in a.items()}
-
-
 class AlgebraMatrix:
-    """A rows x cols matrix of group algebra elements (maps of free modules).
+    """A rows x cols matrix of group algebra elements (a map of free modules).
 
-    entry (i, j) is a finite map {element index -> scalar}.  As a map it
-    sends the i-th basis row to the i-th row of the matrix.
+    As a map it sends the i-th basis row to the i-th row of the matrix,
+    whose coordinates are coeffs[i].reshape(-1) (layout in the module docstring).
     """
 
-    def __init__(self, group: FiniteGroup, field: Field, rows: int, cols: int, entries=None):
+    def __init__(self, group: FiniteGroup, field: Field, coeffs: np.ndarray):
         self.group = group
         self.field = field
-        self.rows = rows
-        self.cols = cols
-        if entries is None:
-            entries = [[{} for _ in range(cols)] for _ in range(rows)]
-        self.entries = entries
+        self.coeffs = coeffs
+        self.rows, self.cols = coeffs.shape[:2]
         self._operator = None
-
-    def entry(self, i: int, j: int) -> dict:
-        return self.entries[i][j]
 
     def mul(self, other: "AlgebraMatrix") -> "AlgebraMatrix":
         if self.cols != other.rows or self.group is not other.group:
             raise ValueError("algebra matrix shapes do not compose")
-        out = AlgebraMatrix(self.group, self.field, self.rows, other.cols)
-        for i in range(self.rows):
-            for l in range(other.cols):
-                acc: dict = {}
-                for j in range(self.cols):
-                    acc = alg_add(self.field, acc,
-                                  alg_mul(self.group, self.field,
-                                          self.entries[i][j], other.entries[j][l]))
-                out.entries[i][l] = acc
-        return out
-
-    def neg(self) -> "AlgebraMatrix":
-        out = AlgebraMatrix(self.group, self.field, self.rows, self.cols)
-        out.entries = [[alg_neg(self.field, e) for e in row] for row in self.entries]
-        return out
+        n = self.group.order
+        prod = self.field.matmul(self.coeffs.reshape(self.rows, self.cols * n), other.to_k_matrix())
+        return AlgebraMatrix(self.group, self.field, prod.reshape(self.rows, other.cols, n))
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
+        return not self.coeffs.any()
 
-    def map_entries(self, elem_map, target_group: FiniteGroup) -> "AlgebraMatrix":
-        """Push every algebra element along a group map (induction of free modules)."""
-        out = AlgebraMatrix(target_group, self.field, self.rows, self.cols)
-        out.entries = [[{elem_map(g): c for g, c in e.items()} for e in row]
-                       for row in self.entries]
-        return out
+    def map_entries(self, emb: SubgroupEmbedding) -> "AlgebraMatrix":
+        """Push every algebra element along a subgroup embedding (induction of free modules)."""
+        out = self.field.zeros(self.rows, self.cols, emb.target.order)
+        out[:, :, emb.mapping] = self.coeffs
+        return AlgebraMatrix(emb.target, self.field, out)
 
     def to_k_matrix(self) -> np.ndarray:
         """Row-convention expansion: coords(x * D) = coords(x) @ to_k_matrix(D).
 
+        Entry ((i, x), (j, y)) is the coefficient of x^-1 y in entry (i, j).
         This expansion is multiplicative: to_k(A.mul(B)) = to_k(A) @ to_k(B).
         """
         n = self.group.order
-        out = self.field.zeros(self.rows * n, self.cols * n)
-        table = self.group.table
-        rng = np.arange(n)
-        for i, row in enumerate(self.entries):
-            for j, entry in enumerate(row):
-                # x * h runs over a permutation of the group, so no two terms collide
-                for h, c in entry.items():
-                    out[i * n + rng, j * n + table[:, h]] = c
-        return out
+        blocks = self.coeffs[:, :, self.group.quotient_table]
+        return blocks.transpose(0, 2, 1, 3).reshape(self.rows * n, self.cols * n)
 
     def operator(self) -> np.ndarray:
         """Column-convention operator: op @ coords(x) = coords(x * D)."""
         if self._operator is None:
             self._operator = self.to_k_matrix().T
         return self._operator
-
-    @classmethod
-    def from_rows(cls, group, field, rows_of_dicts, cols):
-        out = cls(group, field, len(rows_of_dicts), cols)
-        out.entries = [list(r) for r in rows_of_dicts]
-        return out
-
-
-def rho(module: KModule, a: dict) -> np.ndarray:
-    """The action of an algebra element on a module, as a scalar matrix."""
-    f = module.field
-    out = f.zeros(module.dim, module.dim)
-    for g, c in a.items():
-        out = f.add(out, f.scale(c, module.mats[g]))
-    return out
-
-
-def _flat_to_alg_row(group: FiniteGroup, vec: np.ndarray, rank: int) -> list[dict]:
-    n = group.order
-    row = []
-    for i in range(rank):
-        comp = {g: vec[i * n + g] for g in range(n) if vec[i * n + g] != 0}
-        row.append(comp)
-    return row
 
 
 class FreeResolution:
@@ -155,7 +89,6 @@ class FreeResolution:
         self.ranks = [module.dim]
         self.diffs: list[AlgebraMatrix | None] = [None]
         self._aug_operator = None
-        self._ops: dict[int, np.ndarray] = {}
 
     def aug_operator(self) -> np.ndarray:
         if self._aug_operator is None:
@@ -170,9 +103,7 @@ class FreeResolution:
         return self._aug_operator
 
     def diff_operator(self, j: int) -> np.ndarray:
-        if j not in self._ops:
-            self._ops[j] = self.diffs[j].operator()
-        return self._ops[j]
+        return self.diffs[j].operator()
 
     def length(self) -> int:
         return len(self.ranks) - 1
@@ -188,15 +119,14 @@ class FreeResolution:
         prev_rank = self.ranks[j]
         if prev_rank == 0:
             self.ranks.append(0)
-            self.diffs.append(AlgebraMatrix(self.group, f, 0, 0))
+            self.diffs.append(AlgebraMatrix(self.group, f, f.zeros(0, 0, n)))
             return
         op = self.aug_operator() if j == 0 else self.diff_operator(j)
         kernel = f.kernel_basis(op)
         gens = self._module_generators(kernel, prev_rank)
-        rank = len(gens)
-        rows = [_flat_to_alg_row(self.group, v, prev_rank) for v in gens]
-        self.ranks.append(rank)
-        self.diffs.append(AlgebraMatrix.from_rows(self.group, f, rows, prev_rank))
+        self.ranks.append(len(gens))
+        coeffs = f.array(gens).reshape(len(gens), prev_rank, n)
+        self.diffs.append(AlgebraMatrix(self.group, f, coeffs))
 
     def _module_generators(self, kernel_vectors, rank: int) -> list[np.ndarray]:
         """Greedy algebra generators of a group-stable scalar subspace.
@@ -211,7 +141,7 @@ class FreeResolution:
         n = self.group.order
         # translate by h moves coordinate (i, g) to (i, h g): row h of `gather`
         # lists, for each target coordinate, the element it is read from
-        gather = self.group.table[self.group.inverse_table]
+        gather = self.group.quotient_table
         target = len(kernel_vectors)
         basis = f.zeros(0, rank * n)
         pivots: list[int] = []
@@ -266,14 +196,11 @@ def free_resolution(module: KModule, n: int) -> FreeResolution:
 
 def coefficient_delta(diff: AlgebraMatrix, w: KModule) -> np.ndarray:
     """The map on free-module Hom spaces W^(r_{j-1}) -> W^(r_j) induced by a differential."""
-    f = w.field
-    dw = w.dim
-    out = f.zeros(diff.rows * dw, diff.cols * dw)
-    for i in range(diff.rows):
-        for l in range(diff.cols):
-            if diff.entries[i][l]:
-                out[i * dw : (i + 1) * dw, l * dw : (l + 1) * dw] = rho(w, diff.entries[i][l])
-    return out
+    dw, n = w.dim, diff.group.order
+    # block (i, l) is the action sum_g coeffs[i, l, g] w(g), all blocks in one product
+    blocks = w.field.matmul(diff.coeffs.reshape(-1, n), np.stack(w.mats).reshape(n, dw * dw))
+    blocks = blocks.reshape(diff.rows, diff.cols, dw, dw)
+    return blocks.transpose(0, 2, 1, 3).reshape(diff.rows * dw, diff.cols * dw)
 
 
 class ExtData:

@@ -6,7 +6,6 @@ from amalgext.groups import (
     NotHomomorphism,
     NotInjective,
     SubgroupEmbedding,
-    validate_embedding,
 )
 
 from conftest import S_MAT, ST_MAT
@@ -45,7 +44,7 @@ def test_bad_table_rejected():
 def test_embedding_z2_in_z4_doubling_ok():
     z2, z4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
     e = SubgroupEmbedding(z2, z4, [0, 2])
-    assert validate_embedding(e)
+    assert e.validate()
 
 
 def test_embedding_z2_in_z4_inclusion_of_indices_fails():

@@ -7,6 +7,7 @@ from amalgext.groups import FiniteGroup
 from amalgext.linalg import Field, subquotient_dim
 from amalgext.reps import (
     KModule,
+    conjugate_module,
     hom_space,
     module_from_generators,
     regular_module,
@@ -15,36 +16,42 @@ from amalgext.reps import (
 from amalgext.resolutions import (
     AlgebraMatrix,
     FreeResolution,
-    alg_mul,
     coefficient_delta,
     ext_finite,
     free_resolution,
-    rho,
 )
 
 
 def random_algebra_matrix(group, field, rng, rows, cols):
-    m = AlgebraMatrix(group, field, rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            entry = {}
-            for g in range(group.order):
-                c = rng.randrange(field.p)
-                if c:
-                    entry[g] = np.int64(c)
-            m.entries[i][j] = entry
-    return m
+    coeffs = [[[rng.randrange(field.p) for _ in range(group.order)] for _ in range(cols)]
+              for _ in range(rows)]
+    return AlgebraMatrix(group, field, field.array(coeffs))
+
+
+def convolution(group, field, a, b):
+    """The product of two algebra matrices by the definition, in Python integers."""
+    out = [[[0] * group.order for _ in range(b.cols)] for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(a.cols):
+            for l in range(b.cols):
+                for g in range(group.order):
+                    for h in range(group.order):
+                        out[i][l][group.mul(g, h)] += int(a.coeffs[i, j, g]) * int(b.coeffs[j, l, h])
+    return field.array([[[c % field.p for c in e] for e in row] for row in out])
 
 
 def test_expansion_is_multiplicative():
     rng = random.Random(12)
-    for n, p in ((4, 2), (6, 3), (3, 5)):
-        group = FiniteGroup.cyclic(n)
+    groups = (FiniteGroup.cyclic(4), FiniteGroup.cyclic(6), FiniteGroup.cyclic(3),
+              FiniteGroup.from_permutations([[1, 0, 2], [1, 2, 0]]))
+    for group, p in zip(groups, (2, 3, 5, 3)):
         f = Field(p)
         for _ in range(10):
             a = random_algebra_matrix(group, f, rng, 2, 3)
             b = random_algebra_matrix(group, f, rng, 3, 2)
-            lhs = a.mul(b).to_k_matrix()
+            prod = a.mul(b)
+            assert np.array_equal(prod.coeffs, convolution(group, f, a, b))
+            lhs = prod.to_k_matrix()
             rhs = f.matmul(a.to_k_matrix(), b.to_k_matrix())
             assert np.array_equal(lhs, rhs)
 
@@ -55,26 +62,41 @@ def test_algebra_multiplication_against_regular_action():
     rng = random.Random(3)
     reg = regular_module(group, f)
     for _ in range(20):
-        a = {g: np.int64(rng.randrange(3)) for g in range(6)}
-        b = {g: np.int64(rng.randrange(3)) for g in range(6)}
-        prod = alg_mul(group, f, a, b)
-        assert np.array_equal(rho(reg, prod), f.matmul(rho(reg, a), rho(reg, b)))
+        a = random_algebra_matrix(group, f, rng, 1, 1)
+        b = random_algebra_matrix(group, f, rng, 1, 1)
+        prod = coefficient_delta(a.mul(b), reg)
+        assert np.array_equal(prod, f.matmul(coefficient_delta(a, reg), coefficient_delta(b, reg)))
 
 
 def test_algebra_multiplication_exact_at_the_largest_prime():
     f = Field(3037000493)
     z2 = FiniteGroup.cyclic(2)
-    top = np.int64(f.p - 1)
+    top = AlgebraMatrix(z2, f, f.array([[[f.p - 1, f.p - 1]]]))
     # (1 + s)(1 + s) with both coefficients -1: each coefficient is 2 (p - 1)^2 = 2 mod p
-    assert alg_mul(z2, f, {0: top, 1: top}, {0: top, 1: top}) == {0: 2, 1: 2}
+    assert top.mul(top).coeffs.tolist() == [[[2, 2]]]
+
+
+def test_coefficient_delta_exact_at_the_largest_prime():
+    f = Field(3037000493)
+    s3 = FiniteGroup.from_permutations([[1, 0, 2], [1, 2, 0]])
+    rng = np.random.default_rng(8)
+    # a conjugate of the regular module has action entries of full size
+    w = conjugate_module(regular_module(s3, f), f.random_invertible(rng, s3.order))
+    diff = AlgebraMatrix(s3, f, f.random_matrix(rng, 2, 3 * s3.order).reshape(2, 3, s3.order))
+    dw = w.dim
+    delta = coefficient_delta(diff, w)
+    for i in range(2):
+        for l in range(3):
+            block = [[sum(int(diff.coeffs[i, l, g]) * int(w.mats[g][a, b]) for g in range(s3.order)) % f.p
+                      for b in range(dw)] for a in range(dw)]
+            assert delta[i * dw : (i + 1) * dw, l * dw : (l + 1) * dw].tolist() == block
 
 
 def periodic_resolution_z2(field) -> FreeResolution:
     """The explicit rank-one periodic resolution of k over k[Z/2] in char 2."""
     z2 = FiniteGroup.cyclic(2)
     res = FreeResolution(trivial_module(z2, field))
-    step = AlgebraMatrix(z2, field, 1, 1)
-    step.entries[0][0] = {0: field.one, 1: field.one}
+    step = AlgebraMatrix(z2, field, field.array([[[1, 1]]]))
     for _ in range(6):
         res.ranks.append(1)
         res.diffs.append(step)
@@ -85,10 +107,8 @@ def periodic_resolution_z4(field) -> FreeResolution:
     """Alternating 1+s and 1+s+s^2+s^3 over k[Z/4] in char 2."""
     z4 = FiniteGroup.cyclic(4)
     res = FreeResolution(trivial_module(z4, field))
-    one_plus = AlgebraMatrix(z4, field, 1, 1)
-    one_plus.entries[0][0] = {0: field.one, 1: field.one}
-    norm = AlgebraMatrix(z4, field, 1, 1)
-    norm.entries[0][0] = {g: field.one for g in range(4)}
+    one_plus = AlgebraMatrix(z4, field, field.array([[[1, 1, 0, 0]]]))
+    norm = AlgebraMatrix(z4, field, field.array([[[1, 1, 1, 1]]]))
     for j in range(6):
         res.ranks.append(1)
         res.diffs.append(one_plus if j % 2 == 0 else norm)
