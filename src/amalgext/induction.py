@@ -13,7 +13,7 @@ import numpy as np
 
 from amalgext.amalgam import AmalgamDatum, GWord, TAG_I, TAG_K1, TAG_K2
 from amalgext.groups import GroupMismatch
-from amalgext.linalg import Field
+from amalgext.linalg import Field, Span
 from amalgext.reps import KModule, module_from_generators, trivial_module
 
 
@@ -385,7 +385,8 @@ def mv_truncated_check(v: GRep, r: int) -> MVCheckReport:
                                   fld.neg(vert2.vector(g2, fld))])
             cols.append(col)
     gamma_matrix = np.column_stack(cols) if cols else fld.zeros(vert1.size + vert2.size, 0)
-    gamma_rank = fld.rank(gamma_matrix)
+    gamma_span = Span(fld, gamma_matrix.shape[0], gamma_matrix.T)
+    gamma_rank = len(gamma_span)
     injective = gamma_rank == len(cols)
 
     # pi_1 + pi_2 on pairs supported in the vertex (r-1)-balls
@@ -409,12 +410,11 @@ def mv_truncated_check(v: GRep, r: int) -> MVCheckReport:
                 m[j * dim + t, i * dim + t] = fld.one
         return m
 
-    inc = np.zeros((vert1.size + vert2.size, small1.size + small2.size), dtype=gamma_matrix.dtype)
-    inc = fld.array(inc)
+    inc = fld.zeros(vert1.size + vert2.size, small1.size + small2.size)
     inc[: vert1.size, : small1.size] = inclusion(small1, vert1)
     inc[vert1.size :, small1.size :] = inclusion(small2, vert2)
     embedded_kernel = fld.matmul(inc, kernel)
-    middle_exact = fld.columns_contained(gamma_matrix, embedded_kernel)
+    middle_exact = not gamma_span.reduce(embedded_kernel.T).any()
 
     surjective = all(
         np.array_equal(pi(iota(TAG_K1, v, basis_vectors[j])), basis_vectors[j])

@@ -236,16 +236,68 @@ class Field:
                 return m
 
 
+class Span:
+    """A row span kept as a fully reduced echelon basis.
+
+    The rows of `basis` carry the identity in the `pivots` columns, so
+    reduce(rows) = rows - rows[:, pivots] @ basis vanishes exactly on the rows
+    that lie in the span.
+    """
+
+    def __init__(self, field: Field, width: int, rows=None):
+        self.field = field
+        self.basis = field.zeros(0, width)
+        self.pivots: list[int] = []
+        if rows is not None:
+            self.add(rows)
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, rows) -> np.ndarray:
+        if not self.pivots:
+            return rows
+        f = self.field
+        return f.sub(rows, f.matmul(rows[:, self.pivots], self.basis))
+
+    def add(self, rows):
+        """Reduce the rows, echelonize them, and clear their pivot columns from the basis."""
+        f = self.field
+        new, new_pivots = f.rref(self.reduce(rows))
+        new = new[: len(new_pivots)]
+        if self.pivots:
+            self.basis = f.sub(self.basis, f.matmul(self.basis[:, new_pivots], new))
+        self.basis = np.concatenate([self.basis, new])
+        self.pivots += new_pivots
+
+
+class CochainComplex:
+    """C^0 -> C^1 -> ... with deltas[j]: C^j -> C^{j+1}, cohomology read at degrees 0..len-1.
+
+    Each map is eliminated once: cocycles[j] is the kernel basis of deltas[j]
+    as columns, and its rank is the width minus the kernel dimension.
+    """
+
+    def __init__(self, field: Field, deltas):
+        self.field = field
+        self.deltas = deltas
+        for j in range(1, len(deltas)):
+            if np.any(field.matmul(deltas[j], deltas[j - 1]) != 0):
+                raise CompositionNonzero(f"delta_{j} o delta_{j - 1} != 0")
+        self.cocycles = [field.kernel_matrix(d) for d in deltas]
+        ranks = [d.shape[1] - z.shape[1] for d, z in zip(deltas, self.cocycles)]
+        self.dims = [z.shape[1] - (ranks[j - 1] if j else 0) for j, z in enumerate(self.cocycles)]
+
+    def coboundaries(self, j: int) -> Span:
+        """The span of delta_{j-1}'s columns inside C^j (empty at degree 0)."""
+        width = self.deltas[j].shape[1]
+        return Span(self.field, width, self.deltas[j - 1].T if j else None)
+
+
 def subquotient_dim(field: Field, boundary_in, boundary_out) -> int:
     """dim ker(boundary_out) - rank(boundary_in) for a two-step complex.
 
     boundary_in maps into the middle space, boundary_out maps out of it;
     their composite must vanish.
     """
-    boundary_in = field.array(boundary_in)
-    boundary_out = field.array(boundary_out)
-    comp = field.matmul(boundary_out, boundary_in)
-    if np.any(comp != 0):
-        raise CompositionNonzero("boundary_out o boundary_in != 0")
-    mid = boundary_out.shape[1]
-    return (mid - field.rank(boundary_out)) - field.rank(boundary_in)
+    return CochainComplex(field, [field.array(boundary_in), field.array(boundary_out)]).dims[1]

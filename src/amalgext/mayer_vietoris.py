@@ -14,7 +14,7 @@ import numpy as np
 
 from amalgext.amalgam import AmalgamDatum, TAG_I, TAG_K1, TAG_K2
 from amalgext.induction import GRep
-from amalgext.linalg import Field, subquotient_dim
+from amalgext.linalg import CochainComplex, Field
 from amalgext.reps import hom_space, intertwiner_constraints
 from amalgext.resolutions import (
     AlgebraMatrix,
@@ -109,6 +109,7 @@ class MVComplex:
         self.fmap2 = [coefficient_delta(self.x2[j], w_2) for j in range(length + 1)]
 
         self.deltas = [self._delta(j) for j in range(length - 1)]
+        self.cone = CochainComplex(f, self.deltas)
 
     def _sizes(self, j: int) -> tuple[int, int, int]:
         a = self.q.ranks[j - 1] * self.d2 if j >= 1 else 0
@@ -128,9 +129,7 @@ class MVComplex:
         return out
 
     def cohomology_dim(self, j: int) -> int:
-        f = self.field
-        delta_in = self.deltas[j - 1] if j >= 1 else f.zeros(self.deltas[j].shape[1], 0)
-        return subquotient_dim(f, delta_in, self.deltas[j])
+        return self.cone.dims[j]
 
     def dims(self) -> list[int]:
         return [self.cohomology_dim(j) for j in range(self.degree + 1)]
@@ -201,12 +200,12 @@ def hom_sequence_check(v1: GRep, v2: GRep) -> dict:
     # kernel members are coefficient pairs with equal matrices on both sides;
     # the matched matrices must span exactly the simultaneous intertwiners
     matched = f.matmul(h1, kernel[: h1.shape[1], :]) if kernel.shape[1] else f.zeros(v1.dim * v2.dim, 0)
+    image_in_kernel = f.columns_contained(matched, hg)
     exact_middle = (
         kernel.shape[1] == len(basis_g)
         and f.columns_contained(hg, matched)
-        and f.columns_contained(matched, hg)
+        and image_in_kernel
     )
-    image_in_kernel = f.columns_contained(matched, hg)
     return {
         "dim_G": len(basis_g),
         "dim_K1": len(basis_1),
@@ -277,40 +276,21 @@ class LESReport:
         return "\n".join(lines)
 
 
-def _rank_on_cohomology(f: Field, image: np.ndarray, b_tgt: np.ndarray) -> int:
-    """Rank on cohomology of a map, given its image of the source cocycles."""
-    if b_tgt.shape[1] == 0:
-        return f.rank(image)
-    return f.rank(np.concatenate([image, b_tgt], axis=1)) - f.rank(b_tgt)
-
-
 def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
     """Exactness of the Mayer-Vietoris sequence through degree n.
 
     At every node the composite of consecutive maps must land in
     coboundaries, and the ranks of the incoming and outgoing maps on
-    cohomology must add up to the cohomology dimension.
+    cohomology must add up to the cohomology dimension.  A map's rank on
+    cohomology is the rank of its image of cocycles modulo the target's
+    coboundaries.
     """
     if n < 1:
         raise ValueError("degree bound must be at least 1")
     f = v1.field
     # one degree of headroom: exactness at degree n looks into degree n+1
     mv = MVComplex(v1, v2, n + 1)
-
-    def coboundaries(deltas, top):
-        return [deltas[j - 1] if j >= 1 else f.zeros(deltas[0].shape[1], 0)
-                for j in range(top + 1)]
-
-    def complex_data(deltas, top):
-        z = [f.kernel_matrix(deltas[j]) for j in range(top + 1)]
-        return z, coboundaries(deltas, top)
-
-    def cohomology_dims(deltas, top):
-        return [subquotient_dim(f, b, d) for b, d in zip(coboundaries(deltas, top), deltas)]
-
-    # cone complex through degree n+1, the factor complexes through n
-    cone_z, cone_b = complex_data(mv.deltas, n + 1)
-    cone_dims = cohomology_dims(mv.deltas, n + 1)
+    cone = mv.cone
     prod_deltas = []
     for j in range(n + 1):
         b1 = mv.delta_p1[j]
@@ -319,13 +299,10 @@ def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
         big[: b1.shape[0], : b1.shape[1]] = b1
         big[b1.shape[0] :, b1.shape[1] :] = b2
         prod_deltas.append(big)
-    prod_z, prod_b = complex_data(prod_deltas, n)
-    edge_z, edge_b = complex_data(mv.delta_q, n)
-    edge_dims = cohomology_dims(mv.delta_q, n)
-    dims_k1 = cohomology_dims(mv.delta_p1, n)
-    dims_k2 = cohomology_dims(mv.delta_p2, n)
-    # the product complex is block diagonal, so its cohomology is the direct sum
-    prod_dims = [d1 + d2 for d1, d2 in zip(dims_k1, dims_k2)]
+    prod = CochainComplex(f, prod_deltas)
+    edge = CochainComplex(f, mv.delta_q[: n + 1])
+    dims_k1 = CochainComplex(f, mv.delta_p1[: n + 1]).dims
+    dims_k2 = CochainComplex(f, mv.delta_p2[: n + 1]).dims
 
     # Each map of the sequence leaves one node and enters the next, so its image
     # of cocycles and its rank on cohomology are computed once and read twice.
@@ -336,27 +313,30 @@ def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
         proj = mv.projection(j)
         comp = mv.comparison(j)
         conn = mv.connecting(j)
-        proj_image = f.matmul(proj, cone_z[j])
-        proj_rank = _rank_on_cohomology(f, proj_image, prod_b[j])
-        comp_image = f.matmul(comp, prod_z[j])
-        comp_rank = _rank_on_cohomology(f, comp_image, edge_b[j])
+        prod_b = prod.coboundaries(j)
+        edge_b = edge.coboundaries(j)
+        cone_b = cone.coboundaries(j + 1)
+        proj_image = f.matmul(proj, cone.cocycles[j])
+        proj_rank = f.rank(prod_b.reduce(proj_image.T))
+        comp_image = f.matmul(comp, prod.cocycles[j])
+        comp_rank = f.rank(edge_b.reduce(comp_image.T))
 
         # node G at degree j
-        im_in_ker = j == 0 or f.columns_contained(prod_b[j], f.matmul(proj, conn_image))
-        nodes.append((j, "G", cone_dims[j], conn_rank, proj_rank, im_in_ker,
-                      conn_rank + proj_rank == cone_dims[j]))
+        im_in_ker = j == 0 or not prod_b.reduce(f.matmul(proj, conn_image).T).any()
+        nodes.append((j, "G", cone.dims[j], conn_rank, proj_rank, im_in_ker,
+                      conn_rank + proj_rank == cone.dims[j]))
 
         # node K1 x K2 at degree j
-        im_in_ker = f.columns_contained(edge_b[j], f.matmul(comp, proj_image))
-        nodes.append((j, "K1xK2", prod_dims[j], proj_rank, comp_rank, im_in_ker,
-                      proj_rank + comp_rank == prod_dims[j]))
+        im_in_ker = not edge_b.reduce(f.matmul(comp, proj_image).T).any()
+        nodes.append((j, "K1xK2", prod.dims[j], proj_rank, comp_rank, im_in_ker,
+                      proj_rank + comp_rank == prod.dims[j]))
 
         # node I at degree j
-        conn_image = f.matmul(conn, edge_z[j])
-        conn_rank_out = _rank_on_cohomology(f, conn_image, cone_b[j + 1])
-        im_in_ker = f.columns_contained(cone_b[j + 1], f.matmul(conn, comp_image))
-        nodes.append((j, "I", edge_dims[j], comp_rank, conn_rank_out, im_in_ker,
-                      comp_rank + conn_rank_out == edge_dims[j]))
+        conn_image = f.matmul(conn, edge.cocycles[j])
+        conn_rank_out = f.rank(cone_b.reduce(conn_image.T))
+        im_in_ker = not cone_b.reduce(f.matmul(conn, comp_image).T).any()
+        nodes.append((j, "I", edge.dims[j], comp_rank, conn_rank_out, im_in_ker,
+                      comp_rank + conn_rank_out == edge.dims[j]))
         conn_rank = conn_rank_out
 
-    return LESReport(v1.datum, n, cone_dims[: n + 1], dims_k1, dims_k2, edge_dims, nodes)
+    return LESReport(v1.datum, n, cone.dims[: n + 1], dims_k1, dims_k2, edge.dims, nodes)

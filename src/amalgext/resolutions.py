@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from amalgext.groups import FiniteGroup, SubgroupEmbedding
-from amalgext.linalg import Field, subquotient_dim
+from amalgext.linalg import CochainComplex, Field, Span
 from amalgext.reps import KModule
 
 
@@ -92,14 +92,9 @@ class FreeResolution:
 
     def aug_operator(self) -> np.ndarray:
         if self._aug_operator is None:
-            f, g = self.field, self.group
-            d, r0, n = self.module.dim, self.ranks[0], self.group.order
-            out = f.zeros(d, r0 * n)
-            basis = f.eye(d)
-            for i in range(r0):
-                for x in range(n):
-                    out[:, i * n + x] = f.matmul(self.module.mats[x], basis[:, i])
-            self._aug_operator = out
+            # column i*n + x is x acting on basis vector i
+            d, n = self.module.dim, self.group.order
+            self._aug_operator = np.stack(self.module.mats).transpose(1, 2, 0).reshape(d, d * n)
         return self._aug_operator
 
     def diff_operator(self, j: int) -> np.ndarray:
@@ -133,35 +128,22 @@ class FreeResolution:
 
         Each kernel vector that is not yet in the span of the translates of
         the generators so far becomes a generator, until the span is full.
-        The span is kept as a fully reduced echelon basis: rows `basis` with
-        the identity in the pivot columns `pivots`, so a vector v lies in the
-        span iff v - v[pivots] @ basis vanishes.
+        The span of the translates is kept as one echelon `Span`.
         """
-        f = self.field
         n = self.group.order
         # translate by h moves coordinate (i, g) to (i, h g): row h of `gather`
         # lists, for each target coordinate, the element it is read from
         gather = self.group.quotient_table
         target = len(kernel_vectors)
-        basis = f.zeros(0, rank * n)
-        pivots: list[int] = []
+        span = Span(self.field, rank * n)
         gens = []
         for v in kernel_vectors:
-            if pivots and not np.any(f.sub(v, f.matmul(v[pivots], basis))):
+            if not span.reduce(v[None]).any():
                 continue
             gens.append(v)
-            # all |G| translates of v at once, reduced against the span, then
-            # echelonized; the new pivot columns are then cleared from `basis`
-            block = v.reshape(rank, n)[:, gather].transpose(1, 0, 2).reshape(n, rank * n)
-            if pivots:
-                block = f.sub(block, f.matmul(block[:, pivots], basis))
-            new, new_pivots = f.rref(block)
-            new = new[: len(new_pivots)]
-            if pivots:
-                basis = f.sub(basis, f.matmul(basis[:, new_pivots], new))
-            basis = np.concatenate([basis, new])
-            pivots += new_pivots
-            if len(pivots) == target:
+            # all |G| translates of v at once
+            span.add(v.reshape(rank, n)[:, gather].transpose(1, 0, 2).reshape(n, rank * n))
+            if len(span) == target:
                 break
         return gens
 
@@ -203,33 +185,11 @@ def coefficient_delta(diff: AlgebraMatrix, w: KModule) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(diff.rows * dw, diff.cols * dw)
 
 
-class ExtData:
-    """Ext dimensions of one module pair plus the cocycle/coboundary data."""
-
-    def __init__(self, dims, deltas, cocycles, boundaries, resolution):
-        self.dims = dims
-        self.deltas = deltas
-        self.cocycles = cocycles
-        self.boundaries = boundaries
-        self.resolution = resolution
-
-
-def ext_finite(v: KModule, w: KModule, n: int, resolution: FreeResolution | None = None) -> ExtData:
-    """Ext^j(v, w) for 0 <= j <= n over the group algebra of v's group."""
+def ext_finite(v: KModule, w: KModule, n: int,
+               resolution: FreeResolution | None = None) -> CochainComplex:
+    """The coefficient cochain complex Hom(F_j, w); its dims are Ext^j(v, w), 0 <= j <= n."""
     if v.group is not w.group:
         raise ValueError("Ext needs two modules over one group")
-    f = v.field
     res = resolution if resolution is not None else free_resolution(v, n + 1)
     res.extend(n + 1)
-    dw = w.dim
-    deltas = [coefficient_delta(res.diffs[j], w) for j in range(1, n + 2)]
-    dims = []
-    cocycles = []
-    boundaries = []
-    for j in range(n + 1):
-        delta_out = deltas[j]
-        delta_in = deltas[j - 1] if j >= 1 else f.zeros(res.ranks[0] * dw, 0)
-        dims.append(subquotient_dim(f, delta_in, delta_out))
-        cocycles.append(f.kernel_matrix(delta_out))
-        boundaries.append(delta_in)
-    return ExtData(dims, deltas, cocycles, boundaries, res)
+    return CochainComplex(v.field, [coefficient_delta(res.diffs[j], w) for j in range(1, n + 2)])

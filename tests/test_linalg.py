@@ -3,7 +3,15 @@ import time
 import numpy as np
 import pytest
 
-from amalgext.linalg import MAX_CHARACTERISTIC, CompositionNonzero, Field, is_prime, subquotient_dim
+from amalgext.linalg import (
+    MAX_CHARACTERISTIC,
+    CochainComplex,
+    CompositionNonzero,
+    Field,
+    Span,
+    is_prime,
+    subquotient_dim,
+)
 
 from conftest import brute_force_rank
 
@@ -245,3 +253,113 @@ def test_is_prime_large_inputs_fast():
         assert not is_prime(n)
     assert not is_prime((2**31 - 1) * (2**61 - 1))
     assert time.perf_counter() - start < 1.0
+
+
+SPAN_SHAPES = [(0, 4), (3, 0), (0, 0), (1, 5), (4, 4), (5, 3), (2, 5)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 0])
+def test_span_dimension_matches_minor_oracle(p):
+    f = Field(p)
+    rng = np.random.default_rng(200 + p)
+    assert len(Span(f, 4)) == 0
+    for m, n in SPAN_SHAPES:
+        for k in range(min(m, n) + 1):
+            rows = _random_low_rank(f, rng, m, n, k)
+            span = Span(f, n, rows)
+            assert len(span) == brute_force_rank(f, rows)
+            assert span.basis.shape == (len(span), n)
+            if span.pivots:
+                assert np.array_equal(span.basis[:, span.pivots], f.eye(len(span)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 0])
+def test_span_reduce_vanishes_exactly_on_members(p):
+    f = Field(p)
+    rng = np.random.default_rng(300 + p)
+    for m, n in SPAN_SHAPES:
+        if n == 0:
+            continue
+        for k in range(min(m, n) + 1):
+            rows = _random_low_rank(f, rng, m, n, k)
+            span = Span(f, n, rows)
+            inside = f.matmul(f.random_matrix(rng, 3, m), rows) if m else f.zeros(3, n)
+            candidates = np.concatenate([inside, f.random_matrix(rng, 3, n), f.eye(n)])
+            reduced = span.reduce(candidates)
+            for v, r in zip(candidates, reduced):
+                assert (not r.any()) == f.in_column_span(rows.T, v)
+            assert not span.reduce(inside).any()
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 0])
+def test_span_added_in_blocks_equals_one_rref(p):
+    f = Field(p)
+    rng = np.random.default_rng(400 + p)
+    for m, n, k in ((7, 5, 3), (6, 6, 6), (8, 4, 2), (5, 7, 5), (4, 3, 0)):
+        rows = _random_low_rank(f, rng, m, n, k)
+        r, pivots = f.rref(rows)
+        for cuts in ([2, 5], [1], [0, 3, 3], [m]):
+            span = Span(f, n)
+            for block in np.split(rows, cuts):
+                span.add(block)
+            order = np.argsort(span.pivots)
+            assert [span.pivots[i] for i in order] == pivots
+            assert np.array_equal(span.basis[order], r[: len(pivots)])
+
+
+def _random_complex(f, rng, widths):
+    """Maps C^j -> C^{j+1} of random rank whose consecutive composites vanish."""
+    deltas = []
+    for src, tgt in zip(widths, widths[1:]):
+        if deltas:
+            # rows in the left kernel of the previous map
+            left = f.kernel_matrix(deltas[-1].T).T
+        else:
+            left = f.eye(src)
+        k = int(rng.integers(0, left.shape[0] + 1))
+        mix = _random_low_rank(f, rng, tgt, left.shape[0], k)
+        deltas.append(f.matmul(mix, left) if left.shape[0] else f.zeros(tgt, src))
+    return deltas
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 0])
+def test_cochain_complex_dims_match_minor_oracle(p):
+    f = Field(p)
+    rng = np.random.default_rng(500 + p)
+    for widths in ((3, 4, 3, 2), (0, 3, 3, 0), (4, 0, 4), (2, 5, 4, 5, 1), (1, 1, 1, 1)):
+        for _ in range(3):
+            deltas = _random_complex(f, rng, widths)
+            cx = CochainComplex(f, deltas)
+            ranks = [brute_force_rank(f, d) for d in deltas]
+            assert cx.dims == [(widths[j] - ranks[j]) - (ranks[j - 1] if j else 0)
+                               for j in range(len(deltas))]
+            for d, z in zip(deltas, cx.cocycles):
+                assert not f.matmul(d, z).any()
+            assert len(cx.coboundaries(0)) == 0
+            for j in range(1, len(deltas)):
+                assert len(cx.coboundaries(j)) == ranks[j - 1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 0])
+def test_rank_modulo_coboundaries_is_the_rank_difference(p):
+    f = Field(p)
+    rng = np.random.default_rng(600 + p)
+    for m, n_img, n_b, k in ((5, 3, 2, 2), (4, 4, 3, 1), (5, 2, 0, 0), (4, 0, 3, 2), (3, 3, 3, 3)):
+        b = _random_low_rank(f, rng, m, n_b, k)
+        # the image shares part of the span of b and adds at most one direction
+        image = f.add(_random_low_rank(f, rng, m, n_img, 1),
+                      f.matmul(b, f.random_matrix(rng, n_b, n_img)) if n_b else f.zeros(m, n_img))
+        span = Span(f, m, b.T)
+        expected = brute_force_rank(f, np.concatenate([image, b], axis=1)) - brute_force_rank(f, b)
+        assert f.rank(span.reduce(image.T)) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 0])
+def test_cochain_complex_refuses_maps_that_do_not_compose_to_zero(p):
+    f = Field(p)
+    with pytest.raises(CompositionNonzero):
+        CochainComplex(f, [f.eye(2), f.eye(2)])
+    first, second = f.zeros(3, 2), f.zeros(2, 3)
+    first[0, 1] = second[1, 0] = f.one
+    with pytest.raises(CompositionNonzero):
+        CochainComplex(f, [f.zeros(2, 1), first, second])
