@@ -16,6 +16,7 @@ from amalgext.groups import FiniteGroup, SubgroupEmbedding
 TAG_K1 = "K1"
 TAG_K2 = "K2"
 TAG_I = "I"
+_SIDES = {TAG_K1: 1, TAG_K2: 2, TAG_I: None}
 
 
 class LetterOutOfGroup(ValueError):
@@ -130,12 +131,14 @@ class AmalgamDatum:
             side: [t for t in reps if t != self._factor(side).identity]
             for side, reps in self.transversal.items()
         }
-        self._identity_word = GWord(self, (), I.identity)
-        self._subgroup_words = {
-            TAG_K1: [(k, self._embed_word(1, k)) for k in range(K1.order)],
-            TAG_K2: [(k, self._embed_word(2, k)) for k in range(K2.order)],
-            TAG_I: [(i, GWord(self, (), i)) for i in range(I.order)],
+        # push[side][i][t] = decomp[side][emb(i) * t]: one step of _push_tail
+        self._push = {
+            side: [[self.decomp[side][k] for k in row]
+                   for row in K.table[emb.mapping].tolist()]
+            for side, K, emb in ((1, K1, emb1), (2, K2, emb2))
         }
+        self._I_table = I.table.tolist()
+        self._identity_word = GWord(self, (), I.identity)
         self._ball_cache = {}
 
     def __repr__(self):
@@ -174,13 +177,12 @@ class AmalgamDatum:
         The new first letters stay nontrivial because t was not in the
         image coset.
         """
+        push = self._push
         out = []
         for side, t in letters:
-            K = self._factor(side)
-            k = K.mul(self._emb(side)(i), t)
-            t2, i = self.decomp[side][k]
+            t2, i = push[side][i][t]
             out.append((side, t2))
-        return tuple(out), self.I.mul(i, tail)
+        return tuple(out), self._I_table[i][tail]
 
     def _absorb(self, side: int, k: int, w: GWord) -> GWord:
         """Normal form of k * w for k in the side factor."""
@@ -236,10 +238,11 @@ class AmalgamDatum:
     def inverse(self, u: GWord) -> GWord:
         if u.datum is not self:
             raise DatumMismatch("word belongs to a different amalgam")
-        w = self._embed_word(1, self.emb1(self.I.inv(u.tail)))
-        for side, t in reversed(u.letters):
-            w = self.multiply(w, self._embed_word(side, self._factor(side).inv(t)))
-        return w
+        # (t_1 ... t_n i)^-1 = i^-1 t_n^-1 ... t_1^-1: push i^-1 through the
+        # inverted letters, which lie outside the image of I as the t_j do
+        inverted = [(side, self._factor(side).inv(t)) for side, t in reversed(u.letters)]
+        letters, tail = self._push_tail(self.I.inv(u.tail), inverted, self.I.identity)
+        return GWord(self, letters, tail)
 
     # -- cosets ----------------------------------------------------------
 
@@ -248,14 +251,33 @@ class AmalgamDatum:
 
         The minimum is over (word length, letters, tail index); it is the
         canonical representative of the right coset (subgroup) * g.
+
+        Write g = t_1 ... t_n * i in normal form.  For the factor on side s,
+        if t_1 lies on side s the shortest orbit elements are exactly
+        j * (t_2 ... t_n * i) for j in I: k = emb_s(j) * t_1^-1 reaches them
+        and every other k leaves a nontrivial first letter.  Otherwise they
+        are exactly j * g: every k outside emb_s(I) adds a letter.  For I
+        the orbit is {j * g}.  So only |I| candidates of one length are
+        compared, and since I acts freely the minimum and its witness are
+        unique.
         """
-        best = None
-        best_k = None
-        for k, k_word in self._subgroup_words[tag]:
-            cand = self.multiply(k_word, g)
-            if best is None or cand.sort_key() < best.sort_key():
-                best, best_k = cand, k
-        return CosetRep(tag, best), best_k
+        if g.datum is not self:
+            raise DatumMismatch("word belongs to a different amalgam")
+        side = _SIDES[tag]
+        letters, tail = g.letters, g.tail
+        stripped = side is not None and letters and letters[0][0] == side
+        if stripped:
+            letters = letters[1:]
+        (letters, tail), j = min((self._push_tail(j, letters, tail), j)
+                                 for j in range(self.I.order))
+        if side is None:
+            k = j
+        else:
+            K = self._factor(side)
+            k = self._emb(side)(j)
+            if stripped:
+                k = K.mul(k, K.inv(g.letters[0][1]))
+        return CosetRep(tag, GWord(self, letters, tail)), k
 
     def canon(self, tag: str, g: GWord) -> CosetRep:
         return self.canon_with_witness(tag, g)[0]
@@ -275,23 +297,61 @@ class AmalgamDatum:
         out.sort(key=GWord.sort_key)
         return out
 
+    def edge_coset_count(self, r: int, cap: int | None = None) -> int:
+        """E(r), the number of right cosets of I of word length <= r.
+
+        Each such coset holds exactly one normal form per alternating letter
+        sequence of length <= r, with |K1:I| - 1 and |K2:I| - 1 choices per
+        letter on either side.  With a cap, counting stops at the first
+        radius whose count exceeds it, so the result is then a lower bound.
+        """
+        a, b = (len(self.nontrivial_transversal[side]) for side in (1, 2))
+        total, ends1, ends2 = 1, 1, 1  # sequences of the last length, by first side
+        for _ in range(r):
+            ends1, ends2 = a * ends2, b * ends1
+            if not (ends1 or ends2) or (cap is not None and total > cap):
+                break
+            total += ends1 + ends2
+        return total
+
     def ball(self, tag: str, r: int) -> list[GWord]:
-        """Canonical coset representatives of word length <= r, in sort order."""
+        """Canonical coset representatives of word length <= r, in sort order.
+
+        Canonicalizing never lengthens a word, and by the length argument of
+        canon_with_witness canon(K_s, w) = canon(I, strip_s(w)), where
+        strip_s removes a leading side-s letter.  As canonicalizing over I
+        keeps the side of the first letter, the ball of K_s is the edge ball
+        (of I) without the representatives that start with a side-s letter,
+        in the same order.
+        """
         if r < 0:
             raise ValueError("radius must be nonnegative")
         key = (tag, r)
         if key not in self._ball_cache:
-            reps = {}
-            for w in self.reduced_words(r):
-                rep = self.canon(tag, w).word
-                if len(rep.letters) <= r:
-                    reps[rep] = True
-            out = sorted(reps, key=GWord.sort_key)
-            self._ball_cache[key] = out
+            side = _SIDES[tag]
+            if side is None:
+                self._ball_cache[key] = self._edge_ball(r)
+            else:
+                self._ball_cache[key] = [w for w in self.ball(TAG_I, r)
+                                         if not (w.letters and w.letters[0][0] == side)]
         return self._ball_cache[key]
 
+    def _edge_ball(self, r: int) -> list[GWord]:
+        # The orbits of I split the reduced words into groups of one length;
+        # the words come in sort order, so the first word met in each orbit
+        # is its minimum.
+        reps = []
+        covered = set()
+        for w in self.reduced_words(r):
+            if (w.letters, w.tail) not in covered:
+                reps.append(w)
+                covered.update(self._push_tail(j, w.letters, w.tail)
+                               for j in range(self.I.order))
+        return reps
+
     def subgroup_words(self, tag: str):
-        return list(self._subgroup_words[tag])
+        order = {TAG_K1: self.K1, TAG_K2: self.K2, TAG_I: self.I}[tag].order
+        return [(k, self.word_from_factor(tag, k)) for k in range(order)]
 
     def right_transversal_of_I(self, side: int) -> list[int]:
         """Representatives of the right cosets image(I) * k in the side factor."""

@@ -19,6 +19,12 @@ from amalgext.tree import build_ball, chain_complex, to_dot
 
 REPORT_FORMAT = 1
 
+# The most cells (edge cosets, times the representation's dimension for
+# mv-check) a tree, chain or mv-check ball may hold.  The dense matrices of
+# chain and mv-check grow with its square; the slowest ball at the limit (a
+# path-shaped one, as in D-infinity) takes about 10 s.
+MAX_BALL_CELLS = 1000
+
 
 class _Report:
     def __init__(self, instance_name: str, command: str, characteristic: int):
@@ -48,6 +54,15 @@ def _positive_radius(value):
     if r < 0:
         raise argparse.ArgumentTypeError("radius must be nonnegative")
     return r
+
+
+def _check_ball_size(datum, r: int, dim: int = 1):
+    """Refuse a radius whose edge ball is too large, before building anything."""
+    cosets = datum.edge_coset_count(r, cap=MAX_BALL_CELLS // dim)
+    if cosets * dim > MAX_BALL_CELLS:
+        size = f"{cosets} edge cosets" + (f" x dim {dim}" if dim > 1 else "")
+        raise ValueError(f"--radius {r} spans at least {size}, over the limit of "
+                         f"{MAX_BALL_CELLS} cells")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,6 +123,7 @@ def _run_validate(built, args, report):
 
 
 def _run_tree(built, args, report):
+    _check_ball_size(built.datum, args.radius)
     ball = build_ball(built.datum, args.radius)
     report.add(f"radius: {args.radius}")
     report.add(f"vertices: {ball.num_vertices}")
@@ -131,6 +147,7 @@ def _run_tree(built, args, report):
 
 def _run_chain(built, args, report):
     fld = built.field
+    _check_ball_size(built.datum, args.radius)
     ball = build_ball(built.datum, args.radius)
     boundary, aug = chain_complex(ball, fld)
     rank = fld.rank(boundary)
@@ -146,6 +163,7 @@ def _run_chain(built, args, report):
 
 def _run_mv_check(built, args, report):
     v = built.grep(args.grep)
+    _check_ball_size(built.datum, args.radius, v.dim)
     out = mv_truncated_check(v, args.radius)
     report.add(f"radius: {args.radius}")
     report.add(f"representation: {args.grep} (dim {v.dim})")

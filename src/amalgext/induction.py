@@ -401,19 +401,14 @@ def mv_truncated_check(v: GRep, r: int) -> MVCheckReport:
     pi_matrix_ = np.column_stack(pi_cols)
     kernel = fld.kernel_matrix(pi_matrix_)
 
-    # embed small-ball coordinates into the big-ball pair space
-    def inclusion(small: BallIndex, big: BallIndex) -> np.ndarray:
-        m = fld.zeros(big.size, small.size)
-        for i, w in enumerate(small.reps):
-            j = big.index[w]
-            for t in range(dim):
-                m[j * dim + t, i * dim + t] = fld.one
-        return m
+    # embed small-ball coordinates into the big-ball pair space: each small
+    # coordinate lands on the row of the same coset and component
+    def rows_of(small: BallIndex, big: BallIndex, offset: int) -> list[int]:
+        return [offset + big.index[w] * dim + t for w in small.reps for t in range(dim)]
 
-    inc = fld.zeros(vert1.size + vert2.size, small1.size + small2.size)
-    inc[: vert1.size, : small1.size] = inclusion(small1, vert1)
-    inc[vert1.size :, small1.size :] = inclusion(small2, vert2)
-    embedded_kernel = fld.matmul(inc, kernel)
+    rows = rows_of(small1, vert1, 0) + rows_of(small2, vert2, vert1.size)
+    embedded_kernel = fld.zeros(vert1.size + vert2.size, kernel.shape[1])
+    embedded_kernel[rows] = kernel
     middle_exact = not gamma_span.reduce(embedded_kernel.T).any()
 
     surjective = all(

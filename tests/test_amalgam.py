@@ -1,11 +1,16 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2, DatumMismatch, GWord, LetterOutOfGroup
+from amalgext.instfile import parse
 
 from conftest import sl2z_word_to_matrix
+
+ROOT = Path(__file__).resolve().parents[1]
+AMG_FILES = sorted(ROOT.glob("fixtures/*.amg")) + sorted(ROOT.glob("bench/instances/*.amg"))
 
 
 def test_reduce_psl2z_a_a_b(psl2z):
@@ -148,3 +153,49 @@ def test_word_identity_length_zero_even_with_tail(sl2z):
     w = GWord(sl2z, (), 1)
     assert len(w) == 0
     assert not w.is_identity()
+
+
+def file_datum(path):
+    return parse(str(path)).build().datum
+
+
+def brute_force_canon(d, tag, g):
+    """The definition: the minimum of {k * g : k in the subgroup} by sort_key, with its k."""
+    candidates = [(d.multiply(k_word, g), k) for k, k_word in d.subgroup_words(tag)]
+    return min(candidates, key=lambda c: c[0].sort_key())
+
+
+@pytest.mark.parametrize("path", AMG_FILES, ids=lambda p: p.name)
+def test_canon_and_balls_match_the_brute_force_definition(path):
+    d = file_datum(path)
+    words = d.reduced_words(3)
+    for tag in (TAG_K1, TAG_K2, TAG_I):
+        brute = {}
+        for g in words:
+            brute[g] = brute_force_canon(d, tag, g)
+            rep, k = d.canon_with_witness(tag, g)
+            assert (rep.tag, rep.word, k) == (tag, *brute[g]), (tag, g)
+            assert d.multiply(d.word_from_factor(tag, k), g) == rep.word
+        for r in range(4):
+            reps = {brute[w][0] for w in words if len(w) <= r}
+            assert d.ball(tag, r) == sorted(reps, key=GWord.sort_key), (tag, r)
+
+
+@pytest.mark.parametrize("path", AMG_FILES, ids=lambda p: p.name)
+def test_edge_coset_count_is_the_edge_ball_size(path):
+    d = file_datum(path)
+    for r in range(5):
+        assert len(d.ball(TAG_I, r)) == d.edge_coset_count(r)
+        assert d.edge_coset_count(r, cap=10**9) == d.edge_coset_count(r)
+
+
+@pytest.mark.parametrize("path", AMG_FILES, ids=lambda p: p.name)
+def test_inverse_matches_the_product_of_inverted_letters(path):
+    d = file_datum(path)
+    for u in d.reduced_words(4):
+        # the old construction: one multiply per letter onto a growing word
+        w = d.word_from_factor(TAG_I, d.I.inv(u.tail))
+        for side, t in reversed(u.letters):
+            tag, K = (TAG_K1, d.K1) if side == 1 else (TAG_K2, d.K2)
+            w = d.multiply(w, d.word_from_factor(tag, K.inv(t)))
+        assert d.inverse(u) == w

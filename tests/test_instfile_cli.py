@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from amalgext.cli import main, run
+from amalgext.cli import MAX_BALL_CELLS, main, run
 from amalgext.instfile import ParseError, ValidationError, parse, parse_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+S4_INSTANCE = str(FIXTURES.parent / "bench" / "instances" / "s4-s3-s4.amg")
 ALL_FIXTURES = ["d-infinity.amg", "psl2z.amg", "sl2z.amg", "psl2z-f5.amg", "sl2z-f5.amg"]
 
 
@@ -183,3 +184,25 @@ def test_cli_out_file_matches_stdout(tmp_path):
     code, text = run(["chain", fixture("sl2z.amg"), "--radius", "2", "--out", str(out)])
     assert code == 0
     assert out.read_text() == text
+
+
+@pytest.mark.parametrize("command", ["tree", "chain", "mv-check"])
+def test_cli_refuses_a_huge_radius_quickly(command):
+    start = time.perf_counter()
+    code, text = run([command, S4_INSTANCE, "--radius", "40"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert text.startswith("error: --radius 40 spans at least 2185 edge cosets")
+    assert f"over the limit of {MAX_BALL_CELLS} cells" in text
+
+
+def test_cli_radius_limit_counts_edge_cosets_times_dimension():
+    # D-infinity has 2r + 1 edge cosets of length <= r
+    largest = (MAX_BALL_CELLS - 1) // 2
+    assert run(["tree", fixture("d-infinity.amg"), "--radius", str(largest)])[0] == 0
+    assert run(["tree", fixture("d-infinity.amg"), "--radius", str(largest + 1)])[0] == 2
+    code, text = run(["mv-check", fixture("d-infinity.amg"), "--grep", "flip2",
+                      "--radius", str(largest // 2 + 1)])
+    assert code == 2 and " x dim 2, " in text
+    code, text = run(["tree", fixture("d-infinity.amg"), "--radius", str(10**15)])
+    assert code == 2 and f"at least {MAX_BALL_CELLS + 1} edge cosets" in text
