@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 
@@ -65,6 +67,7 @@ class FiniteGroup:
             labels = [f"g{i}" for i in range(n)]
             labels[ident] = "e"
         self.labels = list(labels)
+        self._p_cores: dict[int, list[int]] = {}
 
     def __len__(self):
         return self.order
@@ -80,6 +83,56 @@ class FiniteGroup:
 
     def label(self, x: int) -> str:
         return self.labels[x]
+
+    @cached_property
+    def generators(self) -> list[int]:
+        """A generating set of the group, computed once: generating_set of all elements."""
+        return self.generating_set(range(self.order))
+
+    def generating_set(self, elements) -> list[int]:
+        """Generators of the subgroup the elements generate: each one, in the
+        given order, that the ones before it do not generate."""
+        gens: list[int] = []
+        reached = {self.identity}
+        for x in elements:
+            if x not in reached:
+                gens.append(x)
+                reached = self._closure(gens)
+        return gens
+
+    def _closure(self, gens) -> set[int]:
+        """The subgroup generated by gens: the identity closed under right multiplication."""
+        reached = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            frontier = [y for y in {int(self.table[z, g]) for z in frontier for g in gens}
+                        if y not in reached]
+            reached.update(frontier)
+        return reached
+
+    def p_core(self, p: int) -> list[int]:
+        """O_p(G), the largest normal p-subgroup, as sorted indices (trivial when p = 0).
+
+        An element lies in it exactly when the normal subgroup generated by its
+        conjugacy class is a p-group.
+        """
+        if p not in self._p_cores:
+            # conj[g, x] = g^-1 x g
+            conj = self.table[self.table[self.inverse_table], np.arange(self.order)[:, None]]
+            core: set[int] = set()
+            seen: set[int] = set()
+            for x in range(self.order):
+                if x in seen:
+                    continue
+                cls = set(conj[:, x].tolist())
+                seen |= cls
+                order = len(self._closure(cls))
+                while p and order % p == 0:
+                    order //= p
+                if order == 1:
+                    core |= cls
+            self._p_cores[p] = sorted(core)
+        return self._p_cores[p]
 
     def element_order(self, x: int) -> int:
         n, y = 1, x

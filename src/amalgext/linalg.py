@@ -261,14 +261,32 @@ class Span:
         return f.sub(rows, f.matmul(rows[:, self.pivots], self.basis))
 
     def add(self, rows):
-        """Reduce the rows, echelonize them, and clear their pivot columns from the basis."""
+        """Reduce the rows, echelonize them, and append the result."""
+        new, new_pivots = self.field.rref(self.reduce(rows))
+        self.extend(new[: len(new_pivots)], new_pivots)
+
+    def extend(self, echelon, pivots: list[int]):
+        """Append rows already reduced against the span and in rref with these pivots.
+
+        Their pivot columns are cleared from the old basis rows; nothing is
+        reduced or eliminated again.
+        """
         f = self.field
-        new, new_pivots = f.rref(self.reduce(rows))
-        new = new[: len(new_pivots)]
         if self.pivots:
-            self.basis = f.sub(self.basis, f.matmul(self.basis[:, new_pivots], new))
-        self.basis = np.concatenate([self.basis, new])
-        self.pivots += new_pivots
+            self.basis = f.sub(self.basis, f.matmul(self.basis[:, pivots], echelon))
+        self.basis = np.concatenate([self.basis, echelon])
+        self.pivots += pivots
+
+    def direct_sum(self, other: "Span") -> "Span":
+        """The span of self's rows (+) 0 and 0 (+) other's rows, with no elimination."""
+        f = self.field
+        width = self.basis.shape[1]
+        out = Span(f, width + other.basis.shape[1])
+        out.basis = f.zeros(len(self) + len(other), out.basis.shape[1])
+        out.basis[: len(self), :width] = self.basis
+        out.basis[len(self) :, width:] = other.basis
+        out.pivots = self.pivots + [width + c for c in other.pivots]
+        return out
 
 
 class CochainComplex:
@@ -287,11 +305,38 @@ class CochainComplex:
         self.cocycles = [field.kernel_matrix(d) for d in deltas]
         ranks = [d.shape[1] - z.shape[1] for d, z in zip(deltas, self.cocycles)]
         self.dims = [z.shape[1] - (ranks[j - 1] if j else 0) for j, z in enumerate(self.cocycles)]
+        self._summands = ()
 
     def coboundaries(self, j: int) -> Span:
         """The span of delta_{j-1}'s columns inside C^j (empty at degree 0)."""
+        if self._summands:
+            first, second = self._summands
+            return first.coboundaries(j).direct_sum(second.coboundaries(j))
         width = self.deltas[j].shape[1]
         return Span(self.field, width, self.deltas[j - 1].T if j else None)
+
+    def direct_sum(self, other: "CochainComplex") -> "CochainComplex":
+        """The block-diagonal complex self (+) other, assembled from both eliminations.
+
+        Its cocycles are the block diagonals of the two cocycle bases, its dims
+        the sums, and its coboundary spans the direct sums of the two spans;
+        no map is eliminated again.
+        """
+        f = self.field
+        out = object.__new__(CochainComplex)
+        out.field = f
+        out.deltas = [_block_diagonal(f, a, b) for a, b in zip(self.deltas, other.deltas)]
+        out.cocycles = [_block_diagonal(f, a, b) for a, b in zip(self.cocycles, other.cocycles)]
+        out.dims = [a + b for a, b in zip(self.dims, other.dims)]
+        out._summands = (self, other)
+        return out
+
+
+def _block_diagonal(field: Field, a, b) -> np.ndarray:
+    out = field.zeros(a.shape[0] + b.shape[0], a.shape[1] + b.shape[1])
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0] :, a.shape[1] :] = b
+    return out
 
 
 def subquotient_dim(field: Field, boundary_in, boundary_out) -> int:

@@ -87,13 +87,14 @@ class MVComplex:
         if self.field != v2.field:
             raise ValueError("module pair must share the coefficient field")
         f = self.field
-        length = degree + 2
 
-        self.q = free_resolution(v1.module(TAG_I), length)
-        self.p1 = free_resolution(v1.module(TAG_K1), length)
-        self.p2 = free_resolution(v1.module(TAG_K2), length)
-        self.x1 = chain_lift_pi(self.datum, 1, self.q, self.p1, length)
-        self.x2 = chain_lift_pi(self.datum, 2, self.q, self.p2, length)
+        # cone degrees 0..degree read Q through degree, P1 and P2 through
+        # degree + 1, and the lifts through degree
+        self.q = free_resolution(v1.module(TAG_I), degree)
+        self.p1 = free_resolution(v1.module(TAG_K1), degree + 1)
+        self.p2 = free_resolution(v1.module(TAG_K2), degree + 1)
+        self.x1 = chain_lift_pi(self.datum, 1, self.q, self.p1, degree)
+        self.x2 = chain_lift_pi(self.datum, 2, self.q, self.p2, degree)
 
         w_i = v2.module(TAG_I)
         w_1 = v2.module(TAG_K1)
@@ -101,14 +102,14 @@ class MVComplex:
         d2 = v2.dim
         self.d2 = d2
         # coefficient complexes: delta_q[j] maps degree j to j+1 (index from 0)
-        self.delta_q = [coefficient_delta(self.q.diffs[j + 1], w_i) for j in range(length)]
-        self.delta_p1 = [coefficient_delta(self.p1.diffs[j + 1], w_1) for j in range(length)]
-        self.delta_p2 = [coefficient_delta(self.p2.diffs[j + 1], w_2) for j in range(length)]
+        self.delta_q = [coefficient_delta(self.q.diffs[j + 1], w_i) for j in range(degree)]
+        self.delta_p1 = [coefficient_delta(self.p1.diffs[j + 1], w_1) for j in range(degree + 1)]
+        self.delta_p2 = [coefficient_delta(self.p2.diffs[j + 1], w_2) for j in range(degree + 1)]
         # precomposition with the lifts: V2^(rank P_j) -> V2^(rank Q_j)
-        self.fmap1 = [coefficient_delta(self.x1[j], w_1) for j in range(length + 1)]
-        self.fmap2 = [coefficient_delta(self.x2[j], w_2) for j in range(length + 1)]
+        self.fmap1 = [coefficient_delta(self.x1[j], w_1) for j in range(degree + 1)]
+        self.fmap2 = [coefficient_delta(self.x2[j], w_2) for j in range(degree + 1)]
 
-        self.deltas = [self._delta(j) for j in range(length - 1)]
+        self.deltas = [self._delta(j) for j in range(degree + 1)]
         self.cone = CochainComplex(f, self.deltas)
 
     def _sizes(self, j: int) -> tuple[int, int, int]:
@@ -291,18 +292,10 @@ def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
     # one degree of headroom: exactness at degree n looks into degree n+1
     mv = MVComplex(v1, v2, n + 1)
     cone = mv.cone
-    prod_deltas = []
-    for j in range(n + 1):
-        b1 = mv.delta_p1[j]
-        b2 = mv.delta_p2[j]
-        big = f.zeros(b1.shape[0] + b2.shape[0], b1.shape[1] + b2.shape[1])
-        big[: b1.shape[0], : b1.shape[1]] = b1
-        big[b1.shape[0] :, b1.shape[1] :] = b2
-        prod_deltas.append(big)
-    prod = CochainComplex(f, prod_deltas)
-    edge = CochainComplex(f, mv.delta_q[: n + 1])
-    dims_k1 = CochainComplex(f, mv.delta_p1[: n + 1]).dims
-    dims_k2 = CochainComplex(f, mv.delta_p2[: n + 1]).dims
+    k1 = CochainComplex(f, mv.delta_p1[: n + 1])
+    k2 = CochainComplex(f, mv.delta_p2[: n + 1])
+    prod = k1.direct_sum(k2)
+    edge = CochainComplex(f, mv.delta_q)
 
     # Each map of the sequence leaves one node and enters the next, so its image
     # of cocycles and its rank on cohomology are computed once and read twice.
@@ -339,4 +332,4 @@ def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
                       comp_rank + conn_rank_out == edge.dims[j]))
         conn_rank = conn_rank_out
 
-    return LESReport(v1.datum, n, cone.dims[: n + 1], dims_k1, dims_k2, edge.dims, nodes)
+    return LESReport(v1.datum, n, cone.dims[: n + 1], k1.dims, k2.dims, edge.dims, nodes)

@@ -15,11 +15,22 @@ column j*|H| + y.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from amalgext.groups import FiniteGroup, SubgroupEmbedding
 from amalgext.linalg import CochainComplex, Field, Span
 from amalgext.reps import KModule
+
+
+# Random kernel combinations tried per generator, from a generator seeded with
+# a constant so that every resolution and report is the same on every run.
+# With 8 trials, no factor of the bundled fixtures or the bench instances at F2
+# or F3 got a larger rank sum through degree 7 than the greedy first-fit rule
+# at any of 30 seeds.
+SAMPLE_TRIALS = 8
+SAMPLE_SEED = 2026
 
 
 class LiftFailed(RuntimeError):
@@ -79,7 +90,15 @@ class FreeResolution:
     ranks[j] is the rank of the j-th free module; diffs[j] (j >= 1) is the
     algebra matrix of the j-th differential F_j -> F_{j-1}.  F_0 covers the
     module by sending the i-th basis row to the i-th module basis vector.
-    Resolutions are not required to be minimal.
+
+    Every later stage covers the kernel M of the one before with few
+    generators, chosen modulo I_O M for O = O_p(G), the largest normal
+    p-subgroup: I_O kG is a nilpotent ideal, so I_O M lies in J(kG) M and, by
+    Nakayama's lemma, vectors generate M once they do so modulo I_O M.  For a
+    p-group, O = G and the generators lift a basis of M / J M, so from degree
+    2 on the ranks are dim Ext^j(V, k).  Otherwise (and over Q) each generator
+    is the best of a few candidates, some of them random kernel combinations
+    from a generator seeded with a constant: every run gives the same result.
     """
 
     def __init__(self, module: KModule):
@@ -89,6 +108,11 @@ class FreeResolution:
         self.ranks = [module.dim]
         self.diffs: list[AlgebraMatrix | None] = [None]
         self._aug_operator = None
+        core = self.group.p_core(self.field.p)
+        self._core_gens = self.group.generating_set(core)
+        # one element of each coset of O; O fixes M modulo I_O M
+        self._coset_reps = sorted({min(int(self.group.table[h, o]) for o in core)
+                                   for h in range(self.group.order)})
 
     def aug_operator(self) -> np.ndarray:
         if self._aug_operator is None:
@@ -117,35 +141,75 @@ class FreeResolution:
             self.diffs.append(AlgebraMatrix(self.group, f, f.zeros(0, 0, n)))
             return
         op = self.aug_operator() if j == 0 else self.diff_operator(j)
-        kernel = f.kernel_basis(op)
-        gens = self._module_generators(kernel, prev_rank)
+        gens = self._module_generators(f.kernel_matrix(op).T, prev_rank)
         self.ranks.append(len(gens))
-        coeffs = f.array(gens).reshape(len(gens), prev_rank, n)
-        self.diffs.append(AlgebraMatrix(self.group, f, coeffs))
+        self.diffs.append(AlgebraMatrix(self.group, f, gens.reshape(len(gens), prev_rank, n)))
 
-    def _module_generators(self, kernel_vectors, rank: int) -> list[np.ndarray]:
-        """Greedy algebra generators of a group-stable scalar subspace.
+    def _module_generators(self, kernel: np.ndarray, rank: int) -> np.ndarray:
+        """Algebra generators, as rows, of the group-stable span M of the kernel rows.
 
-        Each kernel vector that is not yet in the span of the translates of
-        the generators so far becomes a generator, until the span is full.
-        The span of the translates is kept as one echelon `Span`.
+        The span starts as I_O M, spanned by (h - 1) m for generators h of O
+        and kernel rows m, and grows by the translates of each generator.  For
+        a p-group it is J M, and the generators are the kernel rows
+        independent of it and of the rows before them.  Otherwise a generator
+        is the best of the first kernel row outside the span and up to
+        SAMPLE_TRIALS random kernel combinations, compared first by whether
+        they add to I_G M + span (M / I_G M is the trivial part of the head,
+        one generator per dimension), then by the rank their translates by
+        coset representatives of O add to the span.  That rank is at most the
+        number of cosets, the rank still missing, and the rank the generator
+        before added (M modulo the span only shrinks, and so does its largest
+        cyclic submodule); trials stop at that bound.
         """
-        n = self.group.order
-        # translate by h moves coordinate (i, g) to (i, h g): row h of `gather`
-        # lists, for each target coordinate, the element it is read from
-        gather = self.group.quotient_table
-        target = len(kernel_vectors)
-        span = Span(self.field, rank * n)
+        f = self.field
+        q = self.group.quotient_table
+        blocks = kernel.reshape(len(kernel), rank, self.group.order)
+
+        def radical(gens) -> Span:
+            moved = [f.sub(blocks[:, :, q[h]].reshape(kernel.shape), kernel) for h in gens]
+            return Span(f, kernel.shape[1], np.concatenate([kernel[:0]] + moved))
+
+        span = radical(self._core_gens)
+        if len(self._coset_reps) == 1:
+            # a p-group: the pivot columns of the reduced rows, transposed
+            _, picked = f.rref(span.reduce(kernel).T)
+            return kernel[picked]
+        trivial = radical(self.group.generators)
+        target = len(kernel)
+        rng = random.Random(SAMPLE_SEED)
         gens = []
-        for v in kernel_vectors:
-            if not span.reduce(v[None]).any():
-                continue
-            gens.append(v)
-            # all |G| translates of v at once
-            span.add(v.reshape(rank, n)[:, gather].transpose(1, 0, 2).reshape(n, rank * n))
-            if len(span) == target:
-                break
-        return gens
+        cap = len(self._coset_reps)
+        first = 0  # the kernel rows before `first` lie in the span
+        while len(span) < target:
+            ideal = (len(trivial) < target, min(cap, target - len(span)))
+            while not span.reduce(kernel[first : first + 1]).any():
+                first += 1
+            best = self._score(span, trivial, kernel[first], rank)
+            for _ in range(SAMPLE_TRIALS):
+                if best[0] >= ideal:
+                    break
+                coeffs = f.array([rng.choices(range(f.p or 3), k=target)])
+                trial = self._score(span, trivial, f.matmul(coeffs, kernel)[0], rank)
+                if trial[0] > best[0]:
+                    best = trial
+            _, vector, echelon, pivots = best
+            gens.append(vector)
+            span.extend(echelon, pivots)
+            trivial.add(vector[None])
+            cap = len(pivots)
+        return np.array(gens) if gens else kernel[:0]
+
+    def _score(self, span: Span, trivial: Span, vector: np.ndarray, rank: int):
+        """((adds to trivial, rank added), vector, echelon, pivots), from the rref of
+        the vector's translates reduced against the span."""
+        n = self.group.order
+        # translate by h moves coordinate (i, g) to (i, h g); row h of the
+        # quotient table lists, for each target coordinate, where it is read from
+        reps = self.group.quotient_table[self._coset_reps]
+        translates = vector.reshape(rank, n)[:, reps].transpose(1, 0, 2).reshape(len(reps), rank * n)
+        echelon, pivots = self.field.rref(span.reduce(translates))
+        score = (bool(trivial.reduce(vector[None]).any()), len(pivots))
+        return score, vector, echelon[: len(pivots)], pivots
 
     def verify(self, n: int) -> bool:
         """d compose d = 0 and exactness of the augmented complex up to stage n."""

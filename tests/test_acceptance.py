@@ -335,7 +335,7 @@ def test_criterion_7_property_suite():
             combos.append((d, f, random_grep(d, f, rng_np), random_grep(d, f, rng_np)))
             combos.append((d, f, random_grep(d, f, rng_np), random_grep(d, f, rng_np)))
     for d, f, v1, v2 in combos:
-        mv = MVComplex(v1, v2, 3)
+        mv = MVComplex(v1, v2, 4)
         for res in (mv.q, mv.p1, mv.p2):
             for j in range(2, res.length() + 1):
                 assert res.diffs[j].mul(res.diffs[j - 1]).is_zero()

@@ -73,3 +73,62 @@ def test_right_cosets_partition():
     z6 = FiniteGroup.cyclic(6)
     cosets = z6.right_cosets([0, 3])
     assert cosets == [[0, 3], [1, 4], [2, 5]]
+
+
+def _generated(group, gens):
+    """The subgroup the elements generate, by multiplying out until nothing is new."""
+    out = {group.identity}
+    while True:
+        more = out | {group.mul(x, g) for x in out for g in gens}
+        if more == out:
+            return out
+        out = more
+
+
+def _largest_normal_p_subgroup(group, p):
+    """O_p by the definition: the intersection of the subgroups of Sylow order
+    generated by one or two elements of p-power order (every Sylow p-subgroup
+    of the groups below is generated by two elements)."""
+    sylow = group.order
+    while sylow % p == 0:
+        sylow //= p
+    sylow = group.order // sylow
+    p_elements = [x for x in range(group.order)
+                  if group.element_order(x) in {p**i for i in range(8)}]
+    core = set(range(group.order))
+    for x in p_elements:
+        for y in p_elements:
+            sub = _generated(group, [x, y])
+            if len(sub) == sylow:
+                core &= sub
+    return sorted(core)
+
+
+GROUPS_BY_PERMUTATIONS = {
+    "S3": [[1, 0, 2], [1, 2, 0]],
+    "S4": [[1, 0, 2, 3], [1, 2, 3, 0]],
+    "D8": [[1, 2, 3, 0], [0, 3, 2, 1]],
+    "D12": [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]],
+    "A4": [[1, 2, 0, 3], [0, 2, 3, 1]],
+    "Z/6": [[1, 2, 3, 4, 5, 0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS_BY_PERMUTATIONS))
+def test_p_core_is_the_largest_normal_p_subgroup(name):
+    group = FiniteGroup.from_permutations(GROUPS_BY_PERMUTATIONS[name])
+    for p in (2, 3, 5):
+        assert group.p_core(p) == _largest_normal_p_subgroup(group, p)
+    assert group.p_core(0) == [group.identity]
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS_BY_PERMUTATIONS))
+def test_generating_set_generates(name):
+    group = FiniteGroup.from_permutations(GROUPS_BY_PERMUTATIONS[name])
+    assert group.generators == group.generating_set(range(group.order))
+    assert _generated(group, group.generators) == set(range(group.order))
+    assert len(group.generators) <= 2
+    for p in (2, 3):
+        core = group.p_core(p)
+        assert _generated(group, group.generating_set(core)) == set(core)
+    assert group.generating_set([group.identity]) == []

@@ -206,3 +206,13 @@ def test_cli_radius_limit_counts_edge_cosets_times_dimension():
     assert code == 2 and " x dim 2, " in text
     code, text = run(["tree", fixture("d-infinity.amg"), "--radius", str(10**15)])
     assert code == 2 and f"at least {MAX_BALL_CELLS + 1} edge cosets" in text
+
+
+def test_s4_ext_to_degree_8_matches_the_greedy_resolution_dims():
+    """S4 *_{S3} S4 has no closed form; its anchor is the dims that the greedy
+    first-fit resolution gave, which any generator rule must keep."""
+    start = time.perf_counter()
+    code, text = run(["ext", S4_INSTANCE, "--char", "2", "--degree", "8"])
+    assert code == 0
+    assert "ext_G: 1 1 3 5 5 7 9 9 11" in text.splitlines()
+    assert time.perf_counter() - start < 5.0

@@ -363,3 +363,40 @@ def test_cochain_complex_refuses_maps_that_do_not_compose_to_zero(p):
     first[0, 1] = second[1, 0] = f.one
     with pytest.raises(CompositionNonzero):
         CochainComplex(f, [f.zeros(2, 1), first, second])
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 0])
+def test_span_extend_by_a_reduced_echelon_equals_add(p):
+    f = Field(p)
+    rng = np.random.default_rng(700 + p)
+    for m, n, k in ((7, 5, 3), (6, 6, 6), (8, 4, 2), (5, 7, 5), (4, 3, 0)):
+        rows = _random_low_rank(f, rng, m, n, k)
+        for cut in range(m + 1):
+            added, extended = Span(f, n, rows[:cut]), Span(f, n, rows[:cut])
+            added.add(rows[cut:])
+            echelon, pivots = f.rref(extended.reduce(rows[cut:]))
+            extended.extend(echelon[: len(pivots)], pivots)
+            assert extended.pivots == added.pivots
+            assert np.array_equal(extended.basis, added.basis)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 0])
+def test_direct_sums_equal_the_block_diagonal_eliminations(p):
+    f = Field(p)
+    rng = np.random.default_rng(800 + p)
+    for widths_a, widths_b in (((3, 4, 3, 2), (2, 2, 3, 1)), ((0, 3, 3, 0), (4, 0, 4, 2)),
+                               ((2, 5, 4, 5), (1, 1, 1, 1))):
+        a = CochainComplex(f, _random_complex(f, rng, widths_a))
+        b = CochainComplex(f, _random_complex(f, rng, widths_b))
+        block = [np.block([[da, f.zeros(da.shape[0], db.shape[1])],
+                           [f.zeros(db.shape[0], da.shape[1]), db]]) for da, db in zip(a.deltas, b.deltas)]
+        whole = CochainComplex(f, [f.array(d) for d in block])
+        summed = a.direct_sum(b)
+        assert summed.dims == whole.dims
+        for j in range(len(block)):
+            assert np.array_equal(summed.deltas[j], whole.deltas[j])
+            assert np.array_equal(summed.cocycles[j], whole.cocycles[j])
+            span, oracle = summed.coboundaries(j), whole.coboundaries(j)
+            order, oracle_order = np.argsort(span.pivots), np.argsort(oracle.pivots)
+            assert sorted(span.pivots) == sorted(oracle.pivots)
+            assert np.array_equal(span.basis[order], oracle.basis[oracle_order])

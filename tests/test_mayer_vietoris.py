@@ -63,6 +63,19 @@ def test_chain_lift_equations_hold(all_datums):
                 assert np.array_equal(lhs.coeffs, rhs.coeffs)
 
 
+def test_mv_complex_builds_only_what_the_cone_reads(all_datums):
+    """Cone degrees 0..n read Q through n, P1 and P2 through n + 1, the lifts through n."""
+    for d in all_datums:
+        for p in (2, 3):
+            f = Field(p)
+            for degree in (0, 1, 3, 6):
+                mv = MVComplex(standard_grep2(d, f), trivial_grep(d, f), degree)
+                assert len(mv.q.ranks) == degree + 1
+                assert len(mv.p1.ranks) == len(mv.p2.ranks) == degree + 2
+                assert len(mv.x1) == len(mv.x2) == degree + 1
+                assert len(mv.deltas) == degree + 1
+
+
 def test_cone_differential_squares_to_zero(all_datums):
     for d in all_datums:
         for p in (2, 3):

@@ -1,10 +1,18 @@
+import os
 import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
 from amalgext.groups import FiniteGroup
-from amalgext.linalg import Field, subquotient_dim
+from amalgext.induction import grep_from_generators, trivial_grep
+from amalgext.instfile import parse
+from amalgext.linalg import Field, Span, subquotient_dim
 from amalgext.reps import (
     KModule,
     conjugate_module,
@@ -213,7 +221,6 @@ def test_coefficient_complex_squares_to_zero():
 
 def naive_generators(group, field, kernel_vectors, rank):
     """Greedy generators by the definition: one full rank test per candidate."""
-    n = group.order
     target = len(kernel_vectors)
     span = []
     gens = []
@@ -221,15 +228,47 @@ def naive_generators(group, field, kernel_vectors, rank):
         if span and field.rank(np.column_stack(span + [v])) == field.rank(np.column_stack(span)):
             continue
         gens.append(v)
-        for h in range(n):
-            moved = field.zeros(rank * n)
-            for i in range(rank):
-                for g in range(n):
-                    moved[i * n + group.mul(h, g)] = v[i * n + g]
-            span.append(moved)
+        span.extend(translates(group, field, v, rank))
         if field.rank(np.column_stack(span)) == target:
             break
     return gens
+
+
+def translates(group, field, v, rank):
+    """The |G| translates h.v, coordinate (i, g) moved to (i, h g), by the definition."""
+    n = group.order
+    out = []
+    for h in range(n):
+        moved = field.zeros(rank * n)
+        for i in range(rank):
+            for g in range(n):
+                moved[i * n + group.mul(h, g)] = v[i * n + g]
+        out.append(moved)
+    return out
+
+
+def greedy_generators(group, field, kernel_vectors, rank):
+    """The greedy first-fit rule with one echelon span: each kernel vector outside
+    the span of the translates so far becomes a generator, until the span is full."""
+    n = group.order
+    span = Span(field, rank * n)
+    gens = []
+    for v in kernel_vectors:
+        if not span.reduce(v[None]).any():
+            continue
+        gens.append(v)
+        span.add(v.reshape(rank, n)[:, group.quotient_table].transpose(1, 0, 2).reshape(n, rank * n))
+        if len(span) == len(kernel_vectors):
+            break
+    return gens
+
+
+class GreedyResolution(FreeResolution):
+    """A resolution built by the greedy first-fit rule: the oracle for rank bounds."""
+
+    def _module_generators(self, kernel, rank):
+        gens = greedy_generators(self.group, self.field, kernel, rank)
+        return np.array(gens) if gens else kernel[:0]
 
 
 def _permutation_matrix(field, perm):
@@ -259,16 +298,148 @@ def _generator_cases():
 @pytest.mark.parametrize("case", list(_generator_cases()),
                          ids=lambda c: f"{c[0]}-F{c[1]}-dim{c[2].dim}")
 def test_module_generators_match_naive_greedy(case):
+    """The generators' translates span exactly the kernel the naive greedy rule
+    spans, and there are no more of them than the greedy rule finds."""
     name, p, module = case
     f = module.field
+    group = module.group
     res = FreeResolution(module)
     for j in range(4):
         op = res.aug_operator() if j == 0 else res.diff_operator(j)
-        kernel = f.kernel_basis(op)
+        kernel = f.kernel_matrix(op).T
         fast = res._module_generators(kernel, res.ranks[j])
-        slow = naive_generators(module.group, f, kernel, res.ranks[j])
-        assert len(fast) == len(slow)
-        assert all(np.array_equal(a, b) for a, b in zip(fast, slow))
+        slow = naive_generators(group, f, list(kernel), res.ranks[j])
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(greedy_generators(group, f, kernel, res.ranks[j]), slow))
+        assert len(fast) <= len(slow)
+        spanned = [t for v in fast for t in translates(group, f, v, res.ranks[j])]
+        oracle = [t for v in slow for t in translates(group, f, v, res.ranks[j])]
+        assert f.rank(f.array(oracle)) == len(kernel)
+        assert f.rank(f.array(spanned + oracle)) == f.rank(f.array(spanned)) == len(kernel)
         res.extend(j + 1)
         assert res.ranks[j + 1] == len(fast)
     assert res.verify(4)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+INSTANCES = sorted((ROOT / "fixtures").glob("*.amg")) + sorted((ROOT / "bench" / "instances").glob("*.amg"))
+ORACLE_DEGREE = 7
+
+
+def _over_q(inst):
+    """The file's representations over Q, leaving out those that are none there."""
+    f = Field(0)
+    out = {"triv": trivial_grep(inst.datum, f)}
+    for name, (gens1, gens2, _) in inst.grep_specs.items():
+        try:
+            out[name] = grep_from_generators(inst.datum, f, {g: f.array(m) for g, m in gens1.items()},
+                                             {g: f.array(m) for g, m in gens2.items()})
+        except ValueError:
+            continue
+    return out, {}
+
+
+def _factor_modules():
+    """(id, module): each representation of each instance restricted to K1, K2 and I,
+    and each module a file declares, over F2 and F3, and over Q for the bundled
+    fixtures (over Q the order-12 and order-24 factors of the bench instances
+    take minutes in Fraction arithmetic)."""
+    for path in INSTANCES:
+        inst = parse(str(path))
+        for p in (2, 3, 0) if path.parent.name == "fixtures" else (2, 3):
+            if p:
+                built = inst.build(p)
+                greps = {"triv": built.grep("triv"), **built.greps}
+                modules = built.modules
+            else:
+                greps, modules = _over_q(inst)
+            field = "Q" if p == 0 else f"F{p}"
+            for name, grep in greps.items():
+                for tag in (TAG_K1, TAG_K2, TAG_I):
+                    yield f"{path.stem}-{field}-{name}-{tag}", grep.module(tag)
+            for name, module in modules.items():
+                yield f"{path.stem}-{field}-{name}", module
+
+
+FACTOR_MODULES = dict(_factor_modules())
+_GREEDY: dict[str, FreeResolution] = {}
+
+
+def _greedy(case) -> FreeResolution:
+    if case not in _GREEDY:
+        _GREEDY[case] = GreedyResolution(FACTOR_MODULES[case])
+        _GREEDY[case].extend(ORACLE_DEGREE)
+    return _GREEDY[case]
+
+
+def _is_p_group(order, p):
+    while p and order % p == 0:
+        order //= p
+    return p > 0 and order == 1
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_MODULES))
+def test_resolution_rank_oracles(case):
+    """Exactness at every degree, r_j >= dim Ext^j(V, k), and equality from degree 2
+    on (degree 1 when F_0 is a projective cover) for p-groups."""
+    module = FACTOR_MODULES[case]
+    f = module.field
+    res = free_resolution(module, ORACLE_DEGREE)
+    assert res.verify(ORACLE_DEGREE)
+    triv = trivial_module(module.group, f)
+    # Ext from the greedy resolution, so the bound does not rest on the rule under test
+    ext = ext_finite(module, triv, ORACLE_DEGREE - 1, resolution=_greedy(case)).dims
+    assert ext_finite(module, triv, ORACLE_DEGREE - 1, resolution=res).dims == ext
+    assert all(r >= e for r, e in zip(res.ranks, ext))
+    if _is_p_group(module.group.order, f.p):
+        start = 1 if res.ranks[0] == ext[0] else 2
+        assert res.ranks[start:ORACLE_DEGREE] == ext[start:]
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_MODULES))
+def test_rank_sum_at_most_greedy(case):
+    res = free_resolution(FACTOR_MODULES[case], ORACLE_DEGREE)
+    assert sum(res.ranks) <= sum(_greedy(case).ranks)
+
+
+def test_resolution_rank_oracles_cover_the_bench_factors():
+    """The oracle cases include every factor of both bench instances at F2 and F3."""
+    for stem in ("gl2z", "s4-s3-s4"):
+        for field in ("F2", "F3"):
+            for tag in (TAG_K1, TAG_K2, TAG_I):
+                assert f"{stem}-{field}-triv-{tag}" in FACTOR_MODULES
+
+
+def test_nakayama_ranks_are_minimal_on_d8_and_z4():
+    """Closed forms: dim H^j(D8; F2) = j + 1 and dim H^j(Z/4; F2) = 1."""
+    f = Field(2)
+    d8 = FiniteGroup.from_permutations([[1, 2, 3, 0], [0, 3, 2, 1]])
+    assert free_resolution(trivial_module(d8, f), 9).ranks == list(range(1, 11))
+    assert free_resolution(trivial_module(FiniteGroup.cyclic(4), f), 9).ranks == [1] * 10
+
+
+def test_resolution_is_the_same_in_a_fresh_process():
+    """The seeded choices do not depend on the process: hash seeds differ, coefficients agree."""
+    script = (
+        "import sys, numpy as np\n"
+        "from amalgext.instfile import parse\n"
+        "from amalgext.amalgam import TAG_K1\n"
+        "from amalgext.resolutions import free_resolution\n"
+        "m = parse(sys.argv[1]).build(2).grep('triv').module(TAG_K1)\n"
+        "res = free_resolution(m, 5)\n"
+        "np.save(sys.argv[2], np.concatenate([d.coeffs.reshape(-1) for d in res.diffs[1:]]))\n"
+        "print(res.ranks)\n"
+    )
+    path = ROOT / "bench" / "instances" / "s4-s3-s4.amg"
+    module = parse(str(path)).build(2).grep("triv").module(TAG_K1)
+    here = free_resolution(module, 5)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "coeffs.npy"
+        env = {**os.environ, "PYTHONHASHSEED": "12345",
+               "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script, str(path), str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str(here.ranks)
+        there = np.load(out)
+    assert np.array_equal(there, np.concatenate([d.coeffs.reshape(-1) for d in here.diffs[1:]]))
