@@ -277,17 +277,6 @@ class Span:
         self.basis = np.concatenate([self.basis, echelon])
         self.pivots += pivots
 
-    def direct_sum(self, other: "Span") -> "Span":
-        """The span of self's rows (+) 0 and 0 (+) other's rows, with no elimination."""
-        f = self.field
-        width = self.basis.shape[1]
-        out = Span(f, width + other.basis.shape[1])
-        out.basis = f.zeros(len(self) + len(other), out.basis.shape[1])
-        out.basis[: len(self), :width] = self.basis
-        out.basis[len(self) :, width:] = other.basis
-        out.pivots = self.pivots + [width + c for c in other.pivots]
-        return out
-
 
 class CochainComplex:
     """C^0 -> C^1 -> ... with deltas[j]: C^j -> C^{j+1}, cohomology read at degrees 0..len-1.
@@ -305,22 +294,17 @@ class CochainComplex:
         self.cocycles = [field.kernel_matrix(d) for d in deltas]
         ranks = [d.shape[1] - z.shape[1] for d, z in zip(deltas, self.cocycles)]
         self.dims = [z.shape[1] - (ranks[j - 1] if j else 0) for j, z in enumerate(self.cocycles)]
-        self._summands = ()
 
     def coboundaries(self, j: int) -> Span:
         """The span of delta_{j-1}'s columns inside C^j (empty at degree 0)."""
-        if self._summands:
-            first, second = self._summands
-            return first.coboundaries(j).direct_sum(second.coboundaries(j))
         width = self.deltas[j].shape[1]
         return Span(self.field, width, self.deltas[j - 1].T if j else None)
 
     def direct_sum(self, other: "CochainComplex") -> "CochainComplex":
         """The block-diagonal complex self (+) other, assembled from both eliminations.
 
-        Its cocycles are the block diagonals of the two cocycle bases, its dims
-        the sums, and its coboundary spans the direct sums of the two spans;
-        no map is eliminated again.
+        Its cocycles are the block diagonals of the two cocycle bases and its
+        dims the sums, so no map is eliminated again for them.
         """
         f = self.field
         out = object.__new__(CochainComplex)
@@ -328,7 +312,6 @@ class CochainComplex:
         out.deltas = [_block_diagonal(f, a, b) for a, b in zip(self.deltas, other.deltas)]
         out.cocycles = [_block_diagonal(f, a, b) for a, b in zip(self.cocycles, other.cocycles)]
         out.dims = [a + b for a, b in zip(self.dims, other.dims)]
-        out._summands = (self, other)
         return out
 
 

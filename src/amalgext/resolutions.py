@@ -26,9 +26,13 @@ from amalgext.reps import KModule
 
 # Random kernel combinations tried per generator, from a generator seeded with
 # a constant so that every resolution and report is the same on every run.
-# With 8 trials, no factor of the bundled fixtures or the bench instances at F2
-# or F3 got a larger rank sum through degree 7 than the greedy first-fit rule
-# at any of 30 seeds.
+# At this seed no factor module of the bundled fixtures or the bench instances
+# at F2 or F3 gets a larger rank sum through degree 7 than with the greedy
+# first-fit rule, and at seeds 0-29 none does; the D8 permutation module of
+# the tests at F3 does at one of those seeds.  Stopping after three trials
+# that do no better than the best so far would save about a fifth of the time
+# on the largest factors, but over the same seeds and modules it loses to the
+# greedy rule 15 times.
 SAMPLE_TRIALS = 8
 SAMPLE_SEED = 2026
 
@@ -94,11 +98,12 @@ class FreeResolution:
     Every later stage covers the kernel M of the one before with few
     generators, chosen modulo I_O M for O = O_p(G), the largest normal
     p-subgroup: I_O kG is a nilpotent ideal, so I_O M lies in J(kG) M and, by
-    Nakayama's lemma, vectors generate M once they do so modulo I_O M.  For a
-    p-group, O = G and the generators lift a basis of M / J M, so from degree
-    2 on the ranks are dim Ext^j(V, k).  Otherwise (and over Q) each generator
-    is the best of a few candidates, some of them random kernel combinations
-    from a generator seeded with a constant: every run gives the same result.
+    Nakayama's lemma, vectors generate M once they do so modulo I_O M.  Each
+    generator is the best of a few candidates, some of them random kernel
+    combinations from a generator seeded with a constant, so every run gives
+    the same result.  For a p-group, O = G and no candidate is ever compared:
+    the generators lift a basis of M / J M, so from degree 2 on the ranks are
+    dim Ext^j(V, k).
     """
 
     def __init__(self, module: KModule):
@@ -110,6 +115,8 @@ class FreeResolution:
         self._aug_operator = None
         core = self.group.p_core(self.field.p)
         self._core_gens = self.group.generating_set(core)
+        # with the generators of O, these generate G
+        self._outer_gens = [g for g in self.group.generators if g not in core]
         # one element of each coset of O; O fixes M modulo I_O M
         self._coset_reps = sorted({min(int(self.group.table[h, o]) for o in core)
                                    for h in range(self.group.order)})
@@ -149,67 +156,85 @@ class FreeResolution:
         """Algebra generators, as rows, of the group-stable span M of the kernel rows.
 
         The span starts as I_O M, spanned by (h - 1) m for generators h of O
-        and kernel rows m, and grows by the translates of each generator.  For
-        a p-group it is J M, and the generators are the kernel rows
-        independent of it and of the rows before them.  Otherwise a generator
-        is the best of the first kernel row outside the span and up to
-        SAMPLE_TRIALS random kernel combinations, compared first by whether
-        they add to I_G M + span (M / I_G M is the trivial part of the head,
-        one generator per dimension), then by the rank their translates by
-        coset representatives of O add to the span.  That rank is at most the
-        number of cosets, the rank still missing, and the rank the generator
-        before added (M modulo the span only shrinks, and so does its largest
-        cyclic submodule); trials stop at that bound.
+        and kernel rows m, and grows by the translates of each generator.  A
+        generator is the best of the first kernel row outside the span and up
+        to SAMPLE_TRIALS random kernel combinations, compared first by whether
+        they add to I_G M + the generators so far (M / I_G M is the trivial
+        part of the head: one generator per dimension), then by the rank
+        their translates by coset representatives of O add to the span.
+
+        That rank is at most the number of cosets and at most the rank still
+        missing less the trivial head dimensions left for later generators.
+        Once this bound is 1, every later generator adds one dimension, and
+        the rest are the kernel rows independent modulo the span.  For a
+        p-group there is one coset from the start: the generators lift a basis
+        of M / J M, exact Nakayama.  Otherwise the trials stop once the best
+        reaches the bound or the rank the generator before added (a guess: M
+        modulo the span only shrinks, and so does its largest cyclic
+        submodule, but the generator before need not have been the largest).
         """
         f = self.field
         q = self.group.quotient_table
         blocks = kernel.reshape(len(kernel), rank, self.group.order)
 
-        def radical(gens) -> Span:
-            moved = [f.sub(blocks[:, :, q[h]].reshape(kernel.shape), kernel) for h in gens]
-            return Span(f, kernel.shape[1], np.concatenate([kernel[:0]] + moved))
+        def moved(gens) -> np.ndarray:
+            """The rows (h - 1) m for the given h and every kernel row m."""
+            return np.concatenate([kernel[:0]] + [f.sub(blocks[:, :, q[h]].reshape(kernel.shape), kernel)
+                                                  for h in gens])
 
-        span = radical(self._core_gens)
-        if len(self._coset_reps) == 1:
-            # a p-group: the pivot columns of the reduced rows, transposed
-            _, picked = f.rref(span.reduce(kernel).T)
-            return kernel[picked]
-        trivial = radical(self.group.generators)
+        span = Span(f, kernel.shape[1], moved(self._core_gens))  # I_O M
+        coinvariant = Span(f, kernel.shape[1])  # I_G M: I_O M and the moves by the other generators
+        coinvariant.extend(span.basis, list(span.pivots))
+        coinvariant.add(moved(self._outer_gens))
+        # the generators reduced modulo I_G M: a vector adds to the trivial
+        # head exactly when its reduction is independent of theirs
+        head = Span(f, kernel.shape[1])
         target = len(kernel)
         rng = random.Random(SAMPLE_SEED)
         gens = []
         cap = len(self._coset_reps)
         first = 0  # the kernel rows before `first` lie in the span
         while len(span) < target:
-            ideal = (len(trivial) < target, min(cap, target - len(span)))
+            missing = target - len(coinvariant) - len(head)
+            bound = min(len(self._coset_reps), target - len(span) - max(missing - 1, 0))
+            if bound == 1:
+                rest = kernel[first:]
+                _, picked = f.rref(span.reduce(rest).T)
+                gens.extend(rest[picked])
+                break
+            ideal = (missing > 0, min(cap, bound))
             while not span.reduce(kernel[first : first + 1]).any():
                 first += 1
-            best = self._score(span, trivial, kernel[first], rank)
+            best = self._score(span, coinvariant, head, missing, kernel[first], rank)
             for _ in range(SAMPLE_TRIALS):
                 if best[0] >= ideal:
                     break
                 coeffs = f.array([rng.choices(range(f.p or 3), k=target)])
-                trial = self._score(span, trivial, f.matmul(coeffs, kernel)[0], rank)
+                trial = self._score(span, coinvariant, head, missing, f.matmul(coeffs, kernel)[0], rank)
                 if trial[0] > best[0]:
                     best = trial
-            _, vector, echelon, pivots = best
+            (adds_head, _), vector, reduced, echelon, pivots = best
             gens.append(vector)
             span.extend(echelon, pivots)
-            trivial.add(vector[None])
+            if adds_head:
+                head.add(reduced)
             cap = len(pivots)
         return np.array(gens) if gens else kernel[:0]
 
-    def _score(self, span: Span, trivial: Span, vector: np.ndarray, rank: int):
-        """((adds to trivial, rank added), vector, echelon, pivots), from the rref of
-        the vector's translates reduced against the span."""
+    def _score(self, span: Span, coinvariant: Span, head: Span, missing: int,
+               vector: np.ndarray, rank: int):
+        """((adds to the trivial head, rank added), vector, its reduction modulo
+        I_G M, echelon, pivots), from the rref of the vector's translates
+        reduced against the span."""
         n = self.group.order
         # translate by h moves coordinate (i, g) to (i, h g); row h of the
         # quotient table lists, for each target coordinate, where it is read from
         reps = self.group.quotient_table[self._coset_reps]
         translates = vector.reshape(rank, n)[:, reps].transpose(1, 0, 2).reshape(len(reps), rank * n)
         echelon, pivots = self.field.rref(span.reduce(translates))
-        score = (bool(trivial.reduce(vector[None]).any()), len(pivots))
-        return score, vector, echelon[: len(pivots)], pivots
+        reduced = coinvariant.reduce(vector[None]) if missing else None
+        adds_head = missing > 0 and bool(head.reduce(reduced).any())
+        return (adds_head, len(pivots)), vector, reduced, echelon[: len(pivots)], pivots
 
     def verify(self, n: int) -> bool:
         """d compose d = 0 and exactness of the augmented complex up to stage n."""
