@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 
@@ -83,11 +81,6 @@ class FiniteGroup:
 
     def label(self, x: int) -> str:
         return self.labels[x]
-
-    @cached_property
-    def generators(self) -> list[int]:
-        """A generating set of the group, computed once: generating_set of all elements."""
-        return self.generating_set(range(self.order))
 
     def generating_set(self, elements) -> list[int]:
         """Generators of the subgroup the elements generate: each one, in the

@@ -114,9 +114,10 @@ class FreeResolution:
         self.diffs: list[AlgebraMatrix | None] = [None]
         self._aug_operator = None
         core = self.group.p_core(self.field.p)
-        self._core_gens = self.group.generating_set(core)
-        # with the generators of O, these generate G
-        self._outer_gens = [g for g in self.group.generators if g not in core]
+        # generators of O first, then the ones that complete them to G
+        gens = self.group.generating_set(core + [x for x in range(self.group.order) if x not in core])
+        self._core_gens = [g for g in gens if g in core]
+        self._outer_gens = [g for g in gens if g not in core]
         # one element of each coset of O; O fixes M modulo I_O M
         self._coset_reps = sorted({min(int(self.group.table[h, o]) for o in core)
                                    for h in range(self.group.order)})

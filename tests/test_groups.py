@@ -125,9 +125,9 @@ def test_p_core_is_the_largest_normal_p_subgroup(name):
 @pytest.mark.parametrize("name", sorted(GROUPS_BY_PERMUTATIONS))
 def test_generating_set_generates(name):
     group = FiniteGroup.from_permutations(GROUPS_BY_PERMUTATIONS[name])
-    assert group.generators == group.generating_set(range(group.order))
-    assert _generated(group, group.generators) == set(range(group.order))
-    assert len(group.generators) <= 2
+    gens = group.generating_set(range(group.order))
+    assert _generated(group, gens) == set(range(group.order))
+    assert len(gens) <= 2
     for p in (2, 3):
         core = group.p_core(p)
         assert _generated(group, group.generating_set(core)) == set(core)
