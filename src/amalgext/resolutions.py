@@ -25,15 +25,19 @@ from amalgext.reps import KModule
 
 
 # Random kernel combinations tried per generator, from a generator seeded with
-# a constant so that every resolution and report is the same on every run.
-# At this seed no factor module of the bundled fixtures or the bench instances
-# at F2 or F3 gets a larger rank sum through degree 7 than with the greedy
-# first-fit rule, and at seeds 0-29 none does; the D8 permutation module of
-# the tests at F3 does at one of those seeds.  Stopping after three trials
-# that do no better than the best so far would save about a fifth of the time
-# on the largest factors, but over the same seeds and modules it loses to the
-# greedy rule 15 times.
+# a constant so that every resolution and report is the same on every run.  A
+# trial's rref takes about one loop step per translate row, one per coset of
+# O_p(G), so the trials of one generator score at most SAMPLE_ROWS rows: 8
+# trials up to 8 cosets, 2 on S4 at F3 (24 cosets), where 8 made `ext` and
+# `les` up to twice as slow as the greedy first-fit rule at low degree.  At this
+# seed no factor module of the bundled fixtures or the bench instances at F2 or
+# F3 gets a larger rank sum through degree 7 than with the greedy rule, and at
+# seeds 0-29 none does; the D8 permutation module of the tests at F3 does at
+# one of those seeds.  Fewer trials lose to the greedy rule more often (at 6
+# per generator, three times over the same seeds and modules), and so does a
+# stop after three trials that do no better than the best so far (15 times).
 SAMPLE_TRIALS = 8
+SAMPLE_ROWS = 64
 SAMPLE_SEED = 2026
 
 
@@ -121,6 +125,7 @@ class FreeResolution:
         # one element of each coset of O; O fixes M modulo I_O M
         self._coset_reps = sorted({min(int(self.group.table[h, o]) for o in core)
                                    for h in range(self.group.order)})
+        self._trials = min(SAMPLE_TRIALS, SAMPLE_ROWS // len(self._coset_reps))
 
     def aug_operator(self) -> np.ndarray:
         if self._aug_operator is None:
@@ -158,11 +163,11 @@ class FreeResolution:
 
         The span starts as I_O M, spanned by (h - 1) m for generators h of O
         and kernel rows m, and grows by the translates of each generator.  A
-        generator is the best of the first kernel row outside the span and up
-        to SAMPLE_TRIALS random kernel combinations, compared first by whether
-        they add to I_G M + the generators so far (M / I_G M is the trivial
-        part of the head: one generator per dimension), then by the rank
-        their translates by coset representatives of O add to the span.
+        generator is the best of the first kernel row outside the span and a
+        few random kernel combinations (see SAMPLE_ROWS), compared first by
+        whether they add to I_G M + the generators so far (M / I_G M is the
+        trivial part of the head: one generator per dimension), then by the
+        rank their translates by coset representatives of O add to the span.
 
         That rank is at most the number of cosets and at most the rank still
         missing less the trivial head dimensions left for later generators.
@@ -207,7 +212,7 @@ class FreeResolution:
             while not span.reduce(kernel[first : first + 1]).any():
                 first += 1
             best = self._score(span, coinvariant, head, missing, kernel[first], rank)
-            for _ in range(SAMPLE_TRIALS):
+            for _ in range(self._trials):
                 if best[0] >= ideal:
                     break
                 coeffs = f.array([rng.choices(range(f.p or 3), k=target)])
