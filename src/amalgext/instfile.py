@@ -74,9 +74,12 @@ class InstanceFile:
         self.datum = datum
         self.module_specs = module_specs  # name -> (group_tag, {gen_index: rows}, line)
         self.grep_specs = grep_specs      # name -> ({gen: rows}, {gen: rows}, line)
+        self._declared = None  # the BuiltInstance over the declared characteristic, from parsing
 
     def build(self, characteristic: int | None = None) -> BuiltInstance:
         char = self.characteristic if characteristic is None else characteristic
+        if char == self.characteristic and self._declared is not None:
+            return self._declared
         if char == 0 or not is_prime(char):
             raise ValidationError(0, f"characteristic must be a prime, got {char}")
         try:
@@ -306,5 +309,5 @@ def parse_text(text: str) -> InstanceFile:
 
     instance = InstanceFile(name, characteristic, datum, module_specs, grep_specs)
     # building with the declared characteristic validates every matrix block
-    instance.build()
+    instance._declared = instance.build()
     return instance

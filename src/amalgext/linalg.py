@@ -9,7 +9,11 @@ import numpy as np
 
 
 class CompositionNonzero(ValueError):
-    """Two maps that were required to compose to zero do not."""
+    """delta_j o delta_{j-1} != 0 in a complex whose consecutive maps must compose to zero."""
+
+    def __init__(self, j: int):
+        super().__init__(f"delta_{j} o delta_{j - 1} != 0")
+        self.degree = j
 
 
 # Fixed Miller-Rabin witnesses: the first twelve primes decide primality
@@ -281,8 +285,9 @@ class Span:
 class CochainComplex:
     """C^0 -> C^1 -> ... with deltas[j]: C^j -> C^{j+1}, cohomology read at degrees 0..len-1.
 
-    Each map is eliminated once: cocycles[j] is the kernel basis of deltas[j]
-    as columns, and its rank is the width minus the kernel dimension.
+    Each map is eliminated once, by the rref of [delta_j^T | I].  The rows with
+    a pivot in the left block are the rref of delta_j^T, the coboundary span of
+    degree j+1; the right blocks of the other rows are the cocycles[j] columns.
     """
 
     def __init__(self, field: Field, deltas):
@@ -290,27 +295,40 @@ class CochainComplex:
         self.deltas = deltas
         for j in range(1, len(deltas)):
             if np.any(field.matmul(deltas[j], deltas[j - 1]) != 0):
-                raise CompositionNonzero(f"delta_{j} o delta_{j - 1} != 0")
-        self.cocycles = [field.kernel_matrix(d) for d in deltas]
-        ranks = [d.shape[1] - z.shape[1] for d, z in zip(deltas, self.cocycles)]
-        self.dims = [z.shape[1] - (ranks[j - 1] if j else 0) for j, z in enumerate(self.cocycles)]
+                raise CompositionNonzero(j)
+        self.cocycles = []
+        self._coboundaries = [Span(field, deltas[0].shape[1])] if deltas else []
+        for d in deltas:
+            tgt, src = d.shape
+            r, pivots = field.rref(np.concatenate([d.T, field.eye(src)], axis=1))
+            rank = sum(c < tgt for c in pivots)
+            span = Span(field, tgt)
+            span.extend(r[:rank, :tgt], pivots[:rank])
+            self._coboundaries.append(span)
+            self.cocycles.append(r[rank:, tgt:].T.copy())
+        self.dims = [z.shape[1] - len(b) for z, b in zip(self.cocycles, self._coboundaries)]
 
     def coboundaries(self, j: int) -> Span:
         """The span of delta_{j-1}'s columns inside C^j (empty at degree 0)."""
-        width = self.deltas[j].shape[1]
-        return Span(self.field, width, self.deltas[j - 1].T if j else None)
+        return self._coboundaries[j]
 
     def direct_sum(self, other: "CochainComplex") -> "CochainComplex":
         """The block-diagonal complex self (+) other, assembled from both eliminations.
 
-        Its cocycles are the block diagonals of the two cocycle bases and its
-        dims the sums, so no map is eliminated again for them.
+        Its cocycles and coboundary bases are the block diagonals of the two
+        summands' and its dims the sums, so no map is eliminated again.
         """
         f = self.field
         out = object.__new__(CochainComplex)
         out.field = f
         out.deltas = [_block_diagonal(f, a, b) for a, b in zip(self.deltas, other.deltas)]
         out.cocycles = [_block_diagonal(f, a, b) for a, b in zip(self.cocycles, other.cocycles)]
+        out._coboundaries = []
+        for a, b in zip(self._coboundaries, other._coboundaries):
+            span = Span(f, a.basis.shape[1] + b.basis.shape[1])
+            span.extend(_block_diagonal(f, a.basis, b.basis),
+                        a.pivots + [c + a.basis.shape[1] for c in b.pivots])
+            out._coboundaries.append(span)
         out.dims = [a + b for a, b in zip(self.dims, other.dims)]
         return out
 

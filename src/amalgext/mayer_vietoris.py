@@ -135,36 +135,6 @@ class MVComplex:
     def dims(self) -> list[int]:
         return [self.cohomology_dim(j) for j in range(self.degree + 1)]
 
-    # block maps used by the long-exact-sequence verifier
-
-    def projection(self, j: int) -> np.ndarray:
-        """Cone degree j onto the product coefficient complex of P1 and P2."""
-        f = self.field
-        a, b1, b2 = self._sizes(j)
-        out = f.zeros(b1 + b2, a + b1 + b2)
-        out[: b1 + b2, a:] = f.eye(b1 + b2)
-        return out
-
-    def comparison(self, j: int) -> np.ndarray:
-        """Product complex to the Q coefficient complex: (psi1, psi2) -> phi1*psi1 - phi2*psi2."""
-        f = self.field
-        _, b1, b2 = self._sizes(j)
-        rows = self.q.ranks[j] * self.d2
-        out = f.zeros(rows, b1 + b2)
-        out[:, :b1] = self.fmap1[j]
-        out[:, b1:] = f.neg(self.fmap2[j])
-        return out
-
-    def connecting(self, j: int) -> np.ndarray:
-        """Q coefficient degree j into cone degree j+1 (the shift inclusion)."""
-        f = self.field
-        a_n, b1_n, b2_n = self._sizes(j + 1)
-        rows = a_n + b1_n + b2_n
-        cols = self.q.ranks[j] * self.d2
-        out = f.zeros(rows, cols)
-        out[:a_n, :] = f.eye(cols)
-        return out
-
 
 def ext_G(v1: GRep, v2: GRep, n: int) -> list[int]:
     """Ext^j over the amalgam for 0 <= j <= n, via the mapping cone."""
@@ -297,37 +267,46 @@ def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
     prod = k1.direct_sum(k2)
     edge = CochainComplex(f, mv.delta_q)
 
-    # Each map of the sequence leaves one node and enters the next, so its image
-    # of cocycles and its rank on cohomology are computed once and read twice.
+    # The maps are read off the cone layout (MVComplex._sizes): projection keeps the
+    # (P1, P2) rows, comparison is phi1 psi1 - phi2 psi2, connecting fills the top rows.
+    # Each map leaves one node and enters the next, so its image of cocycles
+    # and its rank on cohomology are computed once and read twice.
     # The connecting map into degree 0 is zero.
     nodes = []
     conn_image, conn_rank = None, 0
     for j in range(n + 1):
-        proj = mv.projection(j)
-        comp = mv.comparison(j)
-        conn = mv.connecting(j)
+        a, b1, _ = mv._sizes(j)
+
+        def compare(x):
+            return f.sub(f.matmul(mv.fmap1[j], x[:b1]), f.matmul(mv.fmap2[j], x[b1:]))
+
+        def connect(x):
+            out = f.zeros(sum(mv._sizes(j + 1)), x.shape[1])
+            out[: x.shape[0]] = x
+            return out
+
         prod_b = prod.coboundaries(j)
         edge_b = edge.coboundaries(j)
         cone_b = cone.coboundaries(j + 1)
-        proj_image = f.matmul(proj, cone.cocycles[j])
+        proj_image = cone.cocycles[j][a:]
         proj_rank = f.rank(prod_b.reduce(proj_image.T))
-        comp_image = f.matmul(comp, prod.cocycles[j])
+        comp_image = compare(prod.cocycles[j])
         comp_rank = f.rank(edge_b.reduce(comp_image.T))
 
         # node G at degree j
-        im_in_ker = j == 0 or not prod_b.reduce(f.matmul(proj, conn_image).T).any()
+        im_in_ker = j == 0 or not prod_b.reduce(conn_image[a:].T).any()
         nodes.append((j, "G", cone.dims[j], conn_rank, proj_rank, im_in_ker,
                       conn_rank + proj_rank == cone.dims[j]))
 
         # node K1 x K2 at degree j
-        im_in_ker = not edge_b.reduce(f.matmul(comp, proj_image).T).any()
+        im_in_ker = not edge_b.reduce(compare(proj_image).T).any()
         nodes.append((j, "K1xK2", prod.dims[j], proj_rank, comp_rank, im_in_ker,
                       proj_rank + comp_rank == prod.dims[j]))
 
         # node I at degree j
-        conn_image = f.matmul(conn, edge.cocycles[j])
+        conn_image = connect(edge.cocycles[j])
         conn_rank_out = f.rank(cone_b.reduce(conn_image.T))
-        im_in_ker = not cone_b.reduce(f.matmul(conn, comp_image).T).any()
+        im_in_ker = not cone_b.reduce(connect(comp_image).T).any()
         nodes.append((j, "I", edge.dims[j], comp_rank, conn_rank_out, im_in_ker,
                       comp_rank + conn_rank_out == edge.dims[j]))
         conn_rank = conn_rank_out

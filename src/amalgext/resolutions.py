@@ -20,7 +20,7 @@ import random
 import numpy as np
 
 from amalgext.groups import FiniteGroup, SubgroupEmbedding
-from amalgext.linalg import CochainComplex, Field, Span
+from amalgext.linalg import CochainComplex, CompositionNonzero, Field, Span
 from amalgext.reps import KModule
 
 
@@ -243,25 +243,23 @@ class FreeResolution:
         return (adds_head, len(pivots)), vector, reduced, echelon[: len(pivots)], pivots
 
     def verify(self, n: int) -> bool:
-        """d compose d = 0 and exactness of the augmented complex up to stage n."""
+        """d compose d = 0 and exactness of F_n -> ... -> F_0 -> M -> 0, read off the
+        cochain complex [d_n, ..., d_1, aug, 0], whose degree n + 1 - j is F_{j-1} (M at
+        j = 0) and whose cohomology must vanish in every degree but 0."""
         self.extend(n)
-        f = self.field
-        for j in range(1, n + 1):
-            if j >= 2 and not self.diffs[j].mul(self.diffs[j - 1]).is_zero():
-                raise AssertionError(f"d_{j} o d_{j-1} != 0")
-            prev_op = self.aug_operator() if j == 1 else self.diff_operator(j - 1)
-            ker_dim = prev_op.shape[1] - f.rank(prev_op)
-            if self.ranks[j] == 0:
-                if ker_dim != 0:
-                    raise AssertionError(f"stage {j} stops although the kernel is nonzero")
-                continue
-            if f.rank(self.diff_operator(j)) != ker_dim:
-                raise AssertionError(f"image at stage {j} does not fill the kernel")
-        aug = self.aug_operator()
-        if f.rank(aug) != self.module.dim:
-            raise AssertionError("augmentation is not surjective")
-        if self.ranks[1] and np.any(f.matmul(aug, self.diff_operator(1)) != 0):
-            raise AssertionError("augmentation does not kill the first differential")
+        maps = [self.diff_operator(j) for j in range(n, 0, -1)]
+        maps += [self.aug_operator(), self.field.zeros(0, self.module.dim)]
+        try:
+            dims = CochainComplex(self.field, maps).dims
+        except CompositionNonzero as exc:
+            j = n + 1 - exc.degree  # the composite d_{j-1} o d_j, d_0 being the augmentation
+            if j == 1:
+                raise AssertionError("augmentation does not kill the first differential") from None
+            raise AssertionError(f"d_{j} o d_{j-1} != 0") from None
+        for j in range(n + 1):
+            if dims[n + 1 - j]:
+                raise AssertionError(f"image of d_{j} does not fill the kernel at F_{j-1}" if j
+                                     else "augmentation is not surjective")
         return True
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import amalgext.instfile as instfile
 from amalgext.cli import MAX_BALL_CELLS, main, run
 from amalgext.instfile import ParseError, ValidationError, parse, parse_text
 
@@ -71,6 +72,24 @@ def test_grep_block_invalid_in_overridden_characteristic():
     # flip2 uses -1 entries, so it stays valid in characteristic 3 as well
     built = inst.build(3)
     assert built.grep("flip2").dim == 2
+
+
+@pytest.mark.parametrize("char, builds", [([], 1), (["--char", "2"], 1), (["--char", "3"], 2)])
+def test_one_cli_run_builds_each_grep_once_per_field(monkeypatch, char, builds):
+    # parsing builds over the declared F2 to validate; the run reuses that
+    # instance unless it asks for another characteristic
+    calls = []
+    real = instfile.grep_from_generators
+
+    def counting(datum, fld, gens1, gens2):
+        calls.append(fld.p)
+        return real(datum, fld, gens1, gens2)
+
+    monkeypatch.setattr(instfile, "grep_from_generators", counting)
+    code, _ = run(["les", fixture("sl2z.amg"), "--degree", "2", "--v1", "std2"] + char)
+    assert code == 0
+    assert len(calls) == builds
+    assert calls[-1] == (int(char[1]) if char else 2)
 
 
 def test_cli_validate_ok_exit_zero(capsys):

@@ -336,8 +336,12 @@ def test_cochain_complex_dims_match_minor_oracle(p):
             for d, z in zip(deltas, cx.cocycles):
                 assert not f.matmul(d, z).any()
             assert len(cx.coboundaries(0)) == 0
-            for j in range(1, len(deltas)):
+            for j in range(1, len(deltas) + 1):
                 assert len(cx.coboundaries(j)) == ranks[j - 1]
+                # the stored span is the one a fresh elimination of delta_{j-1}^T gives
+                fresh = Span(f, deltas[j - 1].shape[0], deltas[j - 1].T)
+                assert cx.coboundaries(j).pivots == fresh.pivots
+                assert np.array_equal(cx.coboundaries(j).basis, fresh.basis)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 0])
@@ -396,3 +400,28 @@ def test_direct_sums_equal_the_block_diagonal_eliminations(p):
         for j in range(len(block)):
             assert np.array_equal(summed.deltas[j], whole.deltas[j])
             assert np.array_equal(summed.cocycles[j], whole.cocycles[j])
+        for j in range(len(block) + 1):
+            assert summed.coboundaries(j).pivots == whole.coboundaries(j).pivots
+            assert np.array_equal(summed.coboundaries(j).basis, whole.coboundaries(j).basis)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 0])
+def test_each_cochain_map_costs_one_elimination(p, monkeypatch):
+    f = Field(p)
+    rng = np.random.default_rng(900 + p)
+    widths = (3, 4, 3, 2, 2)
+    deltas_a, deltas_b = _random_complex(f, rng, widths), _random_complex(f, rng, widths)
+    calls = []
+    rref = Field.rref
+
+    def counting(self, a):
+        calls.append(np.shape(a))
+        return rref(self, a)
+
+    monkeypatch.setattr(Field, "rref", counting)
+    a, b = CochainComplex(f, deltas_a), CochainComplex(f, deltas_b)
+    summed = a.direct_sum(b)
+    for cx in (a, b, summed):
+        for j in range(len(widths)):
+            cx.coboundaries(j)
+    assert len(calls) == 2 * (len(widths) - 1)

@@ -1,9 +1,11 @@
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2, AmalgamDatum
+from amalgext.cli import run
 from amalgext.groups import FiniteGroup, SubgroupEmbedding
 from amalgext.induction import trivial_grep
 from amalgext.instances import random_grep, standard_grep2
@@ -241,3 +243,49 @@ def test_ext_g_works_over_rationals_smoke(psl2z):
     f = Field(0)
     k = trivial_grep(psl2z, f)
     assert ext_G(k, k, 2) == [1, 0, 0]
+
+
+# The D12 / F2 signs4 resolution path of GL2(Z), which no benchmark report covers.
+GL2Z_F2_SIGNS4_LES = [
+    "# amalgext report format 1",
+    "instance: gl2z",
+    "command: les",
+    "characteristic: 2",
+    "v1: triv (dim 1), v2: signs4 (dim 4)",
+    "degrees 0..6",
+    "ext_G:  4 8 12 16 20 24 28",
+    "ext_K1: 4 8 12 16 20 24 28",
+    "ext_K2: 4 8 12 16 20 24 28",
+    "ext_I:  4 8 12 16 20 24 28",
+    "node G deg 0: dim 4 rank_in 0 rank_out 4 im_in_ker yes PASS",
+    "node K1xK2 deg 0: dim 8 rank_in 4 rank_out 4 im_in_ker yes PASS",
+    "node I deg 0: dim 4 rank_in 4 rank_out 0 im_in_ker yes PASS",
+    "node G deg 1: dim 8 rank_in 0 rank_out 8 im_in_ker yes PASS",
+    "node K1xK2 deg 1: dim 16 rank_in 8 rank_out 8 im_in_ker yes PASS",
+    "node I deg 1: dim 8 rank_in 8 rank_out 0 im_in_ker yes PASS",
+    "node G deg 2: dim 12 rank_in 0 rank_out 12 im_in_ker yes PASS",
+    "node K1xK2 deg 2: dim 24 rank_in 12 rank_out 12 im_in_ker yes PASS",
+    "node I deg 2: dim 12 rank_in 12 rank_out 0 im_in_ker yes PASS",
+    "node G deg 3: dim 16 rank_in 0 rank_out 16 im_in_ker yes PASS",
+    "node K1xK2 deg 3: dim 32 rank_in 16 rank_out 16 im_in_ker yes PASS",
+    "node I deg 3: dim 16 rank_in 16 rank_out 0 im_in_ker yes PASS",
+    "node G deg 4: dim 20 rank_in 0 rank_out 20 im_in_ker yes PASS",
+    "node K1xK2 deg 4: dim 40 rank_in 20 rank_out 20 im_in_ker yes PASS",
+    "node I deg 4: dim 20 rank_in 20 rank_out 0 im_in_ker yes PASS",
+    "node G deg 5: dim 24 rank_in 0 rank_out 24 im_in_ker yes PASS",
+    "node K1xK2 deg 5: dim 48 rank_in 24 rank_out 24 im_in_ker yes PASS",
+    "node I deg 5: dim 24 rank_in 24 rank_out 0 im_in_ker yes PASS",
+    "node G deg 6: dim 28 rank_in 0 rank_out 28 im_in_ker yes PASS",
+    "node K1xK2 deg 6: dim 56 rank_in 28 rank_out 28 im_in_ker yes PASS",
+    "node I deg 6: dim 28 rank_in 28 rank_out 0 im_in_ker yes PASS",
+    "long exact sequence: PASS",
+    "degree-0 sequence exact: PASS",
+    "RESULT: PASS",
+]
+
+
+def test_les_gl2z_f2_signs4_report_is_pinned():
+    path = Path(__file__).resolve().parents[1] / "bench" / "instances" / "gl2z.amg"
+    code, text = run(["les", str(path), "--char", "2", "--degree", "6", "--v1", "triv", "--v2", "signs4"])
+    assert code == 0
+    assert text.splitlines() == GL2Z_F2_SIGNS4_LES

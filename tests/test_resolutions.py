@@ -129,6 +129,47 @@ def test_explicit_periodic_resolutions_are_exact():
     assert periodic_resolution_z4(f).verify(5)
 
 
+VERIFY_CASES = [(FiniteGroup.cyclic(4), 2),
+                (FiniteGroup.from_permutations([[1, 0, 2], [1, 2, 0]]), 2),
+                (FiniteGroup.from_permutations([[1, 0, 2], [1, 2, 0]]), 3)]
+
+
+@pytest.mark.parametrize("group, p", VERIFY_CASES)
+def test_verify_names_a_zeroed_differential(group, p):
+    f = Field(p)
+    for j in range(1, 5):
+        res = free_resolution(trivial_module(group, f), 4)
+        res.diffs[j] = AlgebraMatrix(group, f, f.zeros(*res.diffs[j].coeffs.shape))
+        with pytest.raises(AssertionError, match=rf"image of d_{j} does not fill the kernel at F_{j - 1}"):
+            res.verify(4)
+
+
+@pytest.mark.parametrize("group, p", VERIFY_CASES)
+def test_verify_names_a_flipped_coefficient_that_breaks_d_squared(group, p):
+    f = Field(p)
+    for j in range(1, 5):
+        # flipped in the top differential, so only its composite with d_{j-1} breaks
+        res = free_resolution(trivial_module(group, f), j)
+        coeffs = res.diffs[j].coeffs.copy()
+        coeffs[0, 0, 0] = (coeffs[0, 0, 0] + 1) % p
+        res.diffs[j] = AlgebraMatrix(group, f, coeffs)
+        expected = (f"d_{j} o d_{j - 1} != 0" if j >= 2
+                    else "augmentation does not kill the first differential")
+        with pytest.raises(AssertionError, match=expected):
+            res.verify(j)
+
+
+@pytest.mark.parametrize("group, p", VERIFY_CASES)
+def test_verify_names_a_non_surjective_augmentation(group, p):
+    f = Field(p)
+    res = free_resolution(trivial_module(group, f), 3)
+    aug = res.aug_operator().copy()
+    aug[0] = 0  # still kills d_1, but misses the first module coordinate
+    res._aug_operator = aug
+    with pytest.raises(AssertionError, match="augmentation is not surjective"):
+        res.verify(3)
+
+
 def test_computed_resolution_exact_and_matches_periodic_oracle_z2():
     f = Field(2)
     z2 = FiniteGroup.cyclic(2)
