@@ -7,6 +7,7 @@ Reports contain no timestamps and are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
@@ -217,10 +218,15 @@ _RUNNERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parse_args leaves the parser as it was."""
+    return build_parser()
+
+
 def run(argv=None) -> tuple[int, str]:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return (2 if exc.code else 0), ""
     try:

@@ -181,13 +181,15 @@ class FiniteGroup:
                     words[prod] = gname if cur == ident else words[cur] + gname
                     elements.append(prod)
                     queue.append(prod)
-        index = {p: i for i, p in enumerate(elements)}
         n = len(elements)
-        table = np.zeros((n, n), dtype=np.int64)
-        for i, p in enumerate(elements):
-            for j, q in enumerate(elements):
-                comp = tuple(p[q[k]] for k in range(deg))
-                table[i, j] = index[comp]
+        # one extra fixed point, so a permutation of no points still has bytes to look up
+        perms = np.array([p + (deg,) for p in elements], dtype=np.int64)
+        # products[i, j] = element_i o element_j; a permutation is looked up by its bytes
+        products = perms[:, perms].reshape(n * n, deg + 1)
+        key = np.dtype((np.void, perms.itemsize * (deg + 1)))
+        keys = perms.view(key).ravel()
+        order = np.argsort(keys)
+        table = order[keys[order].searchsorted(products.view(key).ravel())].reshape(n, n)
         return cls(table, labels=[words[p] for p in elements], name=name)
 
 

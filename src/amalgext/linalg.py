@@ -57,6 +57,11 @@ class Field:
     tolerances anywhere.  A prime is accepted only while (p - 1)^2 fits in
     int64, so elementwise products are exact; matmul switches to Python
     integers when a dot product of its length could overflow.
+
+    Over F_2, add and sub are xor on the canonical {0, 1} entries, and rref
+    eliminates rows packed into Python integers.  The reduced row echelon
+    form of a row space is unique, so that path returns the same bytes as
+    the dense elimination every other characteristic uses.
     """
 
     def __init__(self, characteristic: int):
@@ -118,9 +123,13 @@ class Field:
         return self.reduce(a @ b)
 
     def add(self, a, b) -> np.ndarray:
+        if self.p == 2:
+            return a ^ b
         return self.reduce(a + b)
 
     def sub(self, a, b) -> np.ndarray:
+        if self.p == 2:
+            return a ^ b
         return self.reduce(a - b)
 
     def neg(self, a) -> np.ndarray:
@@ -139,13 +148,23 @@ class Field:
     def rref(self, a) -> tuple[np.ndarray, list[int]]:
         """Reduced row echelon form and the (strictly increasing) pivot columns.
 
+        The form of a row space is unique, so the F_2 path on packed rows and
+        the dense elimination return the same array and pivots.
+        """
+        r = self.array(a)  # a fresh array: the dense path updates it in place
+        if self.p == 2:
+            return _rref_packed(r)
+        return self._rref_dense(r)
+
+    def _rref_dense(self, r: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """rref of a fresh canonical array, pivot by pivot, in place.
+
         Pivot choice is deterministic: first nonzero entry scanning
         top-to-bottom within each column, columns left-to-right.  Each step
         touches only the rows with a nonzero entry in the pivot column, and
         only the columns from the pivot onward (the ones left of it are
         already zero in the pivot row).
         """
-        r = self.array(a)  # a fresh array: rows are swapped and updated in place
         m, n = r.shape
         p = self.p
         pivots: list[int] = []
@@ -169,10 +188,7 @@ class Field:
             head = r[row, col]
             if head != 1:
                 r[row, col:] = self.reduce(r[row, col:] * self.inv_scalar(head))
-            if p == 2:
-                # every hit row has coefficient 1, and subtraction is xor
-                r[hits, col:] ^= r[row, col:]
-            elif hits.size:
+            if hits.size:
                 # |entries| < p and (p - 1)^2 < 2^63, so the update is exact in int64
                 upd = r[hits, col:] - r[hits, col, None] * r[row, col:]
                 r[hits, col:] = upd % p if p else upd
@@ -238,6 +254,51 @@ class Field:
             m = self.random_matrix(rng, n, n)
             if self.rank(m) == n:
                 return m
+
+
+def _rref_packed(r: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """rref over F_2 of a canonical {0, 1} array, on rows packed into Python integers.
+
+    Column c of a row is bit width - 1 - c of its integer, so a row's
+    leading column is width minus its bit length.  Each row is reduced by the
+    basis rows keyed by its leading bit until it is zero or has a new leading
+    bit; then each pivot bit is cleared from the rows above it.
+    """
+    m, n = r.shape
+    if not (m and n):
+        return r, []
+    packed = np.packbits(r.astype(np.uint8), axis=1)
+    nbytes = packed.shape[1]
+    data = packed.tobytes()
+    basis: dict[int, int] = {}  # bit length -> row with that leading bit
+    for i in range(0, m * nbytes, nbytes):
+        v = int.from_bytes(data[i : i + nbytes], "big")
+        while v:
+            top = v.bit_length()
+            w = basis.get(top)
+            if w is None:
+                basis[top] = v
+                break
+            v ^= w
+    tops = sorted(basis)  # pivot columns right to left
+    below = 0  # the pivot bits of the rows already reduced
+    for t in tops:
+        # a reduced row holds no pivot bit but its own, so xoring it clears just that one
+        v = hits = basis[t]
+        hits &= below
+        while hits:
+            top = hits.bit_length()
+            v ^= basis[top]
+            hits ^= 1 << (top - 1)
+        basis[t] = v
+        below |= 1 << (t - 1)
+    tops.reverse()
+    rows = [basis[t] for t in tops]
+    echelon = np.frombuffer(b"".join(v.to_bytes(nbytes, "big") for v in rows), dtype=np.uint8)
+    out = np.zeros((m, n), dtype=np.int64)
+    out[: len(rows)] = np.unpackbits(echelon.reshape(len(rows), nbytes), axis=1, count=n)
+    width = 8 * nbytes
+    return out, [width - t for t in tops]
 
 
 class Span:

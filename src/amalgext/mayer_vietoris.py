@@ -193,17 +193,22 @@ def abelianized_hom_dim(datum: AmalgamDatum, characteristic: int) -> int:
     Additive characters of the pushout are pairs of factor characters that
     agree on the shared subgroup; this never touches any resolution and
     serves as the independent anchor for Ext^1 with trivial coefficients.
+    A factor's characters are cut out by c(sy) = c(s) + c(y) for s in a
+    generating set and every y: that gives c(e) = 0 (the trivial group's
+    one relation is c(ee) = c(e) + c(e)), and c(xy) = c(x) + c(y) for all
+    pairs by induction on the length of x as a word in the generators.
     """
     f = Field(characteristic)
     n1, n2 = datum.K1.order, datum.K2.order
     blocks = []
     for group, offset in ((datum.K1, 0), (datum.K2, n1)):
-        # row x*n + y is the relation c(xy) - c(x) - c(y) = 0
+        # row i*n + y is the relation c(s_i y) - c(s_i) - c(y) = 0
         n = group.order
-        pairs = np.arange(n * n)
-        rows = np.zeros((n * n, n1 + n2), dtype=np.int64)
-        rows[pairs, offset + group.table.reshape(-1)] += 1
-        rows[pairs, offset + pairs // n] -= 1
+        gens = np.array(group.generating_set(range(n)) or [group.identity])
+        pairs = np.arange(len(gens) * n)
+        rows = np.zeros((len(pairs), n1 + n2), dtype=np.int64)
+        rows[pairs, offset + group.table[gens].reshape(-1)] += 1
+        rows[pairs, offset + gens[pairs // n]] -= 1
         rows[pairs, offset + pairs % n] -= 1
         blocks.append(rows)
     # row i is the gluing relation c1(emb1(i)) - c2(emb2(i)) = 0

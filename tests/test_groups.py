@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,57 @@ GROUPS_BY_PERMUTATIONS = {
     "A4": [[1, 2, 0, 3], [0, 2, 3, 1]],
     "Z/6": [[1, 2, 3, 4, 5, 0]],
 }
+
+
+def _looped_closure(gens, gen_names):
+    """from_permutations' table and labels with every product composed as a tuple."""
+    deg = len(gens[0])
+    ident = tuple(range(deg))
+    elements, words, queue = [ident], {ident: "e"}, [ident]
+    while queue:
+        cur = queue.pop(0)
+        for g, gname in zip(gens, gen_names):
+            prod = tuple(cur[g[i]] for i in range(deg))
+            if prod not in words:
+                words[prod] = gname if cur == ident else words[cur] + gname
+                elements.append(prod)
+                queue.append(prod)
+    index = {p: i for i, p in enumerate(elements)}
+    table = [[index[tuple(p[q[k]] for k in range(deg))] for q in elements] for p in elements]
+    return table, [words[p] for p in elements]
+
+
+def _instance_permutation_groups():
+    """The perm generators and names of every group section of the bundled instances."""
+    root = Path(__file__).resolve().parent.parent
+    out = {}
+    for path in sorted(root.glob("fixtures/*.amg")) + sorted(root.glob("bench/instances/*.amg")):
+        section = None
+        for line in path.read_text().splitlines():
+            if line.startswith("["):
+                section = f"{path.name} {line}"
+            elif line.startswith("perm "):
+                name, _, value = line[5:].partition("=")
+                gens, names = out.setdefault(section, ([], []))
+                gens.append([int(x) for x in value.split()])
+                names.append(name.strip())
+    return out
+
+
+CLOSURE_CASES = (
+    [pytest.param(gens, names, id=section)
+     for section, (gens, names) in _instance_permutation_groups().items()]
+    + [pytest.param(gens, "ab", id=name) for name, gens in GROUPS_BY_PERMUTATIONS.items()]
+    + [pytest.param([[]], "a", id="degree 0")]
+)
+
+
+@pytest.mark.parametrize("gens, names", CLOSURE_CASES)
+def test_from_permutations_matches_the_looped_closure(gens, names):
+    group = FiniteGroup.from_permutations(gens, gen_names=list(names))
+    table, labels = _looped_closure([tuple(g) for g in gens], names)
+    assert np.array_equal(group.table, table)
+    assert group.labels == labels
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS_BY_PERMUTATIONS))

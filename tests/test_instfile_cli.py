@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -205,6 +208,35 @@ def test_cli_out_file_matches_stdout(tmp_path):
     assert out.read_text() == text
 
 
+def test_cli_runs_in_one_process_match_fresh_processes(tmp_path):
+    """One process parses every argv with one parser; no option carries over."""
+    out = tmp_path / "report.txt"
+    commands = [
+        ["ext", fixture("sl2z.amg"), "--char", "3", "--degree", "5", "--out", str(out)],
+        ["ext", fixture("sl2z.amg")],
+        ["les", fixture("psl2z.amg"), "--degree", "2", "--v1", "triv"],
+        ["ext"],
+        ["tree", fixture("d-infinity.amg"), "--radius", "2"],
+        ["mv-check", fixture("sl2z-f5.amg"), "--grep", "std2"],
+        ["validate", fixture("sl2z.amg")],
+    ]
+    in_process = []
+    for argv in commands:
+        in_process.append(run(argv))
+        if out.exists():
+            assert argv[-2:] == ["--out", str(out)]
+            out.unlink()
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    main_call = "import sys; from amalgext.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv, (code, text) in zip(commands, in_process):
+        argv = [str(tmp_path / "fresh.txt") if a == str(out) else a for a in argv]
+        fresh = subprocess.run([sys.executable, "-c", main_call, *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (fresh.returncode, fresh.stdout) == (code, text), argv
+    assert "characteristic: 2" in in_process[1][1]
+    assert "ext_G: 1 1 1 1" in in_process[1][1].splitlines()  # degree 3, not 5
+
+
 @pytest.mark.parametrize("command", ["tree", "chain", "mv-check"])
 def test_cli_refuses_a_huge_radius_quickly(command):
     start = time.perf_counter()
@@ -234,4 +266,5 @@ def test_s4_ext_to_degree_8_matches_the_greedy_resolution_dims():
     code, text = run(["ext", S4_INSTANCE, "--char", "2", "--degree", "8"])
     assert code == 0
     assert "ext_G: 1 1 3 5 5 7 9 9 11" in text.splitlines()
+    assert "degree 1 matches abelianization oracle: PASS" in text.splitlines()
     assert time.perf_counter() - start < 5.0

@@ -169,6 +169,44 @@ def test_rref_rank_matches_minor_oracle_over_shapes(p):
                 assert np.array_equal(r[: len(pivots)][:, pivots], f.eye(len(pivots)))
 
 
+F2_SHAPES = [(0, 5), (5, 0), (0, 0), (9, 1), (9, 7), (9, 8), (9, 9), (70, 63), (70, 64),
+             (70, 65), (40, 200), (1200, 48)]
+
+
+@pytest.mark.parametrize("shape", F2_SHAPES)
+def test_packed_f2_rref_is_the_dense_elimination(shape):
+    """The bit-packed F_2 rref against the dense loop, on raw integer inputs:
+    negative entries and entries >= 2 must reduce as Field.array does."""
+    f = Field(2)
+    m, n = shape
+    rng = np.random.default_rng(m * 1000 + n)
+    k = min(m, n)
+    # T lower unitriangular, so T @ U has the rank of the unit upper trapezoid U
+    lower = np.tril(rng.integers(0, 2, size=(m, m)), -1) + np.eye(m, dtype=np.int64)
+    upper = np.triu(rng.integers(0, 2, size=(m, n)), 1) + np.eye(m, n, dtype=np.int64)
+    full = lower @ upper - 2 * rng.integers(-1, 2, size=(m, n))
+    low = rng.integers(-1, 3, size=(m, k // 4)) @ rng.integers(-2, 3, size=(k // 4, n))
+    noisy = rng.integers(-3, 5, size=(m, n))
+    for a, rank in ((full, k), (low, None), (noisy, None), (np.zeros((m, n), dtype=np.int64), 0)):
+        r, pivots = f.rref(a)
+        dense, dense_pivots = f._rref_dense(f.array(a))
+        assert pivots == dense_pivots
+        assert r.dtype == dense.dtype and r.shape == dense.shape == (m, n)
+        assert np.array_equal(r, dense)
+        assert rank is None or len(pivots) == rank
+        if a is low:
+            assert len(pivots) <= k // 4
+
+
+def test_f2_add_sub_neg_are_the_mod_2_forms():
+    f = Field(2)
+    rng = np.random.default_rng(2)
+    a, b = f.random_matrix(rng, 9, 65), f.random_matrix(rng, 9, 65)
+    for got, want in ((f.add(a, b), (a + b) % 2), (f.sub(a, b), (a - b) % 2), (f.neg(a), -a % 2)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert f.add(f.one, f.one) == 0 and f.sub(f.zeros(1)[0], f.one) == 1
+
+
 def test_solve_many_matches_columnwise_solve():
     rng = np.random.default_rng(8)
     for p in (2, 3, 7, 0):

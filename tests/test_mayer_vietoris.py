@@ -170,7 +170,14 @@ def test_abelianization_oracle_matches_row_by_row_relations(all_datums):
                for word in s3.labels]
     emb = SubgroupEmbedding(s3, s4, mapping)
     assert emb.validate()
-    datums = list(all_datums) + [AmalgamDatum(s4, s4, s3, emb, emb, name="s4-s3-s4")]
+    # a trivial group has an empty generating set; in 1 *_1 1 only c(ee) = c(e) + c(e) pins c(e)
+    one, z4 = FiniteGroup.cyclic(1), FiniteGroup.cyclic(4)
+    into_one = SubgroupEmbedding(one, one, [0])
+    datums = list(all_datums) + [
+        AmalgamDatum(s4, s4, s3, emb, emb, name="s4-s3-s4"),
+        AmalgamDatum(one, z4, one, into_one, SubgroupEmbedding(one, z4, [0]), name="1 *_1 Z/4"),
+        AmalgamDatum(one, one, one, into_one, into_one, name="1 *_1 1"),
+    ]
     for d in datums:
         for p in (2, 3, 5):
             assert abelianized_hom_dim(d, p) == looped_abelianized_hom_dim(d, p), (d.name, p)
