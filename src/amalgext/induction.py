@@ -14,7 +14,8 @@ import numpy as np
 from amalgext.amalgam import AmalgamDatum, GWord, TAG_I, TAG_K1, TAG_K2
 from amalgext.groups import GroupMismatch
 from amalgext.linalg import Field, Span
-from amalgext.reps import KModule, module_from_generators, trivial_module
+from amalgext.reps import (KModule, _matrix_inverse, conjugate_module, direct_sum_module,
+                           module_from_generators, restrict_module, trivial_module)
 
 
 class DimensionMismatch(ValueError):
@@ -59,10 +60,7 @@ class GRep:
         if tag == TAG_K2:
             return self.module2
         if tag == TAG_I:
-            d = self.datum
-            return KModule(d.I, self.field,
-                           [self.module1.mats[d.emb1(i)] for i in range(d.I.order)],
-                           validate=False)
+            return restrict_module(self.datum.emb1, self.module1)
         raise TagMismatch(f"unknown tag {tag!r}")
 
     def act_factor(self, side: int, k: int) -> np.ndarray:
@@ -92,37 +90,29 @@ def grep_from_generators(datum: AmalgamDatum, field: Field,
 
 
 def conjugate_grep(v: GRep, p: np.ndarray) -> GRep:
-    from amalgext.reps import conjugate_module
-
     return GRep(v.datum, conjugate_module(v.module1, p), conjugate_module(v.module2, p),
                 validate=False)
 
 
 def direct_sum_grep(a: GRep, b: GRep) -> GRep:
-    from amalgext.reps import direct_sum_module
-
     if a.datum is not b.datum:
         raise GroupMismatch("summands live over different amalgams")
     return GRep(a.datum, direct_sum_module(a.module1, b.module1),
                 direct_sum_module(a.module2, b.module2), validate=False)
 
 
-def word_matrix(v: GRep, g: GWord) -> np.ndarray:
-    """The action matrix of a normal form: letters applied left of the tail."""
-    f = v.field
-    m = v.act_subgroup(TAG_I, g.tail)
-    for side, t in reversed(g.letters):
-        m = f.matmul(v.act_factor(side, t), m)
-    return m
-
-
 def g_act(v: GRep, g: GWord, x: np.ndarray) -> np.ndarray:
+    """g acting on x, a vector or a dim x m block: the tail first, then the letters."""
     if v.datum is not g.datum:
         raise GroupMismatch("word and representation live over different amalgams")
-    x = v.field.array(x)
+    f = v.field
+    x = f.array(x)
     if x.shape[0] != v.dim:
-        raise DimensionMismatch(f"vector length {x.shape[0]} != representation dimension {v.dim}")
-    return v.field.matmul(word_matrix(v, g), x)
+        raise DimensionMismatch(f"value length {x.shape[0]} != representation dimension {v.dim}")
+    x = f.matmul(v.act_subgroup(TAG_I, g.tail), x)
+    for side, t in reversed(g.letters):
+        x = f.matmul(v.act_factor(side, t), x)
+    return x
 
 
 class IndElement:
@@ -130,7 +120,9 @@ class IndElement:
 
     support maps canonical coset representative words to the value of the
     function there; values at other points of a coset follow from the
-    equivariance rule f(hg) = h f(g).  Zero values are never stored.
+    equivariance rule f(hg) = h f(g).  Zero values are never stored.  A value
+    may also be a dim x m block: column c of every block together make one
+    element, so each map below computes m elements at once.
     """
 
     __slots__ = ("tag", "grep", "support")
@@ -180,18 +172,28 @@ class IndElement:
         return f"Ind[{self.tag}]{{{items}}}"
 
 
-def chi(tag: str, grep: GRep, g: GWord, vec) -> IndElement:
-    """The element supported on one coset, with value vec at the point g.
+def _collect(tag: str, grep: GRep, points) -> IndElement:
+    """The element with value vec at each point g of points, summed coset by coset.
 
-    The stored value sits at the canonical representative k*g and equals
-    k acting on vec, per the equivariance rule.
+    Each value is stored at the canonical representative k*g as k acting on
+    vec, per the equivariance rule.
     """
-    f = grep.field
-    vec = f.array(vec)
+    d = grep.datum
+    fld = grep.field
+    out: dict[GWord, np.ndarray] = {}
+    for g, vec in points:
+        rep, k = d.canon_with_witness(tag, g)
+        moved = fld.matmul(grep.act_subgroup(tag, k), vec)
+        out[rep.word] = fld.add(out[rep.word], moved) if rep.word in out else moved
+    return IndElement(tag, grep, out)
+
+
+def chi(tag: str, grep: GRep, g: GWord, vec) -> IndElement:
+    """The element supported on one coset, with value vec at the point g."""
+    vec = grep.field.array(vec)
     if not np.any(vec != 0):
         raise ZeroVector("chi needs a nonzero value")
-    rep, k = grep.datum.canon_with_witness(tag, g)
-    return IndElement(tag, grep, {rep.word: f.matmul(grep.act_subgroup(tag, k), vec)})
+    return _collect(tag, grep, [(g, vec)])
 
 
 def iota(tag: str, grep: GRep, vec) -> IndElement:
@@ -200,26 +202,25 @@ def iota(tag: str, grep: GRep, vec) -> IndElement:
 
 
 def pi(f: IndElement) -> np.ndarray:
-    """The counit ind(V) -> V: the sum of rep^-1 * value over the support."""
+    """The counit ind(V) -> V: the sum of rep^-1 * value over the support.
+
+    Block values sum to a block; the zero element gives the zero vector.
+    """
     grep = f.grep
-    out = grep.field.zeros(grep.dim)
-    d = grep.datum
-    for w, vec in f.support.items():
-        out = grep.field.add(out, g_act(grep, d.inverse(w), vec))
-    return out
+    fld = grep.field
+    inverse = grep.datum.inverse
+    out = None
+    for w, val in f.support.items():
+        moved = g_act(grep, inverse(w), val)
+        out = moved if out is None else fld.add(out, moved)
+    return fld.zeros(grep.dim) if out is None else out
 
 
 def g_translate(f: IndElement, g: GWord) -> IndElement:
     """Right translation action on induced elements: (g f)(x) = f(x g)."""
     d = f.grep.datum
-    fld = f.grep.field
     ginv = d.inverse(g)
-    out: dict[GWord, np.ndarray] = {}
-    for w, vec in f.support.items():
-        rep, k = d.canon_with_witness(f.tag, d.multiply(w, ginv))
-        moved = fld.matmul(f.grep.act_subgroup(f.tag, k), vec)
-        out[rep.word] = fld.add(out[rep.word], moved) if rep.word in out else moved
-    return IndElement(f.tag, f.grep, out)
+    return _collect(f.tag, f.grep, ((d.multiply(w, ginv), vec) for w, vec in f.support.items()))
 
 
 def evaluate(f: IndElement, g: GWord) -> np.ndarray:
@@ -230,8 +231,6 @@ def evaluate(f: IndElement, g: GWord) -> np.ndarray:
     if rep.word not in f.support:
         return fld.zeros(f.grep.dim)
     act = f.grep.act_subgroup(f.tag, k)
-    from amalgext.reps import _matrix_inverse
-
     return fld.matmul(_matrix_inverse(fld, act), f.support[rep.word])
 
 
@@ -243,16 +242,7 @@ def gamma(side: int, f: IndElement) -> IndElement:
     """
     if f.tag != TAG_I:
         raise TagMismatch("gamma consumes elements induced from the shared subgroup")
-    tag = TAG_K1 if side == 1 else TAG_K2
-    grep = f.grep
-    d = grep.datum
-    fld = grep.field
-    out: dict[GWord, np.ndarray] = {}
-    for w, vec in f.support.items():
-        rep, k = d.canon_with_witness(tag, w)
-        moved = fld.matmul(grep.act_subgroup(tag, k), vec)
-        out[rep.word] = fld.add(out[rep.word], moved) if rep.word in out else moved
-    return IndElement(tag, grep, out)
+    return _collect(TAG_K1 if side == 1 else TAG_K2, f.grep, f.support.items())
 
 
 def gamma_sum_formula(side: int, f: IndElement) -> IndElement:
@@ -314,26 +304,6 @@ def tensor_identity_inverse(f: IndElement, scalar_grep: GRep) -> list[tuple[IndE
     return out
 
 
-class BallIndex:
-    """Coordinates for induced elements supported in a coset ball."""
-
-    def __init__(self, datum: AmalgamDatum, tag: str, r: int, dim: int):
-        self.tag = tag
-        self.reps = datum.ball(tag, r)
-        self.index = {w: i for i, w in enumerate(self.reps)}
-        self.dim = dim
-        self.size = len(self.reps) * dim
-
-    def vector(self, f: IndElement, field: Field) -> np.ndarray:
-        out = field.zeros(self.size)
-        for w, vec in f.support.items():
-            if w not in self.index:
-                raise ValueError("element supported outside the ball")
-            i = self.index[w]
-            out[i * self.dim : (i + 1) * self.dim] = vec
-        return out
-
-
 class MVCheckReport:
     def __init__(self, radius, dim, edge_cosets, gamma_rank, injective, middle_exact, surjective):
         self.radius = radius
@@ -361,60 +331,48 @@ def mv_truncated_check(v: GRep, r: int) -> MVCheckReport:
     Injectivity is full column rank on the edge r-ball; middle exactness
     checks kernel elements supported in the vertex (r-1)-balls against the
     image of the edge r-ball; surjectivity uses the section given by iota.
+
+    Coordinates run coset by coset in ball order, dim per coset.  Each map
+    is applied once per coset, to the element whose value there is the
+    identity block; its image is the block of columns of that coset.
     """
     if r < 1:
         raise ValueError("radius must be at least 1")
     d = v.datum
     fld = v.field
     dim = v.dim
-    edge = BallIndex(d, TAG_I, r, dim)
-    vert1 = BallIndex(d, TAG_K1, r, dim)
-    vert2 = BallIndex(d, TAG_K2, r, dim)
+    eye = fld.eye(dim)
+    edge = d.ball(TAG_I, r)
+    # first row of each vertex coset: the K1 ball, then the K2 ball
+    first_row = {}
+    for tag in (TAG_K1, TAG_K2):
+        for w in d.ball(tag, r):
+            first_row[tag, w] = len(first_row) * dim
 
-    basis_vectors = [fld.zeros(dim) for _ in range(dim)]
-    for j in range(dim):
-        basis_vectors[j][j] = fld.one
-
-    cols = []
-    for w in edge.reps:
-        for j in range(dim):
-            f = IndElement(TAG_I, v, {w: basis_vectors[j]})
-            g1 = gamma(1, f)
-            g2 = gamma(2, f)
-            col = np.concatenate([vert1.vector(g1, fld),
-                                  fld.neg(vert2.vector(g2, fld))])
-            cols.append(col)
-    gamma_matrix = np.column_stack(cols) if cols else fld.zeros(vert1.size + vert2.size, 0)
+    gamma_matrix = fld.zeros(len(first_row) * dim, len(edge) * dim)
+    for c, w in enumerate(edge):
+        e = IndElement(TAG_I, v, {w: eye})
+        for side, tag in ((1, TAG_K1), (2, TAG_K2)):
+            for u, block in gamma(side, e).support.items():
+                row = first_row[tag, u]
+                gamma_matrix[row : row + dim, c * dim : (c + 1) * dim] = (
+                    block if side == 1 else fld.neg(block))
     gamma_span = Span(fld, gamma_matrix.shape[0], gamma_matrix.T)
     gamma_rank = len(gamma_span)
-    injective = gamma_rank == len(cols)
+    injective = gamma_rank == gamma_matrix.shape[1]
 
-    # pi_1 + pi_2 on pairs supported in the vertex (r-1)-balls
-    small1 = BallIndex(d, TAG_K1, r - 1, dim)
-    small2 = BallIndex(d, TAG_K2, r - 1, dim)
-    pi_cols = []
-    for tag, ball in ((TAG_K1, small1), (TAG_K2, small2)):
-        for w in ball.reps:
-            for j in range(dim):
-                f = IndElement(tag, v, {w: basis_vectors[j]})
-                pi_cols.append(pi(f))
-    pi_matrix_ = np.column_stack(pi_cols)
-    kernel = fld.kernel_matrix(pi_matrix_)
-
-    # embed small-ball coordinates into the big-ball pair space: each small
+    # pi_1 + pi_2 on pairs supported in the vertex (r-1)-balls; each small
     # coordinate lands on the row of the same coset and component
-    def rows_of(small: BallIndex, big: BallIndex, offset: int) -> list[int]:
-        return [offset + big.index[w] * dim + t for w in small.reps for t in range(dim)]
-
-    rows = rows_of(small1, vert1, 0) + rows_of(small2, vert2, vert1.size)
-    embedded_kernel = fld.zeros(vert1.size + vert2.size, kernel.shape[1])
+    small = [(tag, w) for tag in (TAG_K1, TAG_K2) for w in d.ball(tag, r - 1)]
+    pi_matrix = fld.zeros(dim, len(small) * dim)
+    for c, (tag, w) in enumerate(small):
+        pi_matrix[:, c * dim : (c + 1) * dim] = pi(IndElement(tag, v, {w: eye}))
+    kernel = fld.kernel_matrix(pi_matrix)
+    rows = [first_row[key] + t for key in small for t in range(dim)]
+    embedded_kernel = fld.zeros(gamma_matrix.shape[0], kernel.shape[1])
     embedded_kernel[rows] = kernel
     middle_exact = not gamma_span.reduce(embedded_kernel.T).any()
 
-    surjective = all(
-        np.array_equal(pi(iota(TAG_K1, v, basis_vectors[j])), basis_vectors[j])
-        for j in range(dim)
-    )
+    surjective = np.array_equal(pi(iota(TAG_K1, v, eye)), eye)
 
-    return MVCheckReport(r, dim, len(edge.reps), int(gamma_rank), bool(injective),
-                         bool(middle_exact), bool(surjective))
+    return MVCheckReport(r, dim, len(edge), gamma_rank, injective, middle_exact, surjective)

@@ -6,7 +6,8 @@ import numpy as np
 
 from amalgext.amalgam import AmalgamDatum
 from amalgext.groups import FiniteGroup, SubgroupEmbedding
-from amalgext.induction import GRep, grep_from_generators, trivial_grep
+from amalgext.induction import (GRep, conjugate_grep, direct_sum_grep, grep_from_generators,
+                                trivial_grep)
 from amalgext.linalg import Field
 
 
@@ -70,8 +71,6 @@ def standard_grep2(datum: AmalgamDatum, field: Field) -> GRep:
 def random_grep(datum: AmalgamDatum, field: Field, rng: np.random.Generator,
                 max_summands: int = 2) -> GRep:
     """Seeded representation: a random conjugate of a sum of bundled pieces."""
-    from amalgext.induction import conjugate_grep, direct_sum_grep
-
     pieces = [trivial_grep(datum, field), standard_grep2(datum, field)]
     count = int(rng.integers(1, max_summands + 1))
     v = pieces[int(rng.integers(0, len(pieces)))]

@@ -156,8 +156,20 @@ def _build_group(section: _Section, name: str) -> tuple[FiniteGroup, dict]:
     table = None
     for key, value, line in section.items:
         if key.startswith("perm "):
-            perm_names.append(key[5:].strip())
-            perms.append(_parse_int_list(value, line))
+            gname = key[5:].strip()
+            perm = _parse_int_list(value, line)
+            if gname == "e":
+                raise ValidationError(line, "generator name 'e' is reserved for the identity")
+            if gname in perm_names:
+                raise ValidationError(line, f"generator {gname!r} is named twice")
+            if perm == list(range(len(perm))):
+                raise ValidationError(line, f"generator {gname!r} is the identity; "
+                                            "write 'table = 0' for the trivial group")
+            if perm in perms:
+                raise ValidationError(line, f"generator {gname!r} repeats generator "
+                                            f"{perm_names[perms.index(perm)]!r}")
+            perm_names.append(gname)
+            perms.append(perm)
         elif key == "table":
             table = [_parse_int_list(chunk, line) for chunk in value.split("/")]
         elif key in ("embed K1", "embed K2"):
@@ -178,20 +190,9 @@ def _build_group(section: _Section, name: str) -> tuple[FiniteGroup, dict]:
         group = FiniteGroup.from_permutations(perms, gen_names=perm_names, name=name)
     except ValueError as exc:
         raise ValidationError(section.line, f"group {name}: {exc}") from exc
-    gen_index = {}
-    for nm, p in zip(perm_names, perms):
-        gen_index[nm] = _perm_index(group, perms, perm_names, nm)
-    return group, gen_index
-
-
-def _perm_index(group: FiniteGroup, perms, perm_names, wanted: str) -> int:
-    # generator elements appear in BFS order right after the identity, in
-    # the order the perm lines were written (duplicates collapse)
-    label = wanted
-    for i, lab in enumerate(group.labels):
-        if lab == label:
-            return i
-    raise ValidationError(0, f"generator {wanted!r} did not survive closure")
+    # distinct nontrivial generators are the first elements after the
+    # identity in breadth-first order, in the order they were written
+    return group, {nm: k for k, nm in enumerate(perm_names, start=1)}
 
 
 def parse(path: str) -> InstanceFile:

@@ -138,7 +138,7 @@ def _matrix_inverse(field: Field, m: np.ndarray) -> np.ndarray:
 def hom_space(v: KModule, w: KModule) -> list[np.ndarray]:
     """Basis of the intertwiner space {S : S v(g) = w(g) S for all g}.
 
-    Solved as one stacked kernel over every group element.
+    Solved as one stacked kernel over a generating set of the group.
     """
     if v.group is not w.group:
         raise GroupMismatch("intertwiners need modules over the same group")
@@ -149,12 +149,18 @@ def hom_space(v: KModule, w: KModule) -> list[np.ndarray]:
 
 
 def intertwiner_constraints(v: KModule, w: KModule) -> np.ndarray:
-    """The conditions S v(g) = w(g) S for every g, stacked, on S flattened row-major."""
+    """The conditions S v(g) = w(g) S for g in a generating set, stacked, on S flattened row-major.
+
+    S intertwines at every product once it does at each factor, so the
+    generators cut out the same solution space as all elements; the trivial
+    group contributes its identity.
+    """
     f = v.field
+    group = v.group
     eye_w = f.eye(w.dim)
     eye_v = f.eye(v.dim)
-    blocks = [f.sub(np.kron(eye_w, v.mats[g].T), np.kron(w.mats[g], eye_v))
-              for g in range(v.group.order)]
+    gens = group.generating_set(range(group.order)) or [group.identity]
+    blocks = [f.sub(np.kron(eye_w, v.mats[g].T), np.kron(w.mats[g], eye_v)) for g in gens]
     return np.concatenate(blocks, axis=0)
 
 

@@ -1,9 +1,13 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import amalgext.induction as induction
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
+from amalgext.cli import MAX_BALL_CELLS
 from amalgext.induction import (
     IndElement,
     ZeroVector,
@@ -19,10 +23,11 @@ from amalgext.induction import (
     tensor_identity,
     tensor_identity_inverse,
     trivial_grep,
-    word_matrix,
 )
-from amalgext.instances import standard_grep2
-from amalgext.linalg import Field
+from amalgext.instances import (d_infinity_datum, psl2z_datum, random_grep, sl2z_datum,
+                                standard_grep2)
+from amalgext.instfile import ValidationError, parse
+from amalgext.linalg import Field, Span
 
 from conftest import sl2z_word_to_matrix
 
@@ -55,7 +60,7 @@ def test_g_act_matches_integer_model_mod_2(sl2z):
     words = sl2z.reduced_words(4)
     for _ in range(1000):
         w = rng.choice(words)
-        assert np.array_equal(word_matrix(v, w), f.array(sl2z_word_to_matrix(w)))
+        assert np.array_equal(g_act(v, w, f.eye(2)), f.array(sl2z_word_to_matrix(w)))
 
 
 def test_chi_rejects_zero_vector(sl2z):
@@ -290,3 +295,140 @@ def test_kernel_certificates_cohere(sl2z):
         support = {ball.edges[i].word: 1 for i in picks}
         order = leaf_elimination(ball, support)
         assert sorted(order) == sorted(picks)
+
+
+# -- the block path against the column-by-column construction ---------------
+
+REPO = Path(__file__).resolve().parent.parent
+INSTANCE_FILES = sorted((REPO / "fixtures").glob("*.amg")) + sorted(
+    (REPO / "bench" / "instances").glob("*.amg"))
+
+
+def mv_check_by_columns(v, r):
+    """mv_truncated_check's report built one basis vector at a time, as a reference."""
+    d, fld, dim = v.datum, v.field, v.dim
+    basis = list(fld.eye(dim).T)
+
+    def coordinates(tag, radius):
+        return {w: i for i, w in enumerate(d.ball(tag, radius))}
+
+    edge = coordinates(TAG_I, r)
+    vert = {tag: coordinates(tag, r) for tag in (TAG_K1, TAG_K2)}
+    offset = {TAG_K1: 0, TAG_K2: len(vert[TAG_K1]) * dim}
+    height = (len(vert[TAG_K1]) + len(vert[TAG_K2])) * dim
+
+    def column(elements):
+        out = fld.zeros(height)
+        for sign, elem in elements:
+            for w, vec in elem.support.items():
+                start = offset[elem.tag] + vert[elem.tag][w] * dim
+                out[start : start + dim] = vec if sign > 0 else fld.neg(vec)
+        return out
+
+    cols = [column([(1, gamma(1, e)), (-1, gamma(2, e))])
+            for w in edge for e in (IndElement(TAG_I, v, {w: b}) for b in basis)]
+    gamma_matrix = np.column_stack(cols)
+    span = Span(fld, height, gamma_matrix.T)
+    small = [(tag, w) for tag in (TAG_K1, TAG_K2) for w in d.ball(tag, r - 1)]
+    pi_matrix = np.column_stack([pi(IndElement(tag, v, {w: b})) for tag, w in small
+                                 for b in basis])
+    kernel = fld.kernel_matrix(pi_matrix)
+    rows = [offset[tag] + vert[tag][w] * dim + t for tag, w in small for t in range(dim)]
+    embedded = fld.zeros(height, kernel.shape[1])
+    embedded[rows] = kernel
+    return {
+        "radius": r, "dim": dim, "edge_cosets": len(edge), "gamma_rank": len(span),
+        "injective": len(span) == len(cols),
+        "middle_exact": not span.reduce(embedded.T).any(),
+        "surjective": all(np.array_equal(pi(iota(TAG_K1, v, b)), b) for b in basis),
+    }
+
+
+def instance_greps(path, p):
+    """triv and every grep of the file that is a representation over F_p."""
+    inst = parse(str(path))
+    try:
+        built = inst.build(p)
+    except ValidationError:  # some grep is not a representation in this characteristic
+        return [trivial_grep(inst.datum, Field(p))]
+    return [built.grep("triv")] + [built.grep(name) for name in sorted(built.greps)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.name)
+def test_mv_check_equals_the_column_by_column_reference(path, p):
+    checked = 0
+    for v in instance_greps(path, p):
+        for r in (1, 2, 3):
+            if v.datum.edge_coset_count(r) * v.dim > MAX_BALL_CELLS:
+                continue
+            assert vars(mv_truncated_check(v, r)) == mv_check_by_columns(v, r), (v.dim, r)
+            checked += 1
+    assert checked
+
+
+def column_of(elem, c):
+    """The element made of column c of every block value."""
+    return IndElement(elem.tag, elem.grep, {w: val[:, c] for w, val in elem.support.items()})
+
+
+def test_maps_on_blocks_are_their_column_by_column_results(all_datums):
+    rng = random.Random(52)
+    nprng = np.random.default_rng(52)
+    for d in all_datums:
+        for p in (2, 3, 0):
+            f = Field(p)
+            v = random_grep(d, f, nprng)
+            words = d.reduced_words(2)
+            for _ in range(20):
+                m = rng.randrange(1, 4)
+                w = rng.choice(words)
+                block = f.random_matrix(nprng, v.dim, m)
+                assert np.array_equal(g_act(v, w, block), np.column_stack(
+                    [g_act(v, w, block[:, c]) for c in range(m)]))
+                support = {d.canon(TAG_I, u).word: f.random_matrix(nprng, v.dim, m)
+                           for u in rng.sample(words, 3)}
+                elem = IndElement(TAG_I, v, support)
+                for c in range(m):
+                    for side in (1, 2):
+                        assert column_of(gamma(side, elem), c) == gamma(side, column_of(elem, c))
+                    assert column_of(g_translate(elem, w), c) == g_translate(column_of(elem, c), w)
+                    for x in (elem, gamma(1, elem), gamma(2, elem)):
+                        if x.is_zero():  # pi gives the zero vector, of no width
+                            continue
+                        assert np.array_equal(pi(x)[:, c], pi(column_of(x, c)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mv_check_applies_gamma_and_pi_once_per_coset(monkeypatch, all_datums, dim):
+    calls = {"gamma": 0, "pi": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(induction, "gamma", counted("gamma", induction.gamma))
+    monkeypatch.setattr(induction, "pi", counted("pi", induction.pi))
+    f = Field(3)
+    for d in all_datums:
+        v = trivial_grep(d, f, dim)
+        for r in (1, 2, 3):
+            calls.update(gamma=0, pi=0)
+            assert mv_truncated_check(v, r).all_pass()
+            assert calls["gamma"] == 2 * d.edge_coset_count(r)
+            assert calls["pi"] == len(d.ball(TAG_K1, r - 1)) + len(d.ball(TAG_K2, r - 1)) + 1
+
+
+BUNDLED_DATUMS = [d_infinity_datum(), psl2z_datum(), sl2z_datum()]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(datum=st.sampled_from(BUNDLED_DATUMS), p=st.sampled_from([2, 3, 5]),
+       r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_mv_check_passes_on_random_representations(datum, p, r, seed):
+    v = random_grep(datum, Field(p), np.random.default_rng(seed))
+    report = mv_truncated_check(v, r)
+    assert report.all_pass()
+    assert vars(report) == mv_check_by_columns(v, r)

@@ -268,3 +268,50 @@ def test_s4_ext_to_degree_8_matches_the_greedy_resolution_dims():
     assert "ext_G: 1 1 3 5 5 7 9 9 11" in text.splitlines()
     assert "degree 1 matches abelianization oracle: PASS" in text.splitlines()
     assert time.perf_counter() - start < 5.0
+
+
+_HEAD = "[instance]\nname = gens\ncharacteristic = 3\n[group K1]\nperm a = 1 2 3 0\n"
+_REST = ("[group K2]\nperm b = 1 0\n"
+         "[subgroup I]\ntable = 0\nembed K1 = 0\nembed K2 = 0\n")
+
+
+def test_cli_refuses_a_generator_named_e_that_would_pose_as_the_identity(tmp_path):
+    # perm e is a^2, and its block I would silently be read as the identity's,
+    # while the block of a squares to -I; the file is inconsistent
+    path = tmp_path / "e.amg"
+    path.write_text(_HEAD + "perm e = 2 3 0 1\n" + _REST
+                    + "[grep bad]\nmat K1 a = 0 -1 / 1 0\nmat K1 e = 1 0 / 0 1\n"
+                      "mat K2 b = 1 0 / 0 1\n")
+    code, text = run(["validate", str(path)])
+    assert code == 2
+    assert text == (f"error: {path}: line 6: generator name 'e' is reserved "
+                    "for the identity\n")
+
+
+@pytest.mark.parametrize("perm, message", [
+    ("perm a = 2 3 0 1", "generator 'a' is named twice"),
+    ("perm b = 0 1 2 3", "generator 'b' is the identity; write 'table = 0' for the trivial group"),
+    ("perm c = 1 2 3 0", "generator 'c' repeats generator 'a'"),
+])
+def test_cli_refuses_a_repeated_or_trivial_generator_at_its_line(tmp_path, perm, message):
+    path = tmp_path / "gens.amg"
+    path.write_text(_HEAD + perm + "\n" + _REST)
+    code, text = run(["validate", str(path)])
+    assert code == 2
+    assert text == f"error: {path}: line 6: {message}\n"
+    with pytest.raises(ValidationError) as err:
+        parse(str(path))
+    assert err.value.line == 6
+
+
+def test_each_generator_index_is_the_element_labelled_with_its_name():
+    paths = [fixture(name) for name in ALL_FIXTURES] + [S4_INSTANCE, S4_INSTANCE.replace(
+        "s4-s3-s4", "gl2z")]
+    checked = 0
+    for path in paths:
+        for section in instfile._split_sections(Path(path).read_text()):
+            if section.header in ("group K1", "group K2", "subgroup I"):
+                group, index = instfile._build_group(section, section.header)
+                assert all(group.labels[k] == nm for nm, k in index.items())
+                checked += len(index)
+    assert checked > 0

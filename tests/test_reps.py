@@ -1,10 +1,14 @@
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
 from amalgext.groups import FiniteGroup, SubgroupEmbedding
+from amalgext.induction import conjugate_grep, grep_from_generators
+from amalgext.instfile import parse
 from amalgext.linalg import Field
 from amalgext.reps import (
     KModule,
@@ -207,3 +211,60 @@ def test_module_from_generators_detects_relation_violation():
     z4 = FiniteGroup.cyclic(4)
     m = module_from_generators(z4, f, {1: f.array([[2, 0], [0, 3]])})
     m.validate()
+
+
+REPO = Path(__file__).resolve().parent.parent
+INSTANCE_FILES = sorted((REPO / "fixtures").glob("*.amg")) + sorted(
+    (REPO / "bench" / "instances").glob("*.amg"))
+
+
+def _hom_space_all_elements(v, w):
+    """The intertwiner conditions stacked over every group element, as a reference."""
+    f = v.field
+    blocks = [f.sub(np.kron(f.eye(w.dim), v.mats[g].T), np.kron(w.mats[g], f.eye(v.dim)))
+              for g in range(v.group.order)]
+    return [vec.reshape(w.dim, v.dim) for vec in f.kernel_basis(np.concatenate(blocks))]
+
+
+def _modules_by_group(path, f):
+    """Per group of the file: trivial, regular and conjugated regular modules
+    (order <= 8, or <= 4 over Q), the file's modules and the factor pieces of
+    its conjugated greps, where they are modules in this characteristic."""
+    inst = parse(str(path))
+    d = inst.datum
+    groups = {TAG_K1: d.K1, TAG_K2: d.K2, TAG_I: d.I}
+    rng = np.random.default_rng(f.p)
+    out = {tag: [trivial_module(g, f, 2)] for tag, g in groups.items()}
+    for tag, g in groups.items():
+        if g.order <= (8 if f.p else 4):
+            reg = regular_module(g, f)
+            out[tag] += [reg, conjugate_module(reg, f.random_invertible(rng, reg.dim))]
+    for tag, gens, _ in inst.module_specs.values():
+        try:
+            out[tag].append(module_from_generators(groups[tag], f, {
+                k: f.array(m) for k, m in gens.items()}))
+        except ValueError:
+            pass
+    for gens1, gens2, _ in inst.grep_specs.values():
+        try:
+            v = grep_from_generators(d, f, {k: f.array(m) for k, m in gens1.items()},
+                                     {k: f.array(m) for k, m in gens2.items()})
+        except ValueError:
+            continue
+        v = conjugate_grep(v, f.random_invertible(rng, v.dim))
+        for tag in groups:
+            out[tag].append(v.module(tag))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 0])
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.name)
+def test_hom_space_over_generators_is_the_all_elements_basis(path, p):
+    f = Field(p)
+    for modules in _modules_by_group(path, f).values():
+        for v in modules:
+            for w in modules:
+                got = hom_space(v, w)
+                want = _hom_space_all_elements(v, w)
+                assert len(got) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
