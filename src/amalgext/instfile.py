@@ -130,13 +130,12 @@ def _split_sections(text: str) -> list[_Section]:
     return sections
 
 
+# every integer of a file must fit the int64 arrays it is stored in
+_INT64 = range(-(2**63), 2**63)
+
+
 def _parse_matrix(value: str, line: int) -> list[list[int]]:
-    rows = []
-    for chunk in value.split("/"):
-        try:
-            rows.append([int(tok) for tok in chunk.split()])
-        except ValueError as exc:
-            raise ParseError(line, f"bad matrix entry in {chunk!r}") from exc
+    rows = [_parse_int_list(chunk, line) for chunk in value.split("/")]
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ParseError(line, "matrix must be square with rows separated by '/'")
     return rows
@@ -144,9 +143,12 @@ def _parse_matrix(value: str, line: int) -> list[list[int]]:
 
 def _parse_int_list(value: str, line: int) -> list[int]:
     try:
-        return [int(tok) for tok in value.split()]
+        out = [int(tok) for tok in value.split()]
     except ValueError as exc:
         raise ParseError(line, f"bad integer list {value!r}") from exc
+    if any(x not in _INT64 for x in out):
+        raise ParseError(line, f"integer out of int64 range in {value!r}")
+    return out
 
 
 def _build_group(section: _Section, name: str) -> tuple[FiniteGroup, dict]:
@@ -162,6 +164,12 @@ def _build_group(section: _Section, name: str) -> tuple[FiniteGroup, dict]:
                 raise ValidationError(line, "generator name 'e' is reserved for the identity")
             if gname in perm_names:
                 raise ValidationError(line, f"generator {gname!r} is named twice")
+            if sorted(perm) != list(range(len(perm))):
+                raise ValidationError(line, f"generator {gname!r} is not a permutation of "
+                                            f"0..{len(perm) - 1}: {value}")
+            if perms and len(perm) != len(perms[0]):
+                raise ValidationError(line, f"generator {gname!r} moves {len(perm)} points, but "
+                                            f"generator {perm_names[0]!r} moves {len(perms[0])}")
             if perm == list(range(len(perm))):
                 raise ValidationError(line, f"generator {gname!r} is the identity; "
                                             "write 'table = 0' for the trivial group")
@@ -225,12 +233,17 @@ def parse_text(text: str) -> InstanceFile:
                 characteristic = int(value)
             except ValueError as exc:
                 raise ParseError(line, f"bad characteristic {value!r}") from exc
+            char_line = line
         else:
             raise ParseError(line, f"unknown directive {key!r} in [instance]")
     if name is None or characteristic is None:
         raise ParseError(inst.line, "[instance] needs name and characteristic")
     if not is_prime(characteristic):
-        raise ParseError(inst.line, f"characteristic {characteristic} is not prime")
+        raise ParseError(char_line, f"characteristic {characteristic} is not prime")
+    try:
+        Field(characteristic)
+    except ValueError as exc:  # a prime too large for exact arithmetic
+        raise ParseError(char_line, str(exc)) from exc
 
     k1_section = unique("group K1")
     k2_section = unique("group K2")
@@ -246,6 +259,10 @@ def parse_text(text: str) -> InstanceFile:
             mapping = _parse_int_list(value, line)
             if len(mapping) != sub.order:
                 raise ParseError(line, f"embedding list needs {sub.order} entries")
+            order = (k1 if target == "K1" else k2).order
+            if not all(0 <= x < order for x in mapping):
+                raise ParseError(line, f"embedding entries must be elements 0..{order - 1} "
+                                       f"of {target}")
             embeds[target] = (mapping, line)
     if set(embeds) != {"K1", "K2"}:
         raise ParseError(i_section.line, "[subgroup I] needs 'embed K1' and 'embed K2' lists")

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from amalgext.instances import d_infinity_datum, psl2z_datum, sl2z_datum
+
+# Property tests draw the same examples on every run, keep no example
+# database and have no per-example deadline, which a loaded host would trip.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

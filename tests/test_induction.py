@@ -424,7 +424,7 @@ def test_mv_check_applies_gamma_and_pi_once_per_coset(monkeypatch, all_datums, d
 BUNDLED_DATUMS = [d_infinity_datum(), psl2z_datum(), sl2z_datum()]
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(datum=st.sampled_from(BUNDLED_DATUMS), p=st.sampled_from([2, 3, 5]),
        r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_mv_check_passes_on_random_representations(datum, p, r, seed):

@@ -5,6 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import amalgext.instfile as instfile
 from amalgext.cli import MAX_BALL_CELLS, main, run
@@ -292,6 +293,8 @@ def test_cli_refuses_a_generator_named_e_that_would_pose_as_the_identity(tmp_pat
     ("perm a = 2 3 0 1", "generator 'a' is named twice"),
     ("perm b = 0 1 2 3", "generator 'b' is the identity; write 'table = 0' for the trivial group"),
     ("perm c = 1 2 3 0", "generator 'c' repeats generator 'a'"),
+    ("perm b = 0 0 1 2", "generator 'b' is not a permutation of 0..3: 0 0 1 2"),
+    ("perm b = 1 0 2", "generator 'b' moves 3 points, but generator 'a' moves 4"),
 ])
 def test_cli_refuses_a_repeated_or_trivial_generator_at_its_line(tmp_path, perm, message):
     path = tmp_path / "gens.amg"
@@ -315,3 +318,86 @@ def test_each_generator_index_is_the_element_labelled_with_its_name():
                 assert all(group.labels[k] == nm for nm, k in index.items())
                 checked += len(index)
     assert checked > 0
+
+
+BIG = str(2**64)
+
+
+@pytest.mark.parametrize("old, new, line, message", [
+    ("characteristic = 2", "characteristic = 3037000507", 7,
+     "characteristic 3037000507 is too large for exact int64 arithmetic (at most 3037000500)"),
+    ("characteristic = 2", "characteristic = 4", 7, "characteristic 4 is not prime"),
+    ("mat K1 a = 0 -1 / 1 0", f"mat K1 a = 0 {BIG} / 1 0", 22,
+     f"integer out of int64 range in '0 {BIG} '"),
+    ("mat z = -1", f"mat z = {BIG}", 28, f"integer out of int64 range in '{BIG}'"),
+    ("perm z = 1 0", f"table = {BIG}", 16, f"integer out of int64 range in '{BIG}'"),
+    ("embed K1 = 0 2", f"embed K1 = 0 {BIG}", 17, f"integer out of int64 range in '0 {BIG}'"),
+    ("embed K1 = 0 2", "embed K1 = 0 7", 17, "embedding entries must be elements 0..3 of K1"),
+    ("embed K2 = 0 3", "embed K2 = 0 -1", 18, "embedding entries must be elements 0..5 of K2"),
+])
+def test_cli_refuses_integers_out_of_range_at_their_line(tmp_path, old, new, line, message):
+    # each of these raised OverflowError or IndexError, or was reported at line 0
+    path = tmp_path / "range.amg"
+    path.write_text(Path(fixture("sl2z.amg")).read_text().replace(old, new))
+    code, text = run(["validate", str(path)])
+    assert code == 2
+    assert text == f"error: {path}: line {line}: {message}\n"
+
+
+FIXTURE_LINES = [Path(fixture(name)).read_text().splitlines() for name in ALL_FIXTURES]
+LINE_POOL = sorted({line for lines in FIXTURE_LINES for line in lines})
+TOKENS = ["0", "1", "2", "3", "5", "-1", "7", "x", "e", "K1", "I", "/", "=", "#", "[", "]",
+          "[group K1]", "perm", "mat", "table", "3037000507", BIG]
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A bundled fixture after one to three line-level mutations: a line
+    deleted, duplicated, swapped with another, replaced by or preceded by a
+    line of any fixture, or one of its tokens replaced, deleted or preceded by
+    another token."""
+    lines = list(draw(st.sampled_from(FIXTURE_LINES)))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap", "replace", "insert", "token"]))
+        if kind == "insert" or not lines:
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(LINE_POOL)))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "replace":
+            lines[i] = draw(st.sampled_from(LINE_POOL))
+        else:
+            tokens = lines[i].split()
+            k = draw(st.integers(0, len(tokens)))
+            edit = draw(st.sampled_from(["replace", "delete", "insert"]))
+            if edit == "insert" or k == len(tokens):
+                tokens.insert(k, draw(st.sampled_from(TOKENS)))
+            elif edit == "delete":
+                del tokens[k]
+            else:
+                tokens[k] = draw(st.sampled_from(TOKENS))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(text=mutated_fixtures())
+def test_mutated_fixtures_are_answered_or_refused_at_a_line_of_the_file(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.amg"
+    path.write_text(text)
+    code, out = run(["validate", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        head = f"error: {path}: line "
+        assert out.startswith(head)
+        line = int(out[len(head):].split(":", 1)[0])
+        assert 1 <= line <= len(text.splitlines())
+    else:
+        code, out = run(["ext", str(path), "--degree", "2"])
+        assert code in (0, 1, 2)

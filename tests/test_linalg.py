@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from amalgext.linalg import (
     MAX_CHARACTERISTIC,
@@ -171,22 +172,23 @@ def test_rref_rank_matches_minor_oracle_over_shapes(p):
 
 F2_SHAPES = [(0, 5), (5, 0), (0, 0), (9, 1), (9, 7), (9, 8), (9, 9), (70, 63), (70, 64),
              (70, 65), (40, 200), (1200, 48)]
+# every prime with a packed layout; the others, and Q, eliminate densely
+PACKED_PRIMES = [2, 3, 5, 7, 11, 13, 19]
 
 
-@pytest.mark.parametrize("shape", F2_SHAPES)
-def test_packed_f2_rref_is_the_dense_elimination(shape):
-    """The bit-packed F_2 rref against the dense loop, on raw integer inputs:
-    negative entries and entries >= 2 must reduce as Field.array does."""
-    f = Field(2)
+def _check_packed_against_dense(p, shape):
+    """The packed rref against the dense loop, on raw integer inputs:
+    negative entries and entries >= p must reduce as Field.array does."""
+    f = Field(p)
     m, n = shape
     rng = np.random.default_rng(m * 1000 + n)
     k = min(m, n)
     # T lower unitriangular, so T @ U has the rank of the unit upper trapezoid U
     lower = np.tril(rng.integers(0, 2, size=(m, m)), -1) + np.eye(m, dtype=np.int64)
     upper = np.triu(rng.integers(0, 2, size=(m, n)), 1) + np.eye(m, n, dtype=np.int64)
-    full = lower @ upper - 2 * rng.integers(-1, 2, size=(m, n))
+    full = lower @ upper - p * rng.integers(-1, 2, size=(m, n))
     low = rng.integers(-1, 3, size=(m, k // 4)) @ rng.integers(-2, 3, size=(k // 4, n))
-    noisy = rng.integers(-3, 5, size=(m, n))
+    noisy = rng.integers(-p - 1, 2 * p + 1, size=(m, n))
     zero = np.zeros((m, n), dtype=np.int64)
     for a, least, most in ((full, k, k), (low, 0, k // 4), (noisy, 0, k), (zero, 0, 0)):
         r, pivots = f.rref(a)
@@ -195,6 +197,79 @@ def test_packed_f2_rref_is_the_dense_elimination(shape):
         assert r.dtype == dense.dtype and r.shape == dense.shape == (m, n)
         assert np.array_equal(r, dense)
         assert least <= len(pivots) <= most
+
+
+@pytest.mark.parametrize("shape", F2_SHAPES)
+def test_packed_f2_rref_is_the_dense_elimination(shape):
+    _check_packed_against_dense(2, shape)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES[1:])
+@pytest.mark.parametrize("shape", F2_SHAPES)
+def test_packed_odd_rref_is_the_dense_elimination(p, shape):
+    _check_packed_against_dense(p, shape)
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("m, n", [(1, 2), (5, 5), (30, 31), (60, 31), (120, 121), (300, 301)])
+def test_packed_rref_of_shuffled_difference_rows(p, m, n):
+    """Rows e_i - e_j, the boundary rows of a graph on n vertices, in shuffled
+    order: the sparse inputs of mv-check and chain.  The first n - 1 rows are
+    a path through the vertices in random order, so the rank is
+    min(m, n - 1) at every p."""
+    f = Field(p)
+    rng = np.random.default_rng(m * 1000 + n + p)
+    walk = rng.permutation(n)
+    edges = [(walk[k], walk[k + 1]) for k in range(min(m, n - 1))]
+    edges += [tuple(rng.choice(n, size=2, replace=False)) for _ in range(m - len(edges))]
+    a = np.zeros((m, n), dtype=np.int64)
+    for row, (i, j) in enumerate(edges):
+        a[row, i], a[row, j] = 1, -1
+    a = a[rng.permutation(m)]
+    r, pivots = f.rref(a)
+    dense, dense_pivots = f._rref_dense(f.array(a))
+    assert pivots == dense_pivots and len(pivots) == min(m, n - 1)
+    assert np.array_equal(r, dense)
+
+
+def test_packed_layouts_are_exact_for_every_lane_value():
+    """For every lane value x <= p(p - 1) a row update can leave, Barrett gives
+    x // p, x * mult does not spill out of its lane and the quotient fits under
+    the lane's quotient mask; and the primes with a layout are exactly these."""
+    primes = [q for q in range(2, 400) if is_prime(q)]
+    assert [q for q in primes if Field(q)._lanes] == PACKED_PRIMES
+    for q in (0, 65521, 3037000493):
+        assert Field(q)._lanes is None
+    rng = np.random.default_rng(5)
+    for p in PACKED_PRIMES[1:]:
+        bits, shift, mult = Field(p)._lanes
+        assert bits in (8, 16)
+        qmask = (1 << bits - shift) - 1
+        for x in range(p * (p - 1) + 1):
+            assert (x * mult) >> shift == x // p
+            assert x * mult < 1 << bits
+            assert x // p <= qmask
+        # the same reduction on a packed row of 40 lanes, none borrowing from its neighbour
+        lanes = rng.integers(0, p * (p - 1) + 1, size=40)
+        dtype = f">u{bits // 8}"
+        x = int.from_bytes(lanes.astype(dtype).tobytes(), "big")
+        quot = int.from_bytes(qmask.to_bytes(bits // 8, "big") * 40, "big")
+        reduced = x - p * ((x * mult >> shift) & quot)
+        back = np.frombuffer(reduced.to_bytes(40 * bits // 8, "big"), dtype=dtype)
+        assert np.array_equal(back, lanes % p)
+
+
+@given(p=st.sampled_from(PACKED_PRIMES), m=st.integers(0, 12), n=st.integers(0, 12),
+       data=st.data())
+def test_packed_rref_equals_dense_on_random_inputs(p, m, n, data):
+    entries = st.one_of(st.just(0), st.integers(-2 * p, 2 * p))
+    a = np.array(data.draw(st.lists(entries, min_size=m * n, max_size=m * n)),
+                 dtype=np.int64).reshape(m, n)
+    f = Field(p)
+    r, pivots = f.rref(a)
+    dense, dense_pivots = f._rref_dense(f.array(a))
+    assert pivots == dense_pivots
+    assert r.dtype == dense.dtype and np.array_equal(r, dense)
 
 
 def test_f2_add_sub_neg_are_the_mod_2_forms():
