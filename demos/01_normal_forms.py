@@ -6,10 +6,14 @@ The generator a plays the role of S = [[0,-1],[1,0]] and b the role of
 ST = [[0,-1],[1,1]]; their images satisfy a^2 = b^3 = -1.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from amalgext.amalgam import TAG_K1, TAG_K2
-from amalgext.instances import sl2z_datum
+from amalgext.instfile import parse
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 S = np.array([[0, -1], [1, 0]])
 ST = np.array([[0, -1], [1, 1]])
@@ -23,7 +27,7 @@ def model(word):
 
 
 def main():
-    d = sl2z_datum()
+    d = parse(str(FIXTURES / "sl2z.amg")).datum
     a = d.word_from_factor(TAG_K1, 1)
     b = d.word_from_factor(TAG_K2, 1)
 

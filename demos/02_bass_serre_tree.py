@@ -6,9 +6,13 @@ dihedral tree is a line, the PSL2(Z) tree is the (2,3)-biregular tree, and
 SL2(Z) shares that tree shape with doubled stabilizers.
 """
 
-from amalgext.instances import d_infinity_datum, psl2z_datum, sl2z_datum
+from pathlib import Path
+
+from amalgext.instfile import parse
 from amalgext.linalg import Field
 from amalgext.tree import build_ball, chain_complex, to_dot
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def describe(datum, radius):
@@ -28,12 +32,14 @@ def describe(datum, radius):
 
 
 def main():
-    for datum in (d_infinity_datum(), psl2z_datum(), sl2z_datum()):
+    datums = [parse(str(FIXTURES / f"{name}.amg")).datum
+              for name in ("d-infinity", "psl2z", "sl2z")]
+    for datum in datums:
         describe(datum, 4)
         print()
 
     print("DOT description of the radius-2 SL2(Z) ball:\n")
-    print(to_dot(build_ball(sl2z_datum(), 2)))
+    print(to_dot(build_ball(datums[2], 2)))
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ truncated verification that
 is exact on coset balls.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
@@ -25,14 +27,14 @@ from amalgext.induction import (
     pi,
     trivial_grep,
 )
-from amalgext.instances import sl2z_datum, standard_grep2
-from amalgext.linalg import Field
+from amalgext.instfile import parse
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def main():
-    d = sl2z_datum()
-    f = Field(3)
-    v = standard_grep2(d, f)
+    v = parse(str(FIXTURES / "sl2z.amg")).build(3).grep("std2")
+    d, f = v.datum, v.field
     print("representation: the 2-dimensional reduction of the integer model, mod 3\n")
 
     x = f.array([1, 2])

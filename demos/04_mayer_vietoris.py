@@ -10,17 +10,21 @@ spaces to finite coefficient blocks.  The long exact sequence
 is then checked node by node with exact rank arithmetic.
 """
 
-from amalgext.induction import trivial_grep
-from amalgext.instances import d_infinity_datum, psl2z_datum, sl2z_datum, standard_grep2
-from amalgext.linalg import Field
+from pathlib import Path
+
+from amalgext.instfile import parse
 from amalgext.mayer_vietoris import abelianized_hom_dim, ext_G, verify_les
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def bundled(name):
+    return parse(str(FIXTURES / f"{name}.amg"))
 
 
 def main():
     print("cohomology of the infinite dihedral group with F_2 coefficients:")
-    d = d_infinity_datum()
-    f = Field(2)
-    k = trivial_grep(d, f)
+    k = bundled("d-infinity").build(2).grep("triv")
     print("  Ext^j_G(k, k) =", ext_G(k, k, 5), " (rank 2 from degree 1 on)\n")
 
     print("full verified table for d-infinity over F_2:\n")
@@ -28,19 +32,18 @@ def main():
 
     print("\nEach Ext^1 with trivial coefficients matches the abelianization "
           "oracle, which only solves a character-pair kernel:")
-    for datum, p in ((d, 2), (sl2z_datum(), 2), (sl2z_datum(), 3),
-                     (psl2z_datum(), 2), (psl2z_datum(), 3), (psl2z_datum(), 5)):
-        kk = trivial_grep(datum, Field(p))
+    for name, p in (("d-infinity", 2), ("sl2z", 2), ("sl2z", 3),
+                    ("psl2z", 2), ("psl2z", 3), ("psl2z", 5)):
+        kk = bundled(name).build(p).grep("triv")
         computed = ext_G(kk, kk, 1)[1]
-        oracle = abelianized_hom_dim(datum, p)
-        print(f"  {datum.name}/F_{p}: Ext^1 = {computed}, oracle = {oracle}")
+        oracle = abelianized_hom_dim(kk.datum, p)
+        print(f"  {name}/F_{p}: Ext^1 = {computed}, oracle = {oracle}")
 
     print("\nIn characteristic coprime to both factor orders everything above "
           "degree 1 dies (injective dimension at most one):")
-    p5 = Field(5)
-    dat = psl2z_datum()
-    for v1, v2 in ((trivial_grep(dat, p5), standard_grep2(dat, p5)),
-                   (standard_grep2(dat, p5), standard_grep2(dat, p5))):
+    psl2z_f5 = bundled("psl2z").build(5)
+    triv, std2 = psl2z_f5.grep("triv"), psl2z_f5.grep("std2")
+    for v1, v2 in ((triv, std2), (std2, std2)):
         print(f"  psl2z/F_5 pair (dim {v1.dim}, dim {v2.dim}):", ext_G(v1, v2, 5))
 
 

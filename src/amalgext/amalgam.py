@@ -349,10 +349,6 @@ class AmalgamDatum:
                                for j in range(self.I.order))
         return reps
 
-    def subgroup_words(self, tag: str):
-        order = {TAG_K1: self.K1, TAG_K2: self.K2, TAG_I: self.I}[tag].order
-        return [(k, self.word_from_factor(tag, k)) for k in range(order)]
-
     def right_transversal_of_I(self, side: int) -> list[int]:
         """Representatives of the right cosets image(I) * k in the side factor."""
         K = self._factor(side)

@@ -10,6 +10,8 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
 from amalgext.induction import mv_truncated_check
 from amalgext.instfile import ParseError, ValidationError, parse
@@ -155,8 +157,6 @@ def _run_chain(built, args, report):
     report.add(f"radius: {args.radius}")
     report.add(f"edges: {ball.num_edges}, vertices: {ball.num_vertices}")
     report.add(f"boundary rank: {rank}")
-    import numpy as np
-
     report.check("augmentation o boundary = 0", not np.any(fld.matmul(aug, boundary)))
     report.check("H_1 = 0", rank == ball.num_edges)
     report.check("H_0 = k", ball.num_vertices - rank == 1)
@@ -177,7 +177,7 @@ def _run_mv_check(built, args, report):
 
 def _run_ext(built, args, report):
     if args.degree < 0:
-        raise ValidationError(0, "degree must be nonnegative")
+        raise ValueError("--degree: degree must be nonnegative")
     v1 = built.grep(args.v1)
     v2 = built.grep(args.v2)
     report.add(f"v1: {args.v1} (dim {v1.dim}), v2: {args.v2} (dim {v2.dim})")
@@ -194,7 +194,7 @@ def _run_ext(built, args, report):
 
 def _run_les(built, args, report):
     if args.degree < 1:
-        raise ValidationError(0, "degree must be at least 1")
+        raise ValueError("--degree: degree must be at least 1")
     v1 = built.grep(args.v1)
     v2 = built.grep(args.v2)
     report.add(f"v1: {args.v1} (dim {v1.dim}), v2: {args.v2} (dim {v2.dim})")
@@ -231,11 +231,16 @@ def run(argv=None) -> tuple[int, str]:
         return (2 if exc.code else 0), ""
     try:
         instance = parse(args.file)
-        built = instance.build(args.char)
     except (ParseError, ValidationError) as exc:
         return 2, f"error: {args.file}: {exc}\n"
     except OSError as exc:
         return 2, f"error: {exc}\n"
+    try:
+        built = instance.build(args.char)
+    except ValidationError as exc:
+        return 2, f"error: {args.file}: {exc}\n"
+    except ValueError as exc:  # --char is not a prime the field accepts
+        return 2, f"error: --char: {exc}\n"
     report = _Report(built.name, args.command, built.characteristic)
     try:
         _RUNNERS[args.command](built, args, report)

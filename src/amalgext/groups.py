@@ -17,18 +17,29 @@ class GroupMismatch(ValueError):
     pass
 
 
+# The largest group order accepted: a table and the checks on it take O(n^2)
+# memory and time up to n^3.  Every bundled and benchmark group has order <= 24.
+MAX_ORDER = 1000
+
+# Cells per block of the associativity check and of from_permutations'
+# composition: a table of order n <= 101 is checked in one block.
+_BLOCK_CELLS = 1 << 20
+
+
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     table[i, j] is the index of the product element_i * element_j.
     The table form makes every "for all g" check exhaustively cheap at
-    the orders this package targets (a few hundred at most).
+    the orders this package targets (at most MAX_ORDER).
     """
 
     def __init__(self, table, labels=None, name: str = ""):
         table = np.asarray(table, dtype=np.int64)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError("multiplication table must be square")
+        if table.shape[0] > MAX_ORDER:
+            raise ValueError(f"group order {table.shape[0]} is over the limit of {MAX_ORDER}")
         self.table = table
         self.order = table.shape[0]
         self.name = name
@@ -45,11 +56,14 @@ class FiniteGroup:
             raise ValueError("no identity element")
         self.identity = ident
 
-        # associativity on all triples
-        left = table[table, :]
-        right = table[:, table]
-        if not np.array_equal(left, right):
-            raise ValueError("multiplication table is not associative")
+        # associativity on all triples (xy)z = x(yz), in blocks of rows x,
+        # gathered from the narrowest dtype that holds an element index
+        small = table.astype(np.min_scalar_type(n - 1))
+        rows = max(1, _BLOCK_CELLS // (n * n))
+        for start in range(0, n, rows):
+            block = slice(start, start + rows)
+            if not np.array_equal(small[table[block], :], small[block][:, table]):
+                raise ValueError("multiplication table is not associative")
 
         inv = np.full(n, -1, dtype=np.int64)
         for x in range(n):
@@ -127,13 +141,6 @@ class FiniteGroup:
             self._p_cores[p] = sorted(core)
         return self._p_cores[p]
 
-    def element_order(self, x: int) -> int:
-        n, y = 1, x
-        while y != self.identity:
-            y = self.mul(y, x)
-            n += 1
-        return n
-
     def right_cosets(self, subset: list[int]) -> list[list[int]]:
         """Partition into right cosets {subset * g}, each sorted, ordered by min element."""
         seen = set()
@@ -159,6 +166,7 @@ class FiniteGroup:
 
         Element order is breadth-first from the identity, multiplying by the
         generators in the given order; this makes element indices reproducible.
+        A group of order over MAX_ORDER is refused before any table is built.
         """
         if not gens:
             raise ValueError("need at least one generator")
@@ -181,15 +189,23 @@ class FiniteGroup:
                     words[prod] = gname if cur == ident else words[cur] + gname
                     elements.append(prod)
                     queue.append(prod)
+            if len(elements) > MAX_ORDER:
+                raise ValueError(f"the generated group has order over the limit of {MAX_ORDER}")
         n = len(elements)
         # one extra fixed point, so a permutation of no points still has bytes to look up
         perms = np.array([p + (deg,) for p in elements], dtype=np.int64)
-        # products[i, j] = element_i o element_j; a permutation is looked up by its bytes
-        products = perms[:, perms].reshape(n * n, deg + 1)
         key = np.dtype((np.void, perms.itemsize * (deg + 1)))
         keys = perms.view(key).ravel()
         order = np.argsort(keys)
-        table = order[keys[order].searchsorted(products.view(key).ravel())].reshape(n, n)
+        sorted_keys = keys[order]
+        # table[i, j] = element_i o element_j, a permutation looked up by its
+        # bytes, composed in blocks of rows i
+        table = np.empty((n, n), dtype=np.int64)
+        rows = max(1, _BLOCK_CELLS // (n * (deg + 1)))
+        for start in range(0, n, rows):
+            products = perms[start:start + rows][:, perms].reshape(-1, deg + 1)
+            hits = sorted_keys.searchsorted(products.view(key).ravel())
+            table[start:start + rows] = order[hits].reshape(-1, n)
         return cls(table, labels=[words[p] for p in elements], name=name)
 
 

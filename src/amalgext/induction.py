@@ -136,12 +136,6 @@ class IndElement:
             if np.any(vec != 0):
                 self.support[w] = vec
 
-    def is_zero(self) -> bool:
-        return not self.support
-
-    def support_size(self) -> int:
-        return len(self.support)
-
     def sorted_items(self):
         return sorted(self.support.items(), key=lambda kv: kv[0].sort_key())
 
@@ -313,9 +307,6 @@ class MVCheckReport:
         self.injective = injective
         self.middle_exact = middle_exact
         self.surjective = surjective
-
-    def all_pass(self) -> bool:
-        return self.injective and self.middle_exact and self.surjective
 
     def __repr__(self):
         return (f"MVCheckReport(r={self.radius}, injective={self.injective}, "

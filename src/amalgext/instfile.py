@@ -77,15 +77,18 @@ class InstanceFile:
         self._declared = None  # the BuiltInstance over the declared characteristic, from parsing
 
     def build(self, characteristic: int | None = None) -> BuiltInstance:
+        """The instance over F_p, p the given or the declared characteristic.
+
+        A characteristic that is not a prime the Field accepts raises a plain
+        ValueError; a module or grep that is not a representation over F_p
+        raises a ValidationError at its line.
+        """
         char = self.characteristic if characteristic is None else characteristic
         if char == self.characteristic and self._declared is not None:
             return self._declared
         if char == 0 or not is_prime(char):
-            raise ValidationError(0, f"characteristic must be a prime, got {char}")
-        try:
-            fld = Field(char)
-        except ValueError as exc:  # a prime too large for exact arithmetic
-            raise ValidationError(0, str(exc)) from exc
+            raise ValueError(f"characteristic must be a prime, got {char}")
+        fld = Field(char)  # refuses a prime too large for exact arithmetic
         d = self.datum
         groups = {TAG_K1: d.K1, TAG_K2: d.K2, TAG_I: d.I}
         modules = {}

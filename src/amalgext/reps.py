@@ -45,12 +45,6 @@ class KModule:
                     )
         return True
 
-    def act(self, x: int) -> np.ndarray:
-        return self.mats[x]
-
-    def character(self, x: int):
-        return self.field.reduce(np.trace(self.mats[x]))
-
 
 def trivial_module(group: FiniteGroup, field: Field, dim: int = 1) -> KModule:
     return KModule(group, field, [field.eye(dim) for _ in range(group.order)], validate=False)

@@ -66,9 +66,6 @@ class AlgebraMatrix:
         prod = self.field.matmul(self.coeffs.reshape(self.rows, self.cols * n), other.to_k_matrix())
         return AlgebraMatrix(self.group, self.field, prod.reshape(self.rows, other.cols, n))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
     def map_entries(self, emb: SubgroupEmbedding) -> "AlgebraMatrix":
         """Push every algebra element along a subgroup embedding (induction of free modules)."""
         out = self.field.zeros(self.rows, self.cols, emb.target.order)

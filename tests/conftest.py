@@ -1,10 +1,17 @@
 """Shared builders and independent oracles for the test suite."""
 
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from amalgext.instances import d_infinity_datum, psl2z_datum, sl2z_datum
+from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
+from amalgext.induction import conjugate_grep, direct_sum_grep, grep_from_generators, trivial_grep
+from amalgext.instfile import parse
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 # Property tests draw the same examples on every run, keep no example
 # database and have no per-example deadline, which a loaded host would trip.
@@ -12,24 +19,58 @@ settings.register_profile("tier1", derandomize=True, database=None, deadline=Non
 settings.load_profile("tier1")
 
 
+@functools.cache
+def bundled(name: str):
+    """The parsed fixtures/<name>.amg, the one description of that amalgam."""
+    return parse(str(FIXTURES / f"{name}.amg"))
+
+
 @pytest.fixture(scope="session")
 def d_inf():
-    return d_infinity_datum()
+    return bundled("d-infinity").datum
 
 
 @pytest.fixture(scope="session")
 def psl2z():
-    return psl2z_datum()
+    return bundled("psl2z").datum
 
 
 @pytest.fixture(scope="session")
 def sl2z():
-    return sl2z_datum()
+    return bundled("sl2z").datum
 
 
 @pytest.fixture(scope="session")
 def all_datums(d_inf, psl2z, sl2z):
     return [d_inf, psl2z, sl2z]
+
+
+def grep2(datum, field):
+    """The two-dimensional representation of a bundled datum's fixture (flip2 or std2).
+
+    Built over this datum and field from the file's generator matrices, so
+    that it also exists over Field(0), which InstanceFile.build refuses.
+    """
+    (gens1, gens2, _line), = bundled(datum.name).grep_specs.values()
+    return grep_from_generators(datum, field, {g: field.array(m) for g, m in gens1.items()},
+                                {g: field.array(m) for g, m in gens2.items()})
+
+
+def random_grep(datum, field, rng: np.random.Generator):
+    """Seeded representation: a random conjugate of a sum of one or two pieces, each
+    trivial or grep2."""
+    pieces = [trivial_grep(datum, field), grep2(datum, field)]
+    count = int(rng.integers(1, 3))
+    v = pieces[int(rng.integers(0, len(pieces)))]
+    for _ in range(count - 1):
+        v = direct_sum_grep(v, pieces[int(rng.integers(0, len(pieces)))])
+    return conjugate_grep(v, field.random_invertible(rng, v.dim))
+
+
+def subgroup_words(datum, tag):
+    """(k, normal form of k) for every element k of the factor or subgroup named by tag."""
+    group = {TAG_K1: datum.K1, TAG_K2: datum.K2, TAG_I: datum.I}[tag]
+    return [(k, datum.word_from_factor(tag, k)) for k in range(group.order)]
 
 
 # -- independent integer matrix model of SL2(Z) -----------------------------

@@ -1,8 +1,10 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import amalgext.groups as groups
 from amalgext.groups import (
     FiniteGroup,
     NotHomomorphism,
@@ -13,19 +15,27 @@ from amalgext.groups import (
 from conftest import S_MAT, ST_MAT
 
 
+def element_order(group, x):
+    n, y = 1, x
+    while y != group.identity:
+        y = group.mul(y, x)
+        n += 1
+    return n
+
+
 def test_cyclic_group_structure():
     z6 = FiniteGroup.cyclic(6)
     assert z6.identity == 0
     assert z6.mul(4, 5) == 3
     assert z6.inv(1) == 5
-    assert z6.element_order(1) == 6
-    assert z6.element_order(2) == 3
+    assert element_order(z6, 1) == 6
+    assert element_order(z6, 2) == 3
 
 
 def test_from_permutations_klein_four():
     v4 = FiniteGroup.from_permutations([[1, 0, 3, 2], [2, 3, 0, 1]])
     assert v4.order == 4
-    assert all(v4.element_order(x) in (1, 2) for x in range(4))
+    assert all(element_order(v4, x) in (1, 2) for x in range(4))
 
 
 def test_from_permutations_s3_bfs_order():
@@ -41,6 +51,49 @@ def test_bad_table_rejected():
     # a permuted-identity table is still a group; identity need not sit at 0
     g = FiniteGroup([[1, 0], [0, 1]])
     assert g.identity == 1
+
+
+# A loop of order 5: a Latin square with identity 0 in which every element is
+# its own inverse.  A group of order 5 has no element of order 2, so this
+# table is not associative.
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("block_cells", [groups._BLOCK_CELLS, 1])
+def test_non_associative_table_is_refused_in_any_block_size(monkeypatch, block_cells):
+    s4_gens = [[1, 0, 2, 3], [1, 2, 3, 0]]
+    whole = FiniteGroup.from_permutations(s4_gens).table
+    monkeypatch.setattr(groups, "_BLOCK_CELLS", block_cells)
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(LOOP5)
+    # one row per block composes and checks the same table
+    assert np.array_equal(FiniteGroup.from_permutations(s4_gens).table, whole)
+    assert np.array_equal(FiniteGroup(whole).table, whole)
+
+
+def test_group_order_over_the_limit_is_refused():
+    n = groups.MAX_ORDER + 1
+    with pytest.raises(ValueError, match=f"group order {n} is over the limit of {n - 1}"):
+        FiniteGroup(np.zeros((n, n), dtype=np.int64))
+    s7 = [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]
+    with pytest.raises(ValueError, match=f"order over the limit of {n - 1}"):
+        FiniteGroup.from_permutations(s7)
+
+
+def test_from_permutations_of_s5_peaks_small():
+    tracemalloc.start()
+    try:
+        s5 = FiniteGroup.from_permutations([[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s5.order == 120
+    # two n^3 int64 arrays for the associativity check peaked at 28.8 MiB
+    assert peak < 8 * 2**20, peak / 2**20
 
 
 def test_embedding_z2_in_z4_doubling_ok():
@@ -96,7 +149,7 @@ def _largest_normal_p_subgroup(group, p):
         sylow //= p
     sylow = group.order // sylow
     p_elements = [x for x in range(group.order)
-                  if group.element_order(x) in {p**i for i in range(8)}]
+                  if element_order(group, x) in {p**i for i in range(8)}]
     core = set(range(group.order))
     for x in p_elements:
         for y in p_elements:

@@ -28,12 +28,15 @@ def test_all_bundled_fixtures_parse_and_validate():
         assert built.name == name[:-4]
 
 
-def test_sl2z_fixture_matches_programmatic_datum(sl2z):
+def test_sl2z_fixture_matches_programmatic_datum():
+    """The fixture is Z/4 *_{Z/2} Z/6, with I = {1, -1} sent to {e, a^2} and {e, b^3}."""
     built = parse(fixture("sl2z.amg")).build()
     d = built.datum
     assert d.K1.order == 4 and d.K2.order == 6 and d.I.order == 2
-    assert list(d.emb1.mapping) == list(sl2z.emb1.mapping)
-    assert list(d.emb2.mapping) == list(sl2z.emb2.mapping)
+    assert d.K1.labels == ["e", "a", "aa", "aaa"]
+    assert d.K2.labels == ["e", "b", "bb", "bbb", "bbbb", "bbbbb"]
+    assert list(d.emb1.mapping) == [0, 2]
+    assert list(d.emb2.mapping) == [0, 3]
     std = built.grep("std2")
     assert std.dim == 2
 
@@ -126,6 +129,32 @@ def test_cli_huge_characteristic_exits_two_fast():
         assert text.startswith("error: ") and f"characteristic {char} is too large" in text
     code, text = run(["validate", fixture("sl2z.amg"), "--char", "1000000000000000001"])
     assert code == 2 and "characteristic must be a prime" in text
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "sl2z.amg", "--char", "3037000507"],
+     "--char: characteristic 3037000507 is too large for exact int64 arithmetic "
+     "(at most 3037000500)"),
+    (["validate", "sl2z.amg", "--char", "9"], "--char: characteristic must be a prime, got 9"),
+    (["ext", "sl2z.amg", "--degree", "-1"], "--degree: degree must be nonnegative"),
+    (["les", "sl2z.amg", "--degree", "0"], "--degree: degree must be at least 1"),
+], ids=["char-too-large", "char-not-prime", "ext-degree-negative", "les-degree-zero"])
+def test_option_errors_name_the_option(argv, message):
+    command, name, *options = argv
+    assert run([command, fixture(name)] + options) == (2, f"error: {message}\n")
+
+
+def test_a_group_over_the_order_limit_is_refused_at_its_section_fast(tmp_path):
+    path = tmp_path / "s7.amg"
+    path.write_text("[instance]\nname = s7\ncharacteristic = 2\n\n"
+                    "[group K1]\nperm a = 1 0 2 3 4 5 6\nperm b = 1 2 3 4 5 6 0\n\n"
+                    "[group K2]\nperm c = 1 0\n\n"
+                    "[subgroup I]\ntable = 0\nembed K1 = 0\nembed K2 = 0\n")
+    start = time.perf_counter()
+    code, text = run(["validate", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, text) == (2, f"error: {path}: line 5: group K1: the generated group has "
+                               "order over the limit of 1000\n")
 
 
 def test_declared_characteristic_too_large_is_refused(tmp_path):

@@ -8,7 +8,6 @@ from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2, AmalgamDatum
 from amalgext.cli import run
 from amalgext.groups import FiniteGroup, SubgroupEmbedding
 from amalgext.induction import trivial_grep
-from amalgext.instances import random_grep, standard_grep2
 from amalgext.linalg import Field
 from amalgext.mayer_vietoris import (
     MVComplex,
@@ -22,10 +21,12 @@ from amalgext.mayer_vietoris import (
 from amalgext.reps import hom_space
 from amalgext.resolutions import free_resolution
 
+from conftest import grep2, random_grep
+
 
 def test_chain_lift_degree_zero_compatibility(sl2z):
     f = Field(2)
-    v1 = standard_grep2(sl2z, f)
+    v1 = grep2(sl2z, f)
     for side in (1, 2):
         emb = sl2z.emb1 if side == 1 else sl2z.emb2
         q = free_resolution(v1.module(TAG_I), 3)
@@ -51,7 +52,7 @@ def test_chain_lift_degree_zero_compatibility(sl2z):
 def test_chain_lift_equations_hold(all_datums):
     f = Field(2)
     for d in all_datums:
-        v1 = standard_grep2(d, f)
+        v1 = grep2(d, f)
         for side in (1, 2):
             emb = d.emb1 if side == 1 else d.emb2
             tag = TAG_K1 if side == 1 else TAG_K2
@@ -71,7 +72,7 @@ def test_mv_complex_builds_only_what_the_cone_reads(all_datums):
         for p in (2, 3):
             f = Field(p)
             for degree in (0, 1, 3, 6):
-                mv = MVComplex(standard_grep2(d, f), trivial_grep(d, f), degree)
+                mv = MVComplex(grep2(d, f), trivial_grep(d, f), degree)
                 assert len(mv.q.ranks) == degree + 1
                 assert len(mv.p1.ranks) == len(mv.p2.ranks) == degree + 2
                 assert len(mv.x1) == len(mv.x2) == degree + 1
@@ -82,7 +83,7 @@ def test_cone_differential_squares_to_zero(all_datums):
     for d in all_datums:
         for p in (2, 3):
             f = Field(p)
-            v1 = standard_grep2(d, f)
+            v1 = grep2(d, f)
             v2 = trivial_grep(d, f)
             mv = MVComplex(v1, v2, 3)
             for j in range(len(mv.deltas) - 1):
@@ -95,8 +96,8 @@ def test_ext_g_degree_zero_equals_direct_hom(all_datums):
         for p in (2, 3, 5):
             f = Field(p)
             pairs = [(trivial_grep(d, f), trivial_grep(d, f)),
-                     (standard_grep2(d, f), trivial_grep(d, f)),
-                     (standard_grep2(d, f), standard_grep2(d, f)),
+                     (grep2(d, f), trivial_grep(d, f)),
+                     (grep2(d, f), grep2(d, f)),
                      (random_grep(d, f, rng), random_grep(d, f, rng))]
             for v1, v2 in pairs:
                 assert ext_G(v1, v2, 0)[0] == len(hom_G_direct(v1, v2))
@@ -209,7 +210,7 @@ def test_verify_les_trivial_pairs_all_instances(all_datums):
 def test_verify_les_nontrivial_pairs(all_datums):
     for d in all_datums:
         f = Field(2)
-        v = standard_grep2(d, f)
+        v = grep2(d, f)
         k = trivial_grep(d, f)
         for v1, v2 in ((v, k), (k, v), (v, v)):
             rep = verify_les(v1, v2, 3)
@@ -229,9 +230,9 @@ def test_semisimple_collapse_psl2z_f5(psl2z):
     rng = np.random.default_rng(123)
     f = Field(5)
     pairs = [(trivial_grep(psl2z, f), trivial_grep(psl2z, f)),
-             (standard_grep2(psl2z, f), trivial_grep(psl2z, f)),
-             (trivial_grep(psl2z, f), standard_grep2(psl2z, f)),
-             (standard_grep2(psl2z, f), standard_grep2(psl2z, f)),
+             (grep2(psl2z, f), trivial_grep(psl2z, f)),
+             (trivial_grep(psl2z, f), grep2(psl2z, f)),
+             (grep2(psl2z, f), grep2(psl2z, f)),
              (random_grep(psl2z, f, rng), random_grep(psl2z, f, rng))]
     for v1, v2 in pairs:
         dims = ext_G(v1, v2, 5)
