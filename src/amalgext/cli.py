@@ -15,7 +15,6 @@ import numpy as np
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
 from amalgext.induction import mv_truncated_check
 from amalgext.instfile import ParseError, ValidationError, parse
-from amalgext.linalg import Field
 from amalgext.mayer_vietoris import abelianized_hom_dim, ext_G, hom_sequence_check, verify_les
 from amalgext.resolutions import ext_finite
 from amalgext.tree import build_ball, chain_complex, to_dot

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 
@@ -95,6 +97,13 @@ class FiniteGroup:
 
     def label(self, x: int) -> str:
         return self.labels[x]
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """generating_set of all elements, read-only; the identity alone for the trivial group."""
+        gens = np.array(self.generating_set(range(self.order)) or [self.identity], dtype=np.int64)
+        gens.setflags(write=False)
+        return gens
 
     def generating_set(self, elements) -> list[int]:
         """Generators of the subgroup the elements generate: each one, in the

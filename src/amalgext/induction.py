@@ -14,8 +14,8 @@ import numpy as np
 from amalgext.amalgam import AmalgamDatum, GWord, TAG_I, TAG_K1, TAG_K2
 from amalgext.groups import GroupMismatch
 from amalgext.linalg import Field, Span
-from amalgext.reps import (KModule, _matrix_inverse, conjugate_module, direct_sum_module,
-                           module_from_generators, restrict_module, trivial_module)
+from amalgext.reps import (KModule, conjugate_module, direct_sum_module, module_from_generators,
+                           restrict_module, trivial_module)
 
 
 class DimensionMismatch(ValueError):
@@ -31,55 +31,40 @@ class TagMismatch(ValueError):
 
 
 class GRep:
-    """A G-representation as a glued pair of factor actions on one space."""
+    """A G-representation as a glued pair of factor actions on one space.
 
-    def __init__(self, datum: AmalgamDatum, module1: KModule, module2: KModule,
-                 validate: bool = True):
+    The two actions must agree on the shared subgroup I; module(TAG_I) is
+    module1 restricted to I, built once.
+    """
+
+    def __init__(self, datum: AmalgamDatum, module1: KModule, module2: KModule):
         if module1.group is not datum.K1 or module2.group is not datum.K2:
             raise GroupMismatch("factor modules must live over K1 and K2")
         if module1.field != module2.field or module1.dim != module2.dim:
             raise DimensionMismatch("the two actions must share one space")
+        module_i = restrict_module(datum.emb1, module1)
+        bad = np.nonzero(np.any(module_i.mats != module2.mats[datum.emb2.mapping], axis=(1, 2)))[0]
+        if len(bad):
+            raise ValueError("factor actions disagree on the shared element "
+                             f"{datum.I.label(bad[0])}")
         self.datum = datum
         self.field = module1.field
         self.dim = module1.dim
         self.module1 = module1
         self.module2 = module2
-        if validate:
-            self.validate_gluing()
-
-    def validate_gluing(self) -> bool:
-        d = self.datum
-        for i in range(d.I.order):
-            if np.any(self.module1.mats[d.emb1(i)] != self.module2.mats[d.emb2(i)]):
-                raise ValueError(f"factor actions disagree on the shared element {d.I.label(i)}")
-        return True
+        self._modules = {TAG_K1: module1, TAG_K2: module2, TAG_I: module_i}
 
     def module(self, tag: str) -> KModule:
-        if tag == TAG_K1:
-            return self.module1
-        if tag == TAG_K2:
-            return self.module2
-        if tag == TAG_I:
-            return restrict_module(self.datum.emb1, self.module1)
-        raise TagMismatch(f"unknown tag {tag!r}")
+        if tag not in self._modules:
+            raise TagMismatch(f"unknown tag {tag!r}")
+        return self._modules[tag]
 
     def act_factor(self, side: int, k: int) -> np.ndarray:
         return (self.module1 if side == 1 else self.module2).mats[k]
 
-    def act_subgroup(self, tag: str, k: int) -> np.ndarray:
-        """Action matrix of a subgroup element named by tag and index."""
-        if tag == TAG_K1:
-            return self.module1.mats[k]
-        if tag == TAG_K2:
-            return self.module2.mats[k]
-        if tag == TAG_I:
-            return self.module1.mats[self.datum.emb1(k)]
-        raise TagMismatch(f"unknown tag {tag!r}")
-
 
 def trivial_grep(datum: AmalgamDatum, field: Field, dim: int = 1) -> GRep:
-    return GRep(datum, trivial_module(datum.K1, field, dim),
-                trivial_module(datum.K2, field, dim), validate=False)
+    return GRep(datum, trivial_module(datum.K1, field, dim), trivial_module(datum.K2, field, dim))
 
 
 def grep_from_generators(datum: AmalgamDatum, field: Field,
@@ -90,15 +75,14 @@ def grep_from_generators(datum: AmalgamDatum, field: Field,
 
 
 def conjugate_grep(v: GRep, p: np.ndarray) -> GRep:
-    return GRep(v.datum, conjugate_module(v.module1, p), conjugate_module(v.module2, p),
-                validate=False)
+    return GRep(v.datum, conjugate_module(v.module1, p), conjugate_module(v.module2, p))
 
 
 def direct_sum_grep(a: GRep, b: GRep) -> GRep:
     if a.datum is not b.datum:
         raise GroupMismatch("summands live over different amalgams")
     return GRep(a.datum, direct_sum_module(a.module1, b.module1),
-                direct_sum_module(a.module2, b.module2), validate=False)
+                direct_sum_module(a.module2, b.module2))
 
 
 def g_act(v: GRep, g: GWord, x: np.ndarray) -> np.ndarray:
@@ -109,7 +93,7 @@ def g_act(v: GRep, g: GWord, x: np.ndarray) -> np.ndarray:
     x = f.array(x)
     if x.shape[0] != v.dim:
         raise DimensionMismatch(f"value length {x.shape[0]} != representation dimension {v.dim}")
-    x = f.matmul(v.act_subgroup(TAG_I, g.tail), x)
+    x = f.matmul(v.module(TAG_I).mats[g.tail], x)
     for side, t in reversed(g.letters):
         x = f.matmul(v.act_factor(side, t), x)
     return x
@@ -177,7 +161,7 @@ def _collect(tag: str, grep: GRep, points) -> IndElement:
     out: dict[GWord, np.ndarray] = {}
     for g, vec in points:
         rep, k = d.canon_with_witness(tag, g)
-        moved = fld.matmul(grep.act_subgroup(tag, k), vec)
+        moved = fld.matmul(grep.module(tag).mats[k], vec)
         out[rep.word] = fld.add(out[rep.word], moved) if rep.word in out else moved
     return IndElement(tag, grep, out)
 
@@ -224,8 +208,10 @@ def evaluate(f: IndElement, g: GWord) -> np.ndarray:
     rep, k = d.canon_with_witness(f.tag, g)
     if rep.word not in f.support:
         return fld.zeros(f.grep.dim)
-    act = f.grep.act_subgroup(f.tag, k)
-    return fld.matmul(_matrix_inverse(fld, act), f.support[rep.word])
+    act_inv = fld.solve_many(f.grep.module(f.tag).mats[k], fld.eye(f.grep.dim))
+    if act_inv is None:
+        raise ValueError("matrix is not invertible")
+    return fld.matmul(act_inv, f.support[rep.word])
 
 
 def gamma(side: int, f: IndElement) -> IndElement:

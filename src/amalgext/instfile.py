@@ -18,13 +18,13 @@ carry the 1-based line number of the offending directive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from amalgext.amalgam import AmalgamDatum, TAG_I, TAG_K1, TAG_K2
 from amalgext.groups import FiniteGroup, NotHomomorphism, NotInjective, SubgroupEmbedding
 from amalgext.induction import GRep, grep_from_generators, trivial_grep
 from amalgext.linalg import Field, is_prime
-from amalgext.reps import KModule, module_from_generators
+from amalgext.reps import module_from_generators
 
 
 class ParseError(ValueError):

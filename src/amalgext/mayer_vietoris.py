@@ -204,7 +204,7 @@ def abelianized_hom_dim(datum: AmalgamDatum, characteristic: int) -> int:
     for group, offset in ((datum.K1, 0), (datum.K2, n1)):
         # row i*n + y is the relation c(s_i y) - c(s_i) - c(y) = 0
         n = group.order
-        gens = np.array(group.generating_set(range(n)) or [group.identity])
+        gens = group.generators
         pairs = np.arange(len(gens) * n)
         rows = np.zeros((len(pairs), n1 + n2), dtype=np.int64)
         rows[pairs, offset + group.table[gens].reshape(-1)] += 1

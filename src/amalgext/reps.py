@@ -15,76 +15,78 @@ class NotIntertwiner(ValueError):
 class KModule:
     """A finite-dimensional representation: one invertible matrix per group element.
 
-    Storing the full element-indexed family (rather than generators only)
-    keeps induction formulas direct and makes every action law checkable
-    by exhaustion.
+    mats is one (|G|, dim, dim) array, so induction formulas index it
+    directly and consumers stack nothing.  The constructor checks the action
+    law (see validate).
     """
 
-    def __init__(self, group: FiniteGroup, field: Field, mats, validate: bool = True):
+    def __init__(self, group: FiniteGroup, field: Field, mats):
         self.group = group
         self.field = field
-        self.mats = [field.array(m) for m in mats]
-        if len(self.mats) != group.order:
+        if len(mats) != group.order:
             raise ValueError("need one matrix per group element")
-        self.dim = self.mats[0].shape[0]
-        for m in self.mats:
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("action matrices must be square of equal size")
-        if validate:
-            self.validate()
+        try:
+            self.mats = field.array(mats)
+        except (TypeError, ValueError):  # ragged: numpy refuses, or Q meets an array entry
+            raise ValueError("action matrices must be square of equal size") from None
+        if self.mats.ndim != 3 or self.mats.shape[1] != self.mats.shape[2]:
+            raise ValueError("action matrices must be square of equal size")
+        self.dim = self.mats.shape[1]
+        self.validate()
 
     def validate(self) -> bool:
+        """Check that g -> mats[g] is a homomorphism, on the group's generators.
+
+        The identity must act as 1, and mats[x] mats[s] = mats[xs] for every x
+        and each generator s, all in one batched product.  That proves the law
+        on all pairs: every y is a word in the generators, so
+        mats[x] mats[y] = mats[xy] follows by induction on the length of y.
+        """
         f, g = self.field, self.group
         if np.any(self.mats[g.identity] != f.eye(self.dim)):
             raise ValueError("identity must act as the identity matrix")
-        for x in range(g.order):
-            for y in range(g.order):
-                if np.any(f.matmul(self.mats[x], self.mats[y]) != self.mats[g.mul(x, y)]):
-                    raise ValueError(
-                        f"action is not a homomorphism at ({g.label(x)}, {g.label(y)})"
-                    )
+        gens = g.generators
+        products = f.matmul(self.mats[:, None], self.mats[gens])
+        bad = np.argwhere(np.any(products != self.mats[g.table[:, gens]], axis=(2, 3)))
+        if len(bad):
+            x, s = bad[0]
+            raise ValueError(f"action is not a homomorphism at ({g.label(x)}, {g.label(gens[s])})")
         return True
 
 
 def trivial_module(group: FiniteGroup, field: Field, dim: int = 1) -> KModule:
-    return KModule(group, field, [field.eye(dim) for _ in range(group.order)], validate=False)
+    return KModule(group, field, np.broadcast_to(field.eye(dim), (group.order, dim, dim)))
 
 
 def regular_module(group: FiniteGroup, field: Field) -> KModule:
     n = group.order
-    mats = []
-    for g in range(n):
-        m = field.zeros(n, n)
-        for h in range(n):
-            m[group.mul(g, h), h] = field.one
-        mats.append(m)
-    return KModule(group, field, mats, validate=False)
+    mats = field.zeros(n, n, n)
+    # g sends basis vector h to basis vector gh
+    mats[np.arange(n)[:, None], group.table, np.arange(n)] = field.one
+    return KModule(group, field, mats)
 
 
 def module_from_generators(group: FiniteGroup, field: Field, gen_mats: dict[int, np.ndarray]) -> KModule:
     """Extend matrices given on generators to the whole group by closure.
 
-    Raises ValueError if the matrices do not satisfy the group's relations.
+    Each element takes the product along the first path that reaches it;
+    KModule then refuses matrices that do not satisfy the group's relations.
     """
-    mats: dict[int, np.ndarray] = {group.identity: None}
-    dims = {m.shape[0] for m in (field.array(v) for v in gen_mats.values())}
+    if group.identity in gen_mats:
+        raise ValueError("a matrix is given for the identity element "
+                         f"{group.label(group.identity)}")
+    gen_mats = {g: field.array(m) for g, m in gen_mats.items()}
+    dims = {m.shape[0] for m in gen_mats.values()}
     if len(dims) != 1:
         raise ValueError("generator matrices must share one dimension")
-    dim = dims.pop()
-    mats[group.identity] = field.eye(dim)
+    mats = {group.identity: field.eye(dims.pop())}
     queue = [group.identity]
     while queue:
         x = queue.pop(0)
         for g, mg in gen_mats.items():
             y = group.mul(x, g)
-            cand = field.matmul(mats[x], field.array(mg))
-            if y in mats:
-                if np.any(mats[y] != cand):
-                    raise ValueError(
-                        f"generator matrices violate a relation at element {group.label(y)}"
-                    )
-            else:
-                mats[y] = cand
+            if y not in mats:
+                mats[y] = field.matmul(mats[x], mg)
                 queue.append(y)
     if len(mats) != group.order:
         raise ValueError("given elements do not generate the group")
@@ -95,38 +97,25 @@ def restrict_module(emb: SubgroupEmbedding, module: KModule) -> KModule:
     """Pull a module on the target group back along a subgroup embedding."""
     if module.group is not emb.target:
         raise GroupMismatch("module is not over the embedding target")
-    return KModule(emb.source, module.field, [module.mats[emb(i)] for i in range(emb.source.order)],
-                   validate=False)
+    return KModule(emb.source, module.field, module.mats[emb.mapping])
 
 
 def conjugate_module(module: KModule, p: np.ndarray) -> KModule:
     f = module.field
     p = f.array(p)
-    pinv = _matrix_inverse(f, p)
-    return KModule(module.group, f, [f.matmul(f.matmul(p, m), pinv) for m in module.mats],
-                   validate=False)
+    pinv = f.solve_many(p, f.eye(p.shape[0]))
+    if pinv is None:
+        raise ValueError("matrix is not invertible")
+    return KModule(module.group, f, f.matmul(f.matmul(p, module.mats), pinv))
 
 
 def direct_sum_module(a: KModule, b: KModule) -> KModule:
     if a.group is not b.group or a.field != b.field:
         raise GroupMismatch("direct sum needs one group and one field")
-    f = a.field
-    mats = []
-    for x in range(a.group.order):
-        m = f.zeros(a.dim + b.dim, a.dim + b.dim)
-        m[: a.dim, : a.dim] = a.mats[x]
-        m[a.dim :, a.dim :] = b.mats[x]
-        mats.append(m)
-    return KModule(a.group, f, mats, validate=False)
-
-
-def _matrix_inverse(field: Field, m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    aug = np.concatenate([m, field.eye(n)], axis=1)
-    r, pivots = field.rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is not invertible")
-    return r[:, n:]
+    mats = a.field.zeros(a.group.order, a.dim + b.dim, a.dim + b.dim)
+    mats[:, : a.dim, : a.dim] = a.mats
+    mats[:, a.dim :, a.dim :] = b.mats
+    return KModule(a.group, a.field, mats)
 
 
 def hom_space(v: KModule, w: KModule) -> list[np.ndarray]:
@@ -153,8 +142,8 @@ def intertwiner_constraints(v: KModule, w: KModule) -> np.ndarray:
     group = v.group
     eye_w = f.eye(w.dim)
     eye_v = f.eye(v.dim)
-    gens = group.generating_set(range(group.order)) or [group.identity]
-    blocks = [f.sub(np.kron(eye_w, v.mats[g].T), np.kron(w.mats[g], eye_v)) for g in gens]
+    blocks = [f.sub(np.kron(eye_w, v.mats[g].T), np.kron(w.mats[g], eye_v))
+              for g in group.generators]
     return np.concatenate(blocks, axis=0)
 
 
@@ -183,16 +172,14 @@ class InducedModule:
         self.coset_of = coset_of
         m = len(self.reps)
         d = source.dim
-        mats = []
+        mats = field.zeros(K.order, m * d, m * d)
         for k in range(K.order):
-            big = field.zeros(m * d, m * d)
             for i, gi in enumerate(self.reps):
                 gik = K.mul(gi, k)
                 j = coset_of[gik]
                 h = K.mul(gik, K.inv(self.reps[j]))
-                big[i * d : (i + 1) * d, j * d : (j + 1) * d] = source.mats[emb.preimage(h)]
-            mats.append(big)
-        self.module = KModule(K, field, mats, validate=False)
+                mats[k, i * d : (i + 1) * d, j * d : (j + 1) * d] = source.mats[emb.preimage(h)]
+        self.module = KModule(K, field, mats)
 
     @property
     def dim(self):
@@ -222,9 +209,7 @@ def pi_matrix(ind: InducedModule, ambient: KModule) -> np.ndarray:
     """
     if ambient.group is not ind.emb.target:
         raise GroupMismatch("counit target must be a module over the big group")
-    if ambient.dim != ind.source.dim or any(
-        np.any(ind.source.mats[i] != ambient.mats[ind.emb(i)]) for i in range(ind.emb.source.order)
-    ):
+    if ambient.dim != ind.source.dim or np.any(ind.source.mats != ambient.mats[ind.emb.mapping]):
         raise GroupMismatch("counit needs ind of the ambient module's restriction")
     f = ambient.field
     d = ambient.dim
@@ -254,6 +239,7 @@ def _check_intertwiner(ind: InducedModule, w: KModule, s: np.ndarray):
     f = w.field
     s = f.array(s)
     emb = ind.emb
-    for i in range(emb.source.order):
-        if np.any(f.matmul(s, ind.source.mats[i]) != f.matmul(w.mats[emb(i)], s)):
-            raise NotIntertwiner(f"matrix does not intertwine at {emb.source.label(i)}")
+    bad = np.argwhere(np.any(f.matmul(s, ind.source.mats) != f.matmul(w.mats[emb.mapping], s),
+                             axis=(1, 2)))
+    if len(bad):
+        raise NotIntertwiner(f"matrix does not intertwine at {emb.source.label(bad[0, 0])}")

@@ -128,7 +128,7 @@ class FreeResolution:
         if self._aug_operator is None:
             # column i*n + x is x acting on basis vector i
             d, n = self.module.dim, self.group.order
-            self._aug_operator = np.stack(self.module.mats).transpose(1, 2, 0).reshape(d, d * n)
+            self._aug_operator = self.module.mats.transpose(1, 2, 0).reshape(d, d * n)
         return self._aug_operator
 
     def diff_operator(self, j: int) -> np.ndarray:
@@ -270,7 +270,7 @@ def coefficient_delta(diff: AlgebraMatrix, w: KModule) -> np.ndarray:
     """The map on free-module Hom spaces W^(r_{j-1}) -> W^(r_j) induced by a differential."""
     dw, n = w.dim, diff.group.order
     # block (i, l) is the action sum_g coeffs[i, l, g] w(g), all blocks in one product
-    blocks = w.field.matmul(diff.coeffs.reshape(-1, n), np.stack(w.mats).reshape(n, dw * dw))
+    blocks = w.field.matmul(diff.coeffs.reshape(-1, n), w.mats.reshape(n, dw * dw))
     blocks = blocks.reshape(diff.rows, diff.cols, dw, dw)
     return blocks.transpose(0, 2, 1, 3).reshape(diff.rows * dw, diff.cols * dw)
 

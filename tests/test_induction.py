@@ -115,7 +115,7 @@ def test_evaluate_respects_equivariance(sl2z):
         for i, iw in subgroup_words(sl2z, TAG_I):
             shifted = sl2z.multiply(iw, g0)
             assert np.array_equal(evaluate(felem, shifted),
-                                  f.matmul(v.act_subgroup(TAG_I, i), val))
+                                  f.matmul(v.module(TAG_I).mats[i], val))
 
 
 def test_pi_iota_identity_on_all_bases(all_datums):

@@ -336,6 +336,23 @@ def test_cli_refuses_a_repeated_or_trivial_generator_at_its_line(tmp_path, perm,
     assert err.value.line == 6
 
 
+@pytest.mark.parametrize("old, new, message", [
+    # a^4 = e in Z/4, but [[1, 1], [0, 1]]^4 = [[1, 1], [0, 1]] over F3
+    ("mat K1 a = 0 -1 / 1 0", "mat K1 a = 1 1 / 0 1", "action is not a homomorphism at (aaa, a)"),
+    # z is a^2 = -I in K1 but b^3 = I in K2
+    ("mat K2 b = 0 -1 / 1 1", "mat K2 b = 1 0 / 0 1",
+     "factor actions disagree on the shared element z"),
+])
+def test_cli_refuses_a_grep_that_is_not_a_representation_at_its_line(tmp_path, old, new, message):
+    text = (FIXTURES / "sl2z.amg").read_text(encoding="utf-8")
+    path = tmp_path / "bad-grep.amg"
+    path.write_text(text.replace("characteristic = 2", "characteristic = 3").replace(old, new))
+    line = text.splitlines().index("[grep std2]") + 1
+    code, out = run(["validate", str(path)])
+    assert code == 2
+    assert out == f"error: {path}: line {line}: grep 'std2': {message}\n"
+
+
 def test_each_generator_index_is_the_element_labelled_with_its_name():
     paths = [fixture(name) for name in ALL_FIXTURES] + [S4_INSTANCE, S4_INSTANCE.replace(
         "s4-s3-s4", "gl2z")]
