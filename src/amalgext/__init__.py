@@ -7,11 +7,6 @@ from amalgext.reps import (
     trivial_module,
     regular_module,
     hom_space,
-    induce_module,
-    iota_matrix,
-    pi_matrix,
-    frobenius_map,
-    frobenius_inverse,
     restrict_module,
 )
 from amalgext.amalgam import AmalgamDatum, GWord, CosetRep, TAG_K1, TAG_K2, TAG_I

@@ -253,9 +253,3 @@ class SubgroupEmbedding:
 
     def image(self) -> list[int]:
         return [int(x) for x in self.mapping]
-
-    def preimage(self, t: int) -> int:
-        hits = np.nonzero(self.mapping == t)[0]
-        if len(hits) != 1:
-            raise ValueError(f"{t} is not in the embedded image")
-        return int(hits[0])

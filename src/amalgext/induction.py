@@ -208,10 +208,8 @@ def evaluate(f: IndElement, g: GWord) -> np.ndarray:
     rep, k = d.canon_with_witness(f.tag, g)
     if rep.word not in f.support:
         return fld.zeros(f.grep.dim)
-    act_inv = fld.solve_many(f.grep.module(f.tag).mats[k], fld.eye(f.grep.dim))
-    if act_inv is None:
-        raise ValueError("matrix is not invertible")
-    return fld.matmul(act_inv, f.support[rep.word])
+    module = f.grep.module(f.tag)
+    return fld.matmul(module.mats[module.group.inv(k)], f.support[rep.word])
 
 
 def gamma(side: int, f: IndElement) -> IndElement:
@@ -341,10 +339,10 @@ def mv_truncated_check(v: GRep, r: int) -> MVCheckReport:
     # pi_1 + pi_2 on pairs supported in the vertex (r-1)-balls; each small
     # coordinate lands on the row of the same coset and component
     small = [(tag, w) for tag in (TAG_K1, TAG_K2) for w in d.ball(tag, r - 1)]
-    pi_matrix = fld.zeros(dim, len(small) * dim)
+    pi_sum = fld.zeros(dim, len(small) * dim)
     for c, (tag, w) in enumerate(small):
-        pi_matrix[:, c * dim : (c + 1) * dim] = pi(IndElement(tag, v, {w: eye}))
-    kernel = fld.kernel_matrix(pi_matrix)
+        pi_sum[:, c * dim : (c + 1) * dim] = pi(IndElement(tag, v, {w: eye}))
+    kernel = fld.kernel_matrix(pi_sum)
     rows = [first_row[key] + t for key in small for t in range(dim)]
     embedded_kernel = fld.zeros(gamma_matrix.shape[0], kernel.shape[1])
     embedded_kernel[rows] = kernel

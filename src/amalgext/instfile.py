@@ -57,9 +57,9 @@ class BuiltInstance:
     modules: dict
     greps: dict
 
-    def grep(self, name: str, dim: int = 1) -> GRep:
+    def grep(self, name: str) -> GRep:
         if name == "triv":
-            return trivial_grep(self.datum, self.field, dim)
+            return trivial_grep(self.datum, self.field)
         if name not in self.greps:
             raise KeyError(f"no representation named {name!r}; file defines {sorted(self.greps)}")
         return self.greps[name]

@@ -158,7 +158,6 @@ def hom_sequence_check(v1: GRep, v2: GRep) -> dict:
     basis_g = hom_G_direct(v1, v2)
     basis_1 = hom_space(v1.module(TAG_K1), v2.module(TAG_K1))
     basis_2 = hom_space(v1.module(TAG_K2), v2.module(TAG_K2))
-    basis_i = hom_space(v1.module(TAG_I), v2.module(TAG_I))
 
     def vecs(basis):
         if not basis:
@@ -181,7 +180,6 @@ def hom_sequence_check(v1: GRep, v2: GRep) -> dict:
         "dim_G": len(basis_g),
         "dim_K1": len(basis_1),
         "dim_K2": len(basis_2),
-        "dim_I": len(basis_i),
         "exact_at_middle": bool(exact_middle),
         "image_in_kernel": bool(image_in_kernel),
     }

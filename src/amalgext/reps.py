@@ -1,4 +1,4 @@
-"""Modules over finite group algebras: intertwiners, induction, unit and counit maps."""
+"""Modules over finite group algebras: construction, restriction and intertwiner spaces."""
 
 from __future__ import annotations
 
@@ -6,10 +6,6 @@ import numpy as np
 
 from amalgext.groups import FiniteGroup, GroupMismatch, SubgroupEmbedding
 from amalgext.linalg import Field
-
-
-class NotIntertwiner(ValueError):
-    pass
 
 
 class KModule:
@@ -145,101 +141,3 @@ def intertwiner_constraints(v: KModule, w: KModule) -> np.ndarray:
     blocks = [f.sub(np.kron(eye_w, v.mats[g].T), np.kron(w.mats[g], eye_v))
               for g in group.generators]
     return np.concatenate(blocks, axis=0)
-
-
-class InducedModule:
-    """ind of a module along I -> K, with its coset bookkeeping.
-
-    The carrier is functions f : K -> M with f(hk) = h f(k) for h in the
-    image of I, stored by values at the chosen right-coset representatives;
-    K acts by (k f)(x) = f(x k).
-    """
-
-    def __init__(self, emb: SubgroupEmbedding, source: KModule):
-        if source.group is not emb.source:
-            raise GroupMismatch("module to induce must live over the embedding source")
-        self.emb = emb
-        self.source = source
-        field = source.field
-        K = emb.target
-        image = emb.image()
-        cosets = K.right_cosets(image)
-        self.reps = [c[0] for c in cosets]
-        coset_of = {}
-        for idx, c in enumerate(cosets):
-            for x in c:
-                coset_of[x] = idx
-        self.coset_of = coset_of
-        m = len(self.reps)
-        d = source.dim
-        mats = field.zeros(K.order, m * d, m * d)
-        for k in range(K.order):
-            for i, gi in enumerate(self.reps):
-                gik = K.mul(gi, k)
-                j = coset_of[gik]
-                h = K.mul(gik, K.inv(self.reps[j]))
-                mats[k, i * d : (i + 1) * d, j * d : (j + 1) * d] = source.mats[emb.preimage(h)]
-        self.module = KModule(K, field, mats)
-
-    @property
-    def dim(self):
-        return self.module.dim
-
-
-def induce_module(emb: SubgroupEmbedding, source: KModule) -> InducedModule:
-    return InducedModule(emb, source)
-
-
-def iota_matrix(ind: InducedModule) -> np.ndarray:
-    """The unit M -> ind(M): u becomes the function supported on the base coset."""
-    f = ind.source.field
-    d = ind.source.dim
-    out = f.zeros(len(ind.reps) * d, d)
-    j0 = ind.coset_of[ind.emb.target.identity]
-    r0 = ind.reps[j0]
-    out[j0 * d : (j0 + 1) * d, :] = ind.source.mats[ind.emb.preimage(r0)]
-    return out
-
-
-def pi_matrix(ind: InducedModule, ambient: KModule) -> np.ndarray:
-    """The counit ind(ambient restricted) -> ambient: f maps to sum g^-1 f(g).
-
-    ambient must carry the full K-action; the sum is over the stored
-    right-coset representatives and is representative-independent.
-    """
-    if ambient.group is not ind.emb.target:
-        raise GroupMismatch("counit target must be a module over the big group")
-    if ambient.dim != ind.source.dim or np.any(ind.source.mats != ambient.mats[ind.emb.mapping]):
-        raise GroupMismatch("counit needs ind of the ambient module's restriction")
-    f = ambient.field
-    d = ambient.dim
-    K = ind.emb.target
-    blocks = [ambient.mats[K.inv(g)] for g in ind.reps]
-    return np.concatenate(blocks, axis=1) if blocks else f.zeros(d, 0)
-
-
-def frobenius_map(ind: InducedModule, w: KModule, s: np.ndarray) -> np.ndarray:
-    """Send an I-intertwiner M -> W to the K-intertwiner ind(M) -> W.
-
-    Blockwise this is w(g^-1) s at each coset representative g.
-    """
-    _check_intertwiner(ind, w, s)
-    f = w.field
-    K = ind.emb.target
-    blocks = [f.matmul(w.mats[K.inv(g)], s) for g in ind.reps]
-    return np.concatenate(blocks, axis=1)
-
-
-def frobenius_inverse(ind: InducedModule, w: KModule, t: np.ndarray) -> np.ndarray:
-    """Inverse of frobenius_map: precompose with the unit."""
-    return w.field.matmul(w.field.array(t), iota_matrix(ind))
-
-
-def _check_intertwiner(ind: InducedModule, w: KModule, s: np.ndarray):
-    f = w.field
-    s = f.array(s)
-    emb = ind.emb
-    bad = np.argwhere(np.any(f.matmul(s, ind.source.mats) != f.matmul(w.mats[emb.mapping], s),
-                             axis=(1, 2)))
-    if len(bad):
-        raise NotIntertwiner(f"matrix does not intertwine at {emb.source.label(bad[0, 0])}")

@@ -9,9 +9,12 @@ from hypothesis import settings
 
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
 from amalgext.induction import conjugate_grep, direct_sum_grep, grep_from_generators, trivial_grep
-from amalgext.instfile import parse
+from amalgext.instfile import ValidationError, parse
+from amalgext.linalg import Field
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+INSTANCE_FILES = sorted(FIXTURES.glob("*.amg")) + sorted(
+    (FIXTURES.parent / "bench" / "instances").glob("*.amg"))
 
 # Property tests draw the same examples on every run, keep no example
 # database and have no per-example deadline, which a loaded host would trip.
@@ -43,6 +46,16 @@ def sl2z():
 @pytest.fixture(scope="session")
 def all_datums(d_inf, psl2z, sl2z):
     return [d_inf, psl2z, sl2z]
+
+
+def instance_greps(path, p):
+    """triv and every grep of the file that is a representation over F_p."""
+    inst = parse(str(path))
+    try:
+        built = inst.build(p)
+    except ValidationError:  # some grep is not a representation in this characteristic
+        return [trivial_grep(inst.datum, Field(p))]
+    return [built.grep("triv")] + [built.grep(name) for name in sorted(built.greps)]
 
 
 def grep2(datum, field):

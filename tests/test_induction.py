@@ -1,5 +1,4 @@
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +23,17 @@ from amalgext.induction import (
     tensor_identity_inverse,
     trivial_grep,
 )
-from amalgext.instfile import ValidationError, parse
 from amalgext.linalg import Field, Span
 
-from conftest import bundled, grep2, random_grep, sl2z_word_to_matrix, subgroup_words
+from conftest import (
+    INSTANCE_FILES,
+    bundled,
+    grep2,
+    instance_greps,
+    random_grep,
+    sl2z_word_to_matrix,
+    subgroup_words,
+)
 
 
 def random_vec(rng, field, dim, nonzero=False):
@@ -301,11 +307,6 @@ def test_kernel_certificates_cohere(sl2z):
 
 # -- the block path against the column-by-column construction ---------------
 
-REPO = Path(__file__).resolve().parent.parent
-INSTANCE_FILES = sorted((REPO / "fixtures").glob("*.amg")) + sorted(
-    (REPO / "bench" / "instances").glob("*.amg"))
-
-
 def mv_check_by_columns(v, r):
     """mv_truncated_check's report built one basis vector at a time, as a reference."""
     d, fld, dim = v.datum, v.field, v.dim
@@ -332,9 +333,9 @@ def mv_check_by_columns(v, r):
     gamma_matrix = np.column_stack(cols)
     span = Span(fld, height, gamma_matrix.T)
     small = [(tag, w) for tag in (TAG_K1, TAG_K2) for w in d.ball(tag, r - 1)]
-    pi_matrix = np.column_stack([pi(IndElement(tag, v, {w: b})) for tag, w in small
-                                 for b in basis])
-    kernel = fld.kernel_matrix(pi_matrix)
+    pi_sum = np.column_stack([pi(IndElement(tag, v, {w: b})) for tag, w in small
+                              for b in basis])
+    kernel = fld.kernel_matrix(pi_sum)
     rows = [offset[tag] + vert[tag][w] * dim + t for tag, w in small for t in range(dim)]
     embedded = fld.zeros(height, kernel.shape[1])
     embedded[rows] = kernel
@@ -344,16 +345,6 @@ def mv_check_by_columns(v, r):
         "middle_exact": not span.reduce(embedded.T).any(),
         "surjective": all(np.array_equal(pi(iota(TAG_K1, v, b)), b) for b in basis),
     }
-
-
-def instance_greps(path, p):
-    """triv and every grep of the file that is a representation over F_p."""
-    inst = parse(str(path))
-    try:
-        built = inst.build(p)
-    except ValidationError:  # some grep is not a representation in this characteristic
-        return [trivial_grep(inst.datum, Field(p))]
-    return [built.grep("triv")] + [built.grep(name) for name in sorted(built.greps)]
 
 
 @pytest.mark.parametrize("p", [2, 3])

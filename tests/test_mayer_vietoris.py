@@ -18,10 +18,9 @@ from amalgext.mayer_vietoris import (
     hom_sequence_check,
     verify_les,
 )
-from amalgext.reps import hom_space
-from amalgext.resolutions import free_resolution
+from amalgext.resolutions import coefficient_delta, free_resolution
 
-from conftest import grep2, random_grep
+from conftest import INSTANCE_FILES, grep2, instance_greps, random_grep
 
 
 def test_chain_lift_degree_zero_compatibility(sl2z):
@@ -64,6 +63,23 @@ def test_chain_lift_equations_hold(all_datums):
                 lhs = ind_d.mul(lifts[j - 1])
                 rhs = lifts[j].mul(p.diffs[j])
                 assert np.array_equal(lhs.coeffs, rhs.coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.name)
+def test_frobenius_reciprocity_on_induced_differentials(path, p):
+    # Frobenius reciprocity Hom_K(ind Q_j, W) = Hom_I(Q_j, W restricted to I) on
+    # coefficients: the cone's Q block is coefficient_delta(D, W_I), while the
+    # lifts start from the induced differential D.map_entries(emb).
+    greps = instance_greps(path, p)
+    d = greps[0].datum
+    for v1 in greps:
+        q = free_resolution(v1.module(TAG_I), 4)
+        for v2 in greps:
+            for emb, tag in ((d.emb1, TAG_K1), (d.emb2, TAG_K2)):
+                for diff in q.diffs[1:]:
+                    assert np.array_equal(coefficient_delta(diff.map_entries(emb), v2.module(tag)),
+                                          coefficient_delta(diff, v2.module(TAG_I)))
 
 
 def test_mv_complex_builds_only_what_the_cone_reads(all_datums):

@@ -12,9 +12,8 @@ from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
 from amalgext.groups import FiniteGroup
 from amalgext.induction import grep_from_generators, trivial_grep
 from amalgext.instfile import parse
-from amalgext.linalg import Field, Span, subquotient_dim
+from amalgext.linalg import Field, Span
 from amalgext.reps import (
-    KModule,
     conjugate_module,
     hom_space,
     module_from_generators,
