@@ -94,18 +94,13 @@ class InstanceFile:
         modules = {}
         for name, (tag, gens, line) in self.module_specs.items():
             try:
-                modules[name] = module_from_generators(groups[tag], fld,
-                                                       {g: fld.array(m) for g, m in gens.items()})
+                modules[name] = module_from_generators(groups[tag], fld, gens)
             except ValueError as exc:
                 raise ValidationError(line, f"module {name!r}: {exc}") from exc
         greps = {}
         for name, (gens1, gens2, line) in self.grep_specs.items():
             try:
-                greps[name] = grep_from_generators(
-                    d, fld,
-                    {g: fld.array(m) for g, m in gens1.items()},
-                    {g: fld.array(m) for g, m in gens2.items()},
-                )
+                greps[name] = grep_from_generators(d, fld, gens1, gens2)
             except ValueError as exc:
                 raise ValidationError(line, f"grep {name!r}: {exc}") from exc
         return BuiltInstance(self.name, char, d, fld, modules, greps)

@@ -460,33 +460,6 @@ class CochainComplex:
         """The span of delta_{j-1}'s columns inside C^j (empty at degree 0)."""
         return self._coboundaries[j]
 
-    def direct_sum(self, other: "CochainComplex") -> "CochainComplex":
-        """The block-diagonal complex self (+) other, assembled from both eliminations.
-
-        Its cocycles and coboundary bases are the block diagonals of the two
-        summands' and its dims the sums, so no map is eliminated again.
-        """
-        f = self.field
-        out = object.__new__(CochainComplex)
-        out.field = f
-        out.deltas = [_block_diagonal(f, a, b) for a, b in zip(self.deltas, other.deltas)]
-        out.cocycles = [_block_diagonal(f, a, b) for a, b in zip(self.cocycles, other.cocycles)]
-        out._coboundaries = []
-        for a, b in zip(self._coboundaries, other._coboundaries):
-            span = Span(f, a.basis.shape[1] + b.basis.shape[1])
-            span.extend(_block_diagonal(f, a.basis, b.basis),
-                        a.pivots + [c + a.basis.shape[1] for c in b.pivots])
-            out._coboundaries.append(span)
-        out.dims = [a + b for a, b in zip(self.dims, other.dims)]
-        return out
-
-
-def _block_diagonal(field: Field, a, b) -> np.ndarray:
-    out = field.zeros(a.shape[0] + b.shape[0], a.shape[1] + b.shape[1])
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
-
 
 def subquotient_dim(field: Field, boundary_in, boundary_out) -> int:
     """dim ker(boundary_out) - rank(boundary_in) for a two-step complex.

@@ -94,7 +94,8 @@ class FreeResolution:
 
     ranks[j] is the rank of the j-th free module; diffs[j] (j >= 1) is the
     algebra matrix of the j-th differential F_j -> F_{j-1}.  F_0 covers the
-    module by sending the i-th basis row to the i-th module basis vector.
+    module by the augmentation d_0, which sends the i-th basis row to the
+    i-th module basis vector.
 
     Every later stage covers the kernel M of the one before with few
     generators, chosen modulo I_O M for O = O_p(G), the largest normal
@@ -113,7 +114,9 @@ class FreeResolution:
         self.field = module.field
         self.ranks = [module.dim]
         self.diffs: list[AlgebraMatrix | None] = [None]
-        self._aug_operator = None
+        # column i*n + x of d_0 is x acting on basis vector i
+        d, n = module.dim, self.group.order
+        self._augmentation = module.mats.transpose(1, 2, 0).reshape(d, d * n)
         core = self.group.p_core(self.field.p)
         # generators of O first, then the ones that complete them to G
         gens = self.group.generating_set(core + [x for x in range(self.group.order) if x not in core])
@@ -124,15 +127,9 @@ class FreeResolution:
                                    for h in range(self.group.order)})
         self._trials = min(SAMPLE_TRIALS, SAMPLE_ROWS // len(self._coset_reps))
 
-    def aug_operator(self) -> np.ndarray:
-        if self._aug_operator is None:
-            # column i*n + x is x acting on basis vector i
-            d, n = self.module.dim, self.group.order
-            self._aug_operator = self.module.mats.transpose(1, 2, 0).reshape(d, d * n)
-        return self._aug_operator
-
     def diff_operator(self, j: int) -> np.ndarray:
-        return self.diffs[j].operator()
+        """The column-convention operator of d_j: F_j -> F_{j-1}, d_0 the augmentation."""
+        return self.diffs[j].operator() if j else self._augmentation
 
     def length(self) -> int:
         return len(self.ranks) - 1
@@ -150,8 +147,7 @@ class FreeResolution:
             self.ranks.append(0)
             self.diffs.append(AlgebraMatrix(self.group, f, f.zeros(0, 0, n)))
             return
-        op = self.aug_operator() if j == 0 else self.diff_operator(j)
-        gens = self._module_generators(f.kernel_matrix(op).T, prev_rank)
+        gens = self._module_generators(f.kernel_matrix(self.diff_operator(j)).T, prev_rank)
         self.ranks.append(len(gens))
         self.diffs.append(AlgebraMatrix(self.group, f, gens.reshape(len(gens), prev_rank, n)))
 
@@ -186,19 +182,18 @@ class FreeResolution:
                                                   for h in gens])
 
         span = Span(f, kernel.shape[1], moved(self._core_gens))  # I_O M
-        coinvariant = Span(f, kernel.shape[1])  # I_G M: I_O M and the moves by the other generators
-        coinvariant.extend(span.basis, list(span.pivots))
-        coinvariant.add(moved(self._outer_gens))
-        # the generators reduced modulo I_G M: a vector adds to the trivial
-        # head exactly when its reduction is independent of theirs
-        head = Span(f, kernel.shape[1])
+        # I_G M (I_O M and the moves by the other generators) and the generators
+        # so far: a vector adds to the trivial head exactly when it lies outside
+        trivial = Span(f, kernel.shape[1])
+        trivial.extend(span.basis, list(span.pivots))
+        trivial.add(moved(self._outer_gens))
         target = len(kernel)
         rng = random.Random(SAMPLE_SEED)
         gens = []
         cap = len(self._coset_reps)
         first = 0  # the kernel rows before `first` lie in the span
         while len(span) < target:
-            missing = target - len(coinvariant) - len(head)
+            missing = target - len(trivial)
             bound = min(len(self._coset_reps), target - len(span) - max(missing - 1, 0))
             if bound == 1:
                 rest = kernel[first:]
@@ -208,44 +203,41 @@ class FreeResolution:
             ideal = (missing > 0, min(cap, bound))
             while not span.reduce(kernel[first : first + 1]).any():
                 first += 1
-            best = self._score(span, coinvariant, head, missing, kernel[first], rank)
+            best = self._score(span, trivial, missing, kernel[first], rank)
             for _ in range(self._trials):
                 if best[0] >= ideal:
                     break
                 coeffs = f.array([rng.choices(range(f.p or 3), k=target)])
-                trial = self._score(span, coinvariant, head, missing, f.matmul(coeffs, kernel)[0], rank)
+                trial = self._score(span, trivial, missing, f.matmul(coeffs, kernel)[0], rank)
                 if trial[0] > best[0]:
                     best = trial
-            (adds_head, _), vector, reduced, echelon, pivots = best
+            (adds_head, _), vector, echelon, pivots = best
             gens.append(vector)
             span.extend(echelon, pivots)
             if adds_head:
-                head.add(reduced)
+                trivial.add(vector[None])
             cap = len(pivots)
         return np.array(gens) if gens else kernel[:0]
 
-    def _score(self, span: Span, coinvariant: Span, head: Span, missing: int,
-               vector: np.ndarray, rank: int):
-        """((adds to the trivial head, rank added), vector, its reduction modulo
-        I_G M, echelon, pivots), from the rref of the vector's translates
-        reduced against the span."""
+    def _score(self, span: Span, trivial: Span, missing: int, vector: np.ndarray, rank: int):
+        """((adds to the trivial head, rank added), vector, echelon, pivots), from
+        the rref of the vector's translates reduced against the span."""
         n = self.group.order
         # translate by h moves coordinate (i, g) to (i, h g); row h of the
         # quotient table lists, for each target coordinate, where it is read from
         reps = self.group.quotient_table[self._coset_reps]
         translates = vector.reshape(rank, n)[:, reps].transpose(1, 0, 2).reshape(len(reps), rank * n)
         echelon, pivots = self.field.rref(span.reduce(translates))
-        reduced = coinvariant.reduce(vector[None]) if missing else None
-        adds_head = missing > 0 and bool(head.reduce(reduced).any())
-        return (adds_head, len(pivots)), vector, reduced, echelon[: len(pivots)], pivots
+        adds_head = missing > 0 and bool(trivial.reduce(vector[None]).any())
+        return (adds_head, len(pivots)), vector, echelon[: len(pivots)], pivots
 
     def verify(self, n: int) -> bool:
         """d compose d = 0 and exactness of F_n -> ... -> F_0 -> M -> 0, read off the
-        cochain complex [d_n, ..., d_1, aug, 0], whose degree n + 1 - j is F_{j-1} (M at
+        cochain complex [d_n, ..., d_1, d_0, 0], whose degree n + 1 - j is F_{j-1} (M at
         j = 0) and whose cohomology must vanish in every degree but 0."""
         self.extend(n)
-        maps = [self.diff_operator(j) for j in range(n, 0, -1)]
-        maps += [self.aug_operator(), self.field.zeros(0, self.module.dim)]
+        maps = [self.diff_operator(j) for j in range(n, -1, -1)]
+        maps.append(self.field.zeros(0, self.module.dim))
         try:
             dims = CochainComplex(self.field, maps).dims
         except CompositionNonzero as exc:

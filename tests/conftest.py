@@ -65,8 +65,7 @@ def grep2(datum, field):
     that it also exists over Field(0), which InstanceFile.build refuses.
     """
     (gens1, gens2, _line), = bundled(datum.name).grep_specs.values()
-    return grep_from_generators(datum, field, {g: field.array(m) for g, m in gens1.items()},
-                                {g: field.array(m) for g, m in gens2.items()})
+    return grep_from_generators(datum, field, gens1, gens2)
 
 
 def random_grep(datum, field, rng: np.random.Generator):

@@ -325,7 +325,7 @@ def test_criterion_7_property_suite():
             for j in range(2, res.length() + 1):
                 assert not res.diffs[j].mul(res.diffs[j - 1]).coeffs.any()
                 zero_checks += 1
-            assert not np.any(f.matmul(res.aug_operator(), res.diff_operator(1)))
+            assert not np.any(f.matmul(res.diff_operator(0), res.diff_operator(1)))
             zero_checks += 1
         for j in range(len(mv.deltas) - 1):
             assert not np.any(f.matmul(mv.deltas[j + 1], mv.deltas[j]))

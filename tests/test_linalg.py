@@ -497,27 +497,6 @@ def test_span_extend_by_a_reduced_echelon_equals_add(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 0])
-def test_direct_sums_equal_the_block_diagonal_eliminations(p):
-    f = Field(p)
-    rng = np.random.default_rng(800 + p)
-    for widths_a, widths_b in (((3, 4, 3, 2), (2, 2, 3, 1)), ((0, 3, 3, 0), (4, 0, 4, 2)),
-                               ((2, 5, 4, 5), (1, 1, 1, 1))):
-        a = CochainComplex(f, _random_complex(f, rng, widths_a))
-        b = CochainComplex(f, _random_complex(f, rng, widths_b))
-        block = [np.block([[da, f.zeros(da.shape[0], db.shape[1])],
-                           [f.zeros(db.shape[0], da.shape[1]), db]]) for da, db in zip(a.deltas, b.deltas)]
-        whole = CochainComplex(f, [f.array(d) for d in block])
-        summed = a.direct_sum(b)
-        assert summed.dims == whole.dims
-        for j in range(len(block)):
-            assert np.array_equal(summed.deltas[j], whole.deltas[j])
-            assert np.array_equal(summed.cocycles[j], whole.cocycles[j])
-        for j in range(len(block) + 1):
-            assert summed.coboundaries(j).pivots == whole.coboundaries(j).pivots
-            assert np.array_equal(summed.coboundaries(j).basis, whole.coboundaries(j).basis)
-
-
-@pytest.mark.parametrize("p", [2, 3, 7, 0])
 def test_each_cochain_map_costs_one_elimination(p, monkeypatch):
     f = Field(p)
     rng = np.random.default_rng(900 + p)
@@ -532,8 +511,7 @@ def test_each_cochain_map_costs_one_elimination(p, monkeypatch):
 
     monkeypatch.setattr(Field, "rref", counting)
     a, b = CochainComplex(f, deltas_a), CochainComplex(f, deltas_b)
-    summed = a.direct_sum(b)
-    for cx in (a, b, summed):
+    for cx in (a, b):
         for j in range(len(widths)):
             cx.coboundaries(j)
     assert len(calls) == 2 * (len(widths) - 1)

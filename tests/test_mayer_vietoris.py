@@ -18,7 +18,7 @@ from amalgext.mayer_vietoris import (
     hom_sequence_check,
     verify_les,
 )
-from amalgext.resolutions import coefficient_delta, free_resolution
+from amalgext.resolutions import coefficient_delta, ext_finite, free_resolution
 
 from conftest import INSTANCE_FILES, grep2, instance_greps, random_grep
 
@@ -35,7 +35,7 @@ def test_chain_lift_degree_zero_compatibility(sl2z):
         # with the induced augmentation of Q, column by column
         K = emb.target
         n = K.order
-        aug_p = p.aug_operator()
+        aug_p = p.diff_operator(0)
         x0_op = lifts[0].operator()
         module = v1.module(TAG_K1 if side == 1 else TAG_K2)
         for i in range(q.ranks[0]):
@@ -231,6 +231,22 @@ def test_verify_les_nontrivial_pairs(all_datums):
         for v1, v2 in ((v, k), (k, v), (v, v)):
             rep = verify_les(v1, v2, 3)
             assert rep.exact, d.name
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.name)
+def test_les_factor_columns_equal_finite_ext(path, p):
+    """The report's K1, K2 and I columns are Ext over each finite group, as
+    ext_finite computes it, and each K1 x K2 node has their sum for dimension."""
+    n = 5
+    coefficients = instance_greps(path, p)
+    triv = coefficients[0]
+    for v2 in coefficients:
+        rep = verify_les(triv, v2, n)
+        for tag, dims in ((TAG_K1, rep.dims_k1), (TAG_K2, rep.dims_k2), (TAG_I, rep.dims_i)):
+            assert dims == ext_finite(triv.module(tag), v2.module(tag), n).dims, (tag, v2.dim)
+        products = [(deg, dim) for deg, node, dim, *_ in rep.nodes if node == "K1xK2"]
+        assert products == [(j, rep.dims_k1[j] + rep.dims_k2[j]) for j in range(n + 1)]
 
 
 def test_les_node_rank_identity(sl2z):

@@ -162,9 +162,9 @@ def test_verify_names_a_flipped_coefficient_that_breaks_d_squared(group, p):
 def test_verify_names_a_non_surjective_augmentation(group, p):
     f = Field(p)
     res = free_resolution(trivial_module(group, f), 3)
-    aug = res.aug_operator().copy()
+    aug = res.diff_operator(0).copy()
     aug[0] = 0  # still kills d_1, but misses the first module coordinate
-    res._aug_operator = aug
+    res._augmentation = aug
     with pytest.raises(AssertionError, match="augmentation is not surjective"):
         res.verify(3)
 
@@ -345,7 +345,7 @@ def test_module_generators_match_naive_greedy(case):
     group = module.group
     res = FreeResolution(module)
     for j in range(4):
-        op = res.aug_operator() if j == 0 else res.diff_operator(j)
+        op = res.diff_operator(j)
         kernel = f.kernel_matrix(op).T
         fast = res._module_generators(kernel, res.ranks[j])
         slow = naive_generators(group, f, list(kernel), res.ranks[j])
