@@ -109,21 +109,24 @@ class FiniteGroup:
         """Generators of the subgroup the elements generate: each one, in the
         given order, that the ones before it do not generate."""
         gens: list[int] = []
-        reached = {self.identity}
+        reached = self._closure(gens)
         for x in elements:
-            if x not in reached:
+            if not reached[x]:
                 gens.append(x)
                 reached = self._closure(gens)
         return gens
 
-    def _closure(self, gens) -> set[int]:
-        """The subgroup generated by gens: the identity closed under right multiplication."""
-        reached = {self.identity}
+    def _closure(self, gens) -> np.ndarray:
+        """The subgroup generated by gens, as a mask: the identity closed under
+        right multiplication, one frontier of new elements at a time."""
+        step = self.table[:, list(gens)]  # step[frontier] is table[frontier][:, gens]
+        reached = np.zeros(self.order, dtype=bool)
+        reached[self.identity] = True
         frontier = [self.identity]
-        while frontier:
-            frontier = [y for y in {int(self.table[z, g]) for z in frontier for g in gens}
-                        if y not in reached]
-            reached.update(frontier)
+        while len(frontier):
+            before = reached.copy()
+            reached[step[frontier]] = True
+            frontier = (reached > before).nonzero()[0]
         return reached
 
     def p_core(self, p: int) -> list[int]:
@@ -135,17 +138,18 @@ class FiniteGroup:
         if p not in self._p_cores:
             # conj[g, x] = g^-1 x g
             conj = self.table[self.table[self.inverse_table], np.arange(self.order)[:, None]]
+            # power[x] = x^(p^a) for p^a the p-part of |G|: the identity exactly
+            # when x has p-power order, which every element of a p-subgroup has
+            power, part = np.arange(self.order), 1
+            while p and self.order % (part * p) == 0:
+                part *= p
+                base = power
+                for _ in range(p - 1):
+                    power = self.table[power, base]
             core: set[int] = set()
-            seen: set[int] = set()
-            for x in range(self.order):
-                if x in seen:
-                    continue
+            for x in np.flatnonzero(power == self.identity).tolist():
                 cls = set(conj[:, x].tolist())
-                seen |= cls
-                order = len(self._closure(cls))
-                while p and order % p == 0:
-                    order //= p
-                if order == 1:
+                if x == min(cls) and part % int(self._closure(cls).sum()) == 0:
                     core |= cls
             self._p_cores[p] = sorted(core)
         return self._p_cores[p]
@@ -162,12 +166,6 @@ class FiniteGroup:
             cosets.append(coset)
         cosets.sort(key=lambda c: c[0])
         return cosets
-
-    @classmethod
-    def cyclic(cls, n: int, gen_name: str = "a") -> "FiniteGroup":
-        table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-        labels = ["e"] + [gen_name if i == 1 else f"{gen_name}{i}" for i in range(1, n)]
-        return cls(table, labels=labels, name=f"Z/{n}")
 
     @classmethod
     def from_permutations(cls, gens: list[list[int]], gen_names=None, name: str = "") -> "FiniteGroup":

@@ -14,8 +14,7 @@ import numpy as np
 from amalgext.amalgam import AmalgamDatum, GWord, TAG_I, TAG_K1, TAG_K2
 from amalgext.groups import GroupMismatch
 from amalgext.linalg import Field, Span
-from amalgext.reps import (KModule, conjugate_module, direct_sum_module, module_from_generators,
-                           restrict_module, trivial_module)
+from amalgext.reps import KModule, module_from_generators, restrict_module, trivial_module
 
 
 class DimensionMismatch(ValueError):
@@ -72,17 +71,6 @@ def grep_from_generators(datum: AmalgamDatum, field: Field,
     m1 = module_from_generators(datum.K1, field, gens1)
     m2 = module_from_generators(datum.K2, field, gens2)
     return GRep(datum, m1, m2)
-
-
-def conjugate_grep(v: GRep, p: np.ndarray) -> GRep:
-    return GRep(v.datum, conjugate_module(v.module1, p), conjugate_module(v.module2, p))
-
-
-def direct_sum_grep(a: GRep, b: GRep) -> GRep:
-    if a.datum is not b.datum:
-        raise GroupMismatch("summands live over different amalgams")
-    return GRep(a.datum, direct_sum_module(a.module1, b.module1),
-                direct_sum_module(a.module2, b.module2))
 
 
 def g_act(v: GRep, g: GWord, x: np.ndarray) -> np.ndarray:

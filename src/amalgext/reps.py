@@ -96,24 +96,6 @@ def restrict_module(emb: SubgroupEmbedding, module: KModule) -> KModule:
     return KModule(emb.source, module.field, module.mats[emb.mapping])
 
 
-def conjugate_module(module: KModule, p: np.ndarray) -> KModule:
-    f = module.field
-    p = f.array(p)
-    pinv = f.solve_many(p, f.eye(p.shape[0]))
-    if pinv is None:
-        raise ValueError("matrix is not invertible")
-    return KModule(module.group, f, f.matmul(f.matmul(p, module.mats), pinv))
-
-
-def direct_sum_module(a: KModule, b: KModule) -> KModule:
-    if a.group is not b.group or a.field != b.field:
-        raise GroupMismatch("direct sum needs one group and one field")
-    mats = a.field.zeros(a.group.order, a.dim + b.dim, a.dim + b.dim)
-    mats[:, : a.dim, : a.dim] = a.mats
-    mats[:, a.dim :, a.dim :] = b.mats
-    return KModule(a.group, a.field, mats)
-
-
 def hom_space(v: KModule, w: KModule) -> list[np.ndarray]:
     """Basis of the intertwiner space {S : S v(g) = w(g) S for all g}.
 

@@ -26,8 +26,8 @@ from amalgext.reps import KModule
 
 # Random kernel combinations tried per generator, from a generator seeded with
 # a constant so that every resolution and report is the same on every run.  A
-# trial's rref takes about one loop step per translate row, one per coset of
-# O_p(G), so the trials of one generator score at most SAMPLE_ROWS rows: 8
+# trial's score reduces one translate row per coset of O_p(G) against the span,
+# so the trials of one generator score at most SAMPLE_ROWS rows: 8
 # trials up to 8 cosets, 2 on S4 at F3 (24 cosets), where 8 made `ext` and
 # `les` up to twice as slow as the greedy first-fit rule at low degree.  At this
 # seed no factor module of the bundled fixtures or the bench instances at F2 or
@@ -184,9 +184,9 @@ class FreeResolution:
         span = Span(f, kernel.shape[1], moved(self._core_gens))  # I_O M
         # I_G M (I_O M and the moves by the other generators) and the generators
         # so far: a vector adds to the trivial head exactly when it lies outside
-        trivial = Span(f, kernel.shape[1])
-        trivial.extend(span.basis, list(span.pivots))
+        trivial = span.copy()
         trivial.add(moved(self._outer_gens))
+        rows = span.pack(kernel)
         target = len(kernel)
         rng = random.Random(SAMPLE_SEED)
         gens = []
@@ -196,12 +196,10 @@ class FreeResolution:
             missing = target - len(trivial)
             bound = min(len(self._coset_reps), target - len(span) - max(missing - 1, 0))
             if bound == 1:
-                rest = kernel[first:]
-                _, picked = f.rref(span.reduce(rest).T)
-                gens.extend(rest[picked])
+                gens.extend(kernel[first + i] for i in span.independent(rows[first:]))
                 break
             ideal = (missing > 0, min(cap, bound))
-            while not span.reduce(kernel[first : first + 1]).any():
+            while span.contains(rows[first]):
                 first += 1
             best = self._score(span, trivial, missing, kernel[first], rank)
             for _ in range(self._trials):
@@ -211,25 +209,23 @@ class FreeResolution:
                 trial = self._score(span, trivial, missing, f.matmul(coeffs, kernel)[0], rank)
                 if trial[0] > best[0]:
                     best = trial
-            (adds_head, _), vector, echelon, pivots = best
+            (adds_head, cap), vector, span = best
             gens.append(vector)
-            span.extend(echelon, pivots)
             if adds_head:
                 trivial.add(vector[None])
-            cap = len(pivots)
         return np.array(gens) if gens else kernel[:0]
 
     def _score(self, span: Span, trivial: Span, missing: int, vector: np.ndarray, rank: int):
-        """((adds to the trivial head, rank added), vector, echelon, pivots), from
-        the rref of the vector's translates reduced against the span."""
+        """((adds to the trivial head, rank added), vector, a copy of the span
+        grown by the vector's translates)."""
         n = self.group.order
         # translate by h moves coordinate (i, g) to (i, h g); row h of the
         # quotient table lists, for each target coordinate, where it is read from
         reps = self.group.quotient_table[self._coset_reps]
         translates = vector.reshape(rank, n)[:, reps].transpose(1, 0, 2).reshape(len(reps), rank * n)
-        echelon, pivots = self.field.rref(span.reduce(translates))
-        adds_head = missing > 0 and bool(trivial.reduce(vector[None]).any())
-        return (adds_head, len(pivots)), vector, echelon[: len(pivots)], pivots
+        grown = span.copy()
+        adds_head = missing > 0 and not trivial.contains(trivial.pack(vector[None])[0])
+        return (adds_head, len(grown.add(translates))), vector, grown
 
     def verify(self, n: int) -> bool:
         """d compose d = 0 and exactness of F_n -> ... -> F_0 -> M -> 0, read off the

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import settings
 
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
-from amalgext.induction import conjugate_grep, direct_sum_grep, grep_from_generators, trivial_grep
+from amalgext.groups import FiniteGroup, GroupMismatch
+from amalgext.induction import GRep, grep_from_generators, trivial_grep
 from amalgext.instfile import ValidationError, parse
 from amalgext.linalg import Field
+from amalgext.reps import KModule
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 INSTANCE_FILES = sorted(FIXTURES.glob("*.amg")) + sorted(
@@ -48,6 +50,57 @@ def all_datums(d_inf, psl2z, sl2z):
     return [d_inf, psl2z, sl2z]
 
 
+def cyclic(n: int) -> FiniteGroup:
+    """Z/n by its addition table, element i being a^i."""
+    table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    labels = ["e"] + ["a" if i == 1 else f"a{i}" for i in range(1, n)]
+    return FiniteGroup(table, labels=labels, name=f"Z/{n}")
+
+
+def random_matrix(field, rng: np.random.Generator, m, n) -> np.ndarray:
+    """Seeded entries, uniform over F_p and in -5..5 over Q."""
+    if field.p:
+        return np.asarray(rng.integers(0, field.p, size=(m, n)), dtype=np.int64)
+    return field.array(rng.integers(-5, 6, size=(m, n)))
+
+
+def random_invertible(field, rng: np.random.Generator, n) -> np.ndarray:
+    while True:
+        m = random_matrix(field, rng, n, n)
+        if field.rank(m) == n:
+            return m
+
+
+def conjugate_module(module: KModule, p: np.ndarray) -> KModule:
+    """The module g -> p module(g) p^-1, isomorphic to module."""
+    f = module.field
+    p = f.array(p)
+    pinv = f.solve_many(p, f.eye(p.shape[0]))
+    if pinv is None:
+        raise ValueError("matrix is not invertible")
+    return KModule(module.group, f, f.matmul(f.matmul(p, module.mats), pinv))
+
+
+def direct_sum_module(a: KModule, b: KModule) -> KModule:
+    if a.group is not b.group or a.field != b.field:
+        raise GroupMismatch("direct sum needs one group and one field")
+    mats = a.field.zeros(a.group.order, a.dim + b.dim, a.dim + b.dim)
+    mats[:, : a.dim, : a.dim] = a.mats
+    mats[:, a.dim :, a.dim :] = b.mats
+    return KModule(a.group, a.field, mats)
+
+
+def conjugate_grep(v: GRep, p: np.ndarray) -> GRep:
+    return GRep(v.datum, conjugate_module(v.module1, p), conjugate_module(v.module2, p))
+
+
+def direct_sum_grep(a: GRep, b: GRep) -> GRep:
+    if a.datum is not b.datum:
+        raise GroupMismatch("summands live over different amalgams")
+    return GRep(a.datum, direct_sum_module(a.module1, b.module1),
+                direct_sum_module(a.module2, b.module2))
+
+
 def instance_greps(path, p):
     """triv and every grep of the file that is a representation over F_p."""
     inst = parse(str(path))
@@ -76,7 +129,7 @@ def random_grep(datum, field, rng: np.random.Generator):
     v = pieces[int(rng.integers(0, len(pieces)))]
     for _ in range(count - 1):
         v = direct_sum_grep(v, pieces[int(rng.integers(0, len(pieces)))])
-    return conjugate_grep(v, field.random_invertible(rng, v.dim))
+    return conjugate_grep(v, random_invertible(field, rng, v.dim))
 
 
 def subgroup_words(datum, tag):

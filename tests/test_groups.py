@@ -11,8 +11,9 @@ from amalgext.groups import (
     NotInjective,
     SubgroupEmbedding,
 )
+from amalgext.instfile import parse
 
-from conftest import S_MAT, ST_MAT
+from conftest import INSTANCE_FILES, S_MAT, ST_MAT, cyclic
 
 
 def element_order(group, x):
@@ -24,7 +25,7 @@ def element_order(group, x):
 
 
 def test_cyclic_group_structure():
-    z6 = FiniteGroup.cyclic(6)
+    z6 = cyclic(6)
     assert z6.identity == 0
     assert z6.mul(4, 5) == 3
     assert z6.inv(1) == 5
@@ -97,20 +98,20 @@ def test_from_permutations_of_s5_peaks_small():
 
 
 def test_embedding_z2_in_z4_doubling_ok():
-    z2, z4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+    z2, z4 = cyclic(2), cyclic(4)
     e = SubgroupEmbedding(z2, z4, [0, 2])
     assert e.validate()
 
 
 def test_embedding_z2_in_z4_inclusion_of_indices_fails():
-    z2, z4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+    z2, z4 = cyclic(2), cyclic(4)
     e = SubgroupEmbedding(z2, z4, [0, 1])
     with pytest.raises(NotHomomorphism):
         e.validate()
 
 
 def test_embedding_not_injective():
-    z2, z4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+    z2, z4 = cyclic(2), cyclic(4)
     with pytest.raises(NotInjective):
         SubgroupEmbedding(z2, z4, [0, 0]).validate()
 
@@ -125,7 +126,7 @@ def test_sl2z_datum_embeddings_match_integer_matrices(sl2z):
 
 
 def test_right_cosets_partition():
-    z6 = FiniteGroup.cyclic(6)
+    z6 = cyclic(6)
     cosets = z6.right_cosets([0, 3])
     assert cosets == [[0, 3], [1, 4], [2, 5]]
 
@@ -238,3 +239,48 @@ def test_generating_set_generates(name):
         core = group.p_core(p)
         assert _generated(group, group.generating_set(core)) == set(core)
     assert group.generating_set([group.identity]) == []
+
+
+def _set_generating_set(group, elements):
+    """generating_set's rule on the closure by Python sets."""
+    gens, reached = [], {group.identity}
+    for x in elements:
+        if x not in reached:
+            gens.append(x)
+            reached = _generated(group, gens)
+    return gens
+
+
+def _set_p_core(group, p):
+    """p_core's rule on the closure by Python sets: the union of the conjugacy
+    classes whose generated subgroup is a p-group."""
+    core = set()
+    for x in range(group.order):
+        cls = {group.mul(group.inv(g), group.mul(x, g)) for g in range(group.order)}
+        order = len(_generated(group, cls))
+        while p and order % p == 0:
+            order //= p
+        if order == 1:
+            core |= cls
+    return sorted(core)
+
+
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.name)
+def test_closure_agrees_with_the_set_closure(path):
+    """p_core, generating_set and generators of every group of the bundled and
+    bench files equal the same rules on a closure by Python sets."""
+    d = parse(str(path)).datum
+    rng = np.random.default_rng(7)
+    for group in (d.K1, d.K2, d.I):
+        for p in (0, 2, 3, 5, 7):
+            core = group.p_core(p)
+            assert core == _set_p_core(group, p)
+            order = core + [x for x in range(group.order) if x not in core]
+            assert group.generating_set(order) == _set_generating_set(group, order)
+        assert list(group.generators) == (_set_generating_set(group, range(group.order))
+                                          or [group.identity])
+        for _ in range(5):
+            elements = [int(x) for x in rng.permutation(group.order)]
+            assert group.generating_set(elements) == _set_generating_set(group, elements)
+            gens = elements[: int(rng.integers(0, 3))]
+            assert set(np.flatnonzero(group._closure(gens)).tolist()) == _generated(group, gens)

@@ -31,6 +31,7 @@ from conftest import (
     grep2,
     instance_greps,
     random_grep,
+    random_matrix,
     sl2z_word_to_matrix,
     subgroup_words,
 )
@@ -376,10 +377,10 @@ def test_maps_on_blocks_are_their_column_by_column_results(all_datums):
             for _ in range(20):
                 m = rng.randrange(1, 4)
                 w = rng.choice(words)
-                block = f.random_matrix(nprng, v.dim, m)
+                block = random_matrix(f, nprng, v.dim, m)
                 assert np.array_equal(g_act(v, w, block), np.column_stack(
                     [g_act(v, w, block[:, c]) for c in range(m)]))
-                support = {d.canon(TAG_I, u).word: f.random_matrix(nprng, v.dim, m)
+                support = {d.canon(TAG_I, u).word: random_matrix(f, nprng, v.dim, m)
                            for u in rng.sample(words, 3)}
                 elem = IndElement(TAG_I, v, support)
                 for c in range(m):

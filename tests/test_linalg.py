@@ -9,12 +9,13 @@ from amalgext.linalg import (
     CochainComplex,
     CompositionNonzero,
     Field,
+    PackedSpan,
     Span,
     is_prime,
     subquotient_dim,
 )
 
-from conftest import brute_force_rank
+from conftest import brute_force_rank, random_matrix
 
 
 def test_rref_identity_f3():
@@ -36,7 +37,7 @@ def test_rref_idempotent_and_rank_nullity():
     for p in (2, 3, 7):
         f = Field(p)
         for _ in range(20):
-            a = f.random_matrix(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+            a = random_matrix(f, rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
             r, pivots = f.rref(a)
             r2, pivots2 = f.rref(r)
             assert np.array_equal(r, r2) and pivots == pivots2
@@ -46,7 +47,7 @@ def test_rref_idempotent_and_rank_nullity():
 def test_rref_rank_seeded_6x4_f7_vs_minor_oracle():
     f = Field(7)
     rng = np.random.default_rng(42)
-    a = f.random_matrix(rng, 6, 4)
+    a = random_matrix(f, rng, 6, 4)
     assert f.rank(a) == brute_force_rank(f, a)
 
 
@@ -55,7 +56,7 @@ def test_rank_matches_minor_oracle_more_fields():
     for p in (2, 3, 5):
         f = Field(p)
         for _ in range(5):
-            a = f.random_matrix(rng, 4, 5)
+            a = random_matrix(f, rng, 4, 5)
             assert f.rank(a) == brute_force_rank(f, a)
 
 
@@ -74,7 +75,7 @@ def test_kernel_of_sum_row_f2():
 def test_kernel_seeded_5x7_f3():
     f = Field(3)
     rng = np.random.default_rng(11)
-    a = f.random_matrix(rng, 5, 7)
+    a = random_matrix(f, rng, 5, 7)
     basis = f.kernel_basis(a)
     assert len(basis) == 7 - brute_force_rank(f, a)
     for v in basis:
@@ -147,7 +148,7 @@ def _random_low_rank(f, rng, m, n, k):
     """An m x n matrix of rank at most k (a product through dimension k)."""
     if k == 0 or m == 0 or n == 0:
         return f.zeros(m, n)
-    return f.matmul(f.random_matrix(rng, m, k), f.random_matrix(rng, k, n))
+    return f.matmul(random_matrix(f, rng, m, k), random_matrix(f, rng, k, n))
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 0])
@@ -210,14 +211,14 @@ def test_packed_odd_rref_is_the_dense_elimination(p, shape):
     _check_packed_against_dense(p, shape)
 
 
-@pytest.mark.parametrize("p", PACKED_PRIMES)
-@pytest.mark.parametrize("m, n", [(1, 2), (5, 5), (30, 31), (60, 31), (120, 121), (300, 301)])
-def test_packed_rref_of_shuffled_difference_rows(p, m, n):
+DIFFERENCE_SHAPES = [(1, 2), (5, 5), (30, 31), (60, 31), (120, 121), (300, 301)]
+
+
+def _difference_rows(p, m, n):
     """Rows e_i - e_j, the boundary rows of a graph on n vertices, in shuffled
     order: the sparse inputs of mv-check and chain.  The first n - 1 rows are
     a path through the vertices in random order, so the rank is
     min(m, n - 1) at every p."""
-    f = Field(p)
     rng = np.random.default_rng(m * 1000 + n + p)
     walk = rng.permutation(n)
     edges = [(walk[k], walk[k + 1]) for k in range(min(m, n - 1))]
@@ -225,7 +226,14 @@ def test_packed_rref_of_shuffled_difference_rows(p, m, n):
     a = np.zeros((m, n), dtype=np.int64)
     for row, (i, j) in enumerate(edges):
         a[row, i], a[row, j] = 1, -1
-    a = a[rng.permutation(m)]
+    return a[rng.permutation(m)]
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("m, n", DIFFERENCE_SHAPES)
+def test_packed_rref_of_shuffled_difference_rows(p, m, n):
+    f = Field(p)
+    a = _difference_rows(p, m, n)
     r, pivots = f.rref(a)
     dense, dense_pivots = f._rref_dense(f.array(a))
     assert pivots == dense_pivots and len(pivots) == min(m, n - 1)
@@ -275,7 +283,7 @@ def test_packed_rref_equals_dense_on_random_inputs(p, m, n, data):
 def test_f2_add_sub_neg_are_the_mod_2_forms():
     f = Field(2)
     rng = np.random.default_rng(2)
-    a, b = f.random_matrix(rng, 9, 65), f.random_matrix(rng, 9, 65)
+    a, b = random_matrix(f, rng, 9, 65), random_matrix(f, rng, 9, 65)
     for got, want in ((f.add(a, b), (a + b) % 2), (f.sub(a, b), (a - b) % 2), (f.neg(a), -a % 2)):
         assert got.dtype == np.int64 and np.array_equal(got, want)
     assert f.add(f.one, f.one) == 0 and f.sub(f.zeros(1)[0], f.one) == 1
@@ -287,7 +295,7 @@ def test_solve_many_matches_columnwise_solve():
         f = Field(p)
         for m, n, k in ((5, 7, 3), (7, 4, 4), (6, 6, 2), (4, 9, 4)):
             a = _random_low_rank(f, rng, m, n, k)
-            b = f.matmul(a, f.random_matrix(rng, n, 5))  # every column is consistent
+            b = f.matmul(a, random_matrix(f, rng, n, 5))  # every column is consistent
             x = f.solve_many(a, b)
             assert x.shape == (n, 5)
             for c in range(5):
@@ -301,7 +309,7 @@ def test_solve_many_is_none_when_one_column_is_inconsistent():
     for p in (2, 5, 0):
         f = Field(p)
         a = _random_low_rank(f, rng, 6, 5, 2)
-        b = f.matmul(a, f.random_matrix(rng, 5, 4))
+        b = f.matmul(a, random_matrix(f, rng, 5, 4))
         outside = next(v for v in f.eye(6) if f.solve(a, v) is None)
         b[:, 2] = outside
         assert f.solve_many(a, b) is None
@@ -332,7 +340,7 @@ def test_elimination_exact_at_the_largest_prime():
     basis = f.kernel_matrix(a)
     assert basis.shape[1] == 7 - f.rank(a)
     assert not np.any(f.matmul(a, basis))
-    b = f.matmul(a, f.random_matrix(rng, 7, 2))
+    b = f.matmul(a, random_matrix(f, rng, 7, 2))
     assert np.array_equal(f.matmul(a, f.solve_many(a, b)), b)
 
 
@@ -395,8 +403,8 @@ def test_span_reduce_vanishes_exactly_on_members(p):
         for k in range(min(m, n) + 1):
             rows = _random_low_rank(f, rng, m, n, k)
             span = Span(f, n, rows)
-            inside = f.matmul(f.random_matrix(rng, 3, m), rows) if m else f.zeros(3, n)
-            candidates = np.concatenate([inside, f.random_matrix(rng, 3, n), f.eye(n)])
+            inside = f.matmul(random_matrix(f, rng, 3, m), rows) if m else f.zeros(3, n)
+            candidates = np.concatenate([inside, random_matrix(f, rng, 3, n), f.eye(n)])
             reduced = span.reduce(candidates)
             for v, r in zip(candidates, reduced):
                 assert (not r.any()) == f.in_column_span(rows.T, v)
@@ -464,7 +472,7 @@ def test_rank_modulo_coboundaries_is_the_rank_difference(p):
         b = _random_low_rank(f, rng, m, n_b, k)
         # the image shares part of the span of b and adds at most one direction
         image = f.add(_random_low_rank(f, rng, m, n_img, 1),
-                      f.matmul(b, f.random_matrix(rng, n_b, n_img)) if n_b else f.zeros(m, n_img))
+                      f.matmul(b, random_matrix(f, rng, n_b, n_img)) if n_b else f.zeros(m, n_img))
         span = Span(f, m, b.T)
         expected = brute_force_rank(f, np.concatenate([image, b], axis=1)) - brute_force_rank(f, b)
         assert f.rank(span.reduce(image.T)) == expected
@@ -515,3 +523,64 @@ def test_each_cochain_map_costs_one_elimination(p, monkeypatch):
         for j in range(len(widths)):
             cx.coboundaries(j)
     assert len(calls) == 2 * (len(widths) - 1)
+
+
+def _dense_field(p):
+    """F_p without its packed layout: Span and rref take the dense reference path."""
+    f = Field(p)
+    f._lanes = None
+    return f
+
+
+def _check_spans_agree(packed, dense, probe):
+    """The packed and dense spans agree on everything a caller reads, and on
+    the in-order greedy pick of the probe rows."""
+    assert isinstance(packed, PackedSpan) and type(dense) is Span
+    reduced = packed.reduce(probe)
+    assert reduced.dtype == np.int64 and np.array_equal(reduced, dense.reduce(probe))
+    assert len(packed) == len(dense) and packed.pivots == dense.pivots
+    assert np.array_equal(packed.basis, dense.basis)
+    assert np.array_equal(packed.reduce(probe), reduced)  # read again, after the basis
+    rows = packed.pack(probe)
+    picked = packed.independent(rows)
+    assert picked == dense.independent(dense.pack(probe))
+    assert picked == dense.field.rref(dense.reduce(probe).T)[1]
+    assert [packed.contains(v) for v in rows] == [not r.any() for r in reduced]
+
+
+@given(p=st.sampled_from(PACKED_PRIMES), n=st.integers(0, 19), data=st.data())
+def test_packed_span_equals_the_dense_span(p, n, data):
+    """Blocks added one after another, with widths that are not whole bytes
+    (F_2) and empty blocks, then one block appended by extend as CochainComplex
+    does; a copy grows apart from its source."""
+    f, ref = Field(p), _dense_field(p)
+
+    def rows(count):
+        """count rows from a drawn seed, with a drawn share of nonzero entries."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        share = data.draw(st.sampled_from([0.0, 0.1, 0.3, 1.0]))
+        return rng.integers(0, p, size=(count, n)) * (rng.random((count, n)) < share)
+
+    packed, dense = Span(f, n), Span(ref, n)
+    for _ in range(data.draw(st.integers(0, 3))):
+        block = rows(data.draw(st.integers(0, 6)))
+        assert packed.add(block) == dense.add(block)
+        _check_spans_agree(packed, dense, rows(data.draw(st.integers(0, 4))))
+    before = (list(packed.pivots), packed.basis.copy())
+    grown, grown_dense = packed.copy(), dense.copy()
+    echelon, pivots = f.rref(grown.reduce(rows(3)))
+    grown.extend(echelon[: len(pivots)], pivots)
+    grown_dense.extend(echelon[: len(pivots)], pivots)
+    _check_spans_agree(grown, grown_dense, rows(3))
+    assert packed.pivots == before[0] and np.array_equal(packed.basis, before[1])
+    _check_spans_agree(packed, dense, rows(2))
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("m, n", DIFFERENCE_SHAPES)
+def test_packed_span_of_shuffled_difference_rows(p, m, n):
+    a = Field(p).array(_difference_rows(p, m, n))
+    packed, dense = Span(Field(p), n), Span(_dense_field(p), n)
+    for block in np.array_split(a, 3):
+        assert packed.add(block) == dense.add(block)
+    _check_spans_agree(packed, dense, a[: min(m, 40)])

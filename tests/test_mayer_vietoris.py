@@ -20,7 +20,7 @@ from amalgext.mayer_vietoris import (
 )
 from amalgext.resolutions import coefficient_delta, ext_finite, free_resolution
 
-from conftest import INSTANCE_FILES, grep2, instance_greps, random_grep
+from conftest import INSTANCE_FILES, cyclic, grep2, instance_greps, random_grep
 
 
 def test_chain_lift_degree_zero_compatibility(sl2z):
@@ -188,7 +188,7 @@ def test_abelianization_oracle_matches_row_by_row_relations(all_datums):
     emb = SubgroupEmbedding(s3, s4, mapping)
     assert emb.validate()
     # a trivial group has an empty generating set; in 1 *_1 1 only c(ee) = c(e) + c(e) pins c(e)
-    one, z4 = FiniteGroup.cyclic(1), FiniteGroup.cyclic(4)
+    one, z4 = cyclic(1), cyclic(4)
     into_one = SubgroupEmbedding(one, one, [0])
     datums = list(all_datums) + [
         AmalgamDatum(s4, s4, s3, emb, emb, name="s4-s3-s4"),

@@ -5,35 +5,34 @@ import pytest
 
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
 from amalgext.groups import FiniteGroup
-from amalgext.induction import conjugate_grep, grep_from_generators
+from amalgext.induction import grep_from_generators
 from amalgext.instfile import parse
 from amalgext.linalg import Field
 from amalgext.reps import (
     KModule,
-    conjugate_module,
     hom_space,
     module_from_generators,
     regular_module,
     trivial_module,
 )
 
-from conftest import INSTANCE_FILES
+from conftest import INSTANCE_FILES, conjugate_grep, conjugate_module, cyclic, random_invertible
 
 
 def sign_module_z2(field):
-    z2 = FiniteGroup.cyclic(2)
+    z2 = cyclic(2)
     return KModule(z2, field, [field.eye(1), field.array([[-1]])])
 
 
 def test_module_validation_catches_broken_action():
-    z2 = FiniteGroup.cyclic(2)
+    z2 = cyclic(2)
     f = Field(3)
     with pytest.raises(ValueError):
         KModule(z2, f, [f.eye(2), f.array([[1, 1], [0, 1]])])  # order 3 mod 3, not 2
 
 
 def test_hom_space_trivial_pair():
-    z2 = FiniteGroup.cyclic(2)
+    z2 = cyclic(2)
     f = Field(3)
     t = trivial_module(z2, f)
     assert len(hom_space(t, t)) == 1
@@ -41,7 +40,7 @@ def test_hom_space_trivial_pair():
 
 def test_hom_space_trivial_vs_sign_f3():
     f = Field(3)
-    t = trivial_module(FiniteGroup.cyclic(2), f)
+    t = trivial_module(cyclic(2), f)
     s = sign_module_z2(f)
     # different groups objects would be rejected; rebuild over one group
     s2 = KModule(t.group, f, [f.eye(1), f.array([[-1]])])
@@ -49,7 +48,7 @@ def test_hom_space_trivial_vs_sign_f3():
 
 
 def test_hom_space_regular_z3_vs_trivial_f2_brute_force():
-    z3 = FiniteGroup.cyclic(3)
+    z3 = cyclic(3)
     f = Field(2)
     reg = regular_module(z3, f)
     triv = trivial_module(z3, f)
@@ -65,23 +64,23 @@ def test_hom_space_regular_z3_vs_trivial_f2_brute_force():
 
 
 def test_hom_space_dimension_invariant_under_basis_change():
-    z4 = FiniteGroup.cyclic(4)
+    z4 = cyclic(4)
     f = Field(2)
     rng = np.random.default_rng(3)
     v = regular_module(z4, f)
     w = trivial_module(z4, f, 2)
     d0 = len(hom_space(v, w))
-    p = f.random_invertible(rng, v.dim)
-    q = f.random_invertible(rng, w.dim)
+    p = random_invertible(f, rng, v.dim)
+    q = random_invertible(f, rng, w.dim)
     assert len(hom_space(conjugate_module(v, p), conjugate_module(w, q))) == d0
 
 
 def test_module_from_generators_detects_relation_violation():
-    z3 = FiniteGroup.cyclic(3)
+    z3 = cyclic(3)
     f = Field(5)
     with pytest.raises(ValueError):
         module_from_generators(z3, f, {1: f.array([[2]])})  # 2^3 = 8 != 1 mod 5
-    z4 = FiniteGroup.cyclic(4)
+    z4 = cyclic(4)
     m = module_from_generators(z4, f, {1: f.array([[2, 0], [0, 3]])})
     m.validate()
 
@@ -127,12 +126,12 @@ def _modules_by_group(path, f):
     for tag, g in groups.items():
         if g.order <= (8 if f.p else 4):
             reg = regular_module(g, f)
-            out[tag] += [reg, conjugate_module(reg, f.random_invertible(rng, reg.dim))]
+            out[tag] += [reg, conjugate_module(reg, random_invertible(f, rng, reg.dim))]
     modules, greps = _file_pieces(inst, f)
     for tag, m in modules:
         out[tag].append(m)
     for v in greps:
-        v = conjugate_grep(v, f.random_invertible(rng, v.dim))
+        v = conjugate_grep(v, random_invertible(f, rng, v.dim))
         for tag in groups:
             out[tag].append(v.module(tag))
     return out
@@ -216,7 +215,7 @@ def test_generator_check_agrees_with_the_all_pairs_law(path, p):
     for g in (FiniteGroup([[0]]), d.K1, d.K2, d.I):
         if g.order <= (24 if p else 8):
             reg = regular_module(g, f)
-            modules += [reg, conjugate_module(reg, f.random_invertible(rng, reg.dim))]
+            modules += [reg, conjugate_module(reg, random_invertible(f, rng, reg.dim))]
     file_modules, greps = _file_pieces(inst, f)
     modules += [m for _, m in file_modules]
     modules += [v.module(tag) for v in greps for tag in (TAG_K1, TAG_K2, TAG_I)]
@@ -230,7 +229,7 @@ def test_generator_check_agrees_with_the_all_pairs_law(path, p):
 
 
 def test_module_from_generators_refuses_a_matrix_for_the_identity():
-    z3 = FiniteGroup.cyclic(3)
+    z3 = cyclic(3)
     f = Field(5)
     # even the identity matrix: the closure would otherwise never read it
     for given in (f.eye(1), f.array([[2]])):

@@ -14,7 +14,6 @@ from amalgext.induction import grep_from_generators, trivial_grep
 from amalgext.instfile import parse
 from amalgext.linalg import Field, Span
 from amalgext.reps import (
-    conjugate_module,
     hom_space,
     module_from_generators,
     regular_module,
@@ -27,6 +26,8 @@ from amalgext.resolutions import (
     ext_finite,
     free_resolution,
 )
+
+from conftest import conjugate_module, cyclic, direct_sum_module, random_invertible, random_matrix
 
 
 def random_algebra_matrix(group, field, rng, rows, cols):
@@ -49,7 +50,7 @@ def convolution(group, field, a, b):
 
 def test_expansion_is_multiplicative():
     rng = random.Random(12)
-    groups = (FiniteGroup.cyclic(4), FiniteGroup.cyclic(6), FiniteGroup.cyclic(3),
+    groups = (cyclic(4), cyclic(6), cyclic(3),
               FiniteGroup.from_permutations([[1, 0, 2], [1, 2, 0]]))
     for group, p in zip(groups, (2, 3, 5, 3)):
         f = Field(p)
@@ -64,7 +65,7 @@ def test_expansion_is_multiplicative():
 
 
 def test_algebra_multiplication_against_regular_action():
-    group = FiniteGroup.cyclic(6)
+    group = cyclic(6)
     f = Field(3)
     rng = random.Random(3)
     reg = regular_module(group, f)
@@ -77,7 +78,7 @@ def test_algebra_multiplication_against_regular_action():
 
 def test_algebra_multiplication_exact_at_the_largest_prime():
     f = Field(3037000493)
-    z2 = FiniteGroup.cyclic(2)
+    z2 = cyclic(2)
     top = AlgebraMatrix(z2, f, f.array([[[f.p - 1, f.p - 1]]]))
     # (1 + s)(1 + s) with both coefficients -1: each coefficient is 2 (p - 1)^2 = 2 mod p
     assert top.mul(top).coeffs.tolist() == [[[2, 2]]]
@@ -88,8 +89,8 @@ def test_coefficient_delta_exact_at_the_largest_prime():
     s3 = FiniteGroup.from_permutations([[1, 0, 2], [1, 2, 0]])
     rng = np.random.default_rng(8)
     # a conjugate of the regular module has action entries of full size
-    w = conjugate_module(regular_module(s3, f), f.random_invertible(rng, s3.order))
-    diff = AlgebraMatrix(s3, f, f.random_matrix(rng, 2, 3 * s3.order).reshape(2, 3, s3.order))
+    w = conjugate_module(regular_module(s3, f), random_invertible(f, rng, s3.order))
+    diff = AlgebraMatrix(s3, f, random_matrix(f, rng, 2, 3 * s3.order).reshape(2, 3, s3.order))
     dw = w.dim
     delta = coefficient_delta(diff, w)
     for i in range(2):
@@ -101,7 +102,7 @@ def test_coefficient_delta_exact_at_the_largest_prime():
 
 def periodic_resolution_z2(field) -> FreeResolution:
     """The explicit rank-one periodic resolution of k over k[Z/2] in char 2."""
-    z2 = FiniteGroup.cyclic(2)
+    z2 = cyclic(2)
     res = FreeResolution(trivial_module(z2, field))
     step = AlgebraMatrix(z2, field, field.array([[[1, 1]]]))
     for _ in range(6):
@@ -112,7 +113,7 @@ def periodic_resolution_z2(field) -> FreeResolution:
 
 def periodic_resolution_z4(field) -> FreeResolution:
     """Alternating 1+s and 1+s+s^2+s^3 over k[Z/4] in char 2."""
-    z4 = FiniteGroup.cyclic(4)
+    z4 = cyclic(4)
     res = FreeResolution(trivial_module(z4, field))
     one_plus = AlgebraMatrix(z4, field, field.array([[[1, 1, 0, 0]]]))
     norm = AlgebraMatrix(z4, field, field.array([[[1, 1, 1, 1]]]))
@@ -128,7 +129,7 @@ def test_explicit_periodic_resolutions_are_exact():
     assert periodic_resolution_z4(f).verify(5)
 
 
-VERIFY_CASES = [(FiniteGroup.cyclic(4), 2),
+VERIFY_CASES = [(cyclic(4), 2),
                 (FiniteGroup.from_permutations([[1, 0, 2], [1, 2, 0]]), 2),
                 (FiniteGroup.from_permutations([[1, 0, 2], [1, 2, 0]]), 3)]
 
@@ -171,7 +172,7 @@ def test_verify_names_a_non_surjective_augmentation(group, p):
 
 def test_computed_resolution_exact_and_matches_periodic_oracle_z2():
     f = Field(2)
-    z2 = FiniteGroup.cyclic(2)
+    z2 = cyclic(2)
     triv = trivial_module(z2, f)
     res = free_resolution(triv, 5)
     assert res.verify(5)
@@ -182,7 +183,7 @@ def test_computed_resolution_exact_and_matches_periodic_oracle_z2():
 
 def test_computed_resolution_matches_periodic_oracle_z4():
     f = Field(2)
-    z4 = FiniteGroup.cyclic(4)
+    z4 = cyclic(4)
     triv = trivial_module(z4, f)
     computed = ext_finite(triv, triv, 4).dims
     oracle = ext_finite(triv, triv, 4, resolution=periodic_resolution_z4(f)).dims
@@ -191,7 +192,7 @@ def test_computed_resolution_matches_periodic_oracle_z4():
 
 def test_semisimple_case_vanishes():
     f = Field(2)
-    z3 = FiniteGroup.cyclic(3)
+    z3 = cyclic(3)
     triv = trivial_module(z3, f)
     assert ext_finite(triv, triv, 4).dims == [1, 0, 0, 0, 0]
     res = free_resolution(triv, 3)
@@ -201,7 +202,7 @@ def test_semisimple_case_vanishes():
 def test_z6_char2_matches_z2_factor_oracle():
     # Z/6 = Z/2 x Z/3 and char-2 cohomology sees only the Z/2 factor
     f = Field(2)
-    z6 = FiniteGroup.cyclic(6)
+    z6 = cyclic(6)
     triv = trivial_module(z6, f)
     res2 = periodic_resolution_z2(f)
     t2 = res2.module
@@ -211,7 +212,7 @@ def test_z6_char2_matches_z2_factor_oracle():
 
 def test_z2_char3_trivial_ext():
     f = Field(3)
-    z2 = FiniteGroup.cyclic(2)
+    z2 = cyclic(2)
     triv = trivial_module(z2, f)
     assert ext_finite(triv, triv, 4).dims == [1, 0, 0, 0, 0]
 
@@ -219,19 +220,17 @@ def test_z2_char3_trivial_ext():
 def test_ext_degree_zero_equals_intertwiner_dimension():
     rng = np.random.default_rng(21)
     f2, f3 = Field(2), Field(3)
-    from amalgext.reps import conjugate_module, direct_sum_module
-
     cases = []
     for p, f in ((2, f2), (3, f3)):
         for n in (2, 3, 4, 6):
-            group = FiniteGroup.cyclic(n)
+            group = cyclic(n)
             pieces = [trivial_module(group, f), regular_module(group, f)]
             for _ in range(3):
                 a = pieces[int(rng.integers(0, 2))]
                 b = pieces[int(rng.integers(0, 2))]
                 if rng.integers(0, 2):
                     a = conjugate_module(direct_sum_module(a, trivial_module(group, f)),
-                                         f.random_invertible(rng, a.dim + 1))
+                                         random_invertible(f, rng, a.dim + 1))
                 cases.append((a, b))
     assert len(cases) >= 20
     for v, w in cases:
@@ -240,7 +239,7 @@ def test_ext_degree_zero_equals_intertwiner_dimension():
 
 def test_resolution_of_higher_dimensional_module():
     f = Field(2)
-    z4 = FiniteGroup.cyclic(4)
+    z4 = cyclic(4)
     reg = regular_module(z4, f)
     res = free_resolution(reg, 3)
     assert res.verify(3)
@@ -250,7 +249,7 @@ def test_resolution_of_higher_dimensional_module():
 
 def test_coefficient_complex_squares_to_zero():
     f = Field(2)
-    z6 = FiniteGroup.cyclic(6)
+    z6 = cyclic(6)
     triv = trivial_module(z6, f)
     res = free_resolution(triv, 5)
     w = regular_module(z6, f)
@@ -455,7 +454,7 @@ def test_nakayama_ranks_are_minimal_on_d8_and_z4():
     f = Field(2)
     d8 = FiniteGroup.from_permutations([[1, 2, 3, 0], [0, 3, 2, 1]])
     assert free_resolution(trivial_module(d8, f), 9).ranks == list(range(1, 11))
-    assert free_resolution(trivial_module(FiniteGroup.cyclic(4), f), 9).ranks == [1] * 10
+    assert free_resolution(trivial_module(cyclic(4), f), 9).ranks == [1] * 10
 
 
 def test_resolution_is_the_same_in_a_fresh_process():
