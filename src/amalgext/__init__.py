@@ -5,7 +5,6 @@ from amalgext.groups import FiniteGroup, SubgroupEmbedding
 from amalgext.reps import (
     KModule,
     trivial_module,
-    regular_module,
     hom_space,
     restrict_module,
 )

@@ -465,12 +465,22 @@ def _layout(lanes: tuple[int, int, int], width: int) -> tuple[np.dtype, int, int
             8 * stride // bits - 1, int.from_bytes(quot * width, "big"))
 
 
+def array_key(a: np.ndarray) -> tuple:
+    """A key equal for two arrays exactly when shape, dtype and entries are: the
+    bytes, or over Q the entries (an object array's bytes are pointers)."""
+    return a.shape, a.dtype.str, tuple(a.flat) if a.dtype == object else a.tobytes()
+
+
 class CochainComplex:
     """C^0 -> C^1 -> ... with deltas[j]: C^j -> C^{j+1}, cohomology read at degrees 0..len-1.
 
-    Each map is eliminated once, by the rref of [delta_j^T | I].  The rows with
-    a pivot in the left block are the rref of delta_j^T, the coboundary span of
-    degree j+1; the right blocks of the other rows are the cocycles[j] columns.
+    Each distinct map is eliminated once, by the rref of [delta_j^T | I].  The
+    rows with a pivot in the left block are the rref of delta_j^T, the
+    coboundary span of degree j+1; the right blocks of the other rows are the
+    cocycles[j] columns.  A map equal to an earlier one shares its span and
+    cocycles, which is exact because callers only read them (reduce against a
+    span, multiply by cocycles).  Every consecutive pair is checked to compose
+    to zero.
     """
 
     def __init__(self, field: Field, deltas):
@@ -481,14 +491,19 @@ class CochainComplex:
                 raise CompositionNonzero(j)
         self.cocycles = []
         self._coboundaries = [Span(field, deltas[0].shape[1])] if deltas else []
+        seen = {}  # array_key of a map -> (its coboundary span, its cocycles)
         for d in deltas:
-            tgt, src = d.shape
-            r, pivots = field.rref(np.concatenate([d.T, field.eye(src)], axis=1))
-            rank = sum(c < tgt for c in pivots)
-            span = Span(field, tgt)
-            span.extend(r[:rank, :tgt], pivots[:rank])
+            key = array_key(d)
+            if key not in seen:
+                tgt, src = d.shape
+                r, pivots = field.rref(np.concatenate([d.T, field.eye(src)], axis=1))
+                rank = sum(c < tgt for c in pivots)
+                span = Span(field, tgt)
+                span.extend(r[:rank, :tgt], pivots[:rank])
+                seen[key] = span, r[rank:, tgt:].T.copy()
+            span, cocycles = seen[key]
             self._coboundaries.append(span)
-            self.cocycles.append(r[rank:, tgt:].T.copy())
+            self.cocycles.append(cocycles)
         self.dims = [z.shape[1] - len(b) for z, b in zip(self.cocycles, self._coboundaries)]
 
     def coboundaries(self, j: int) -> Span:

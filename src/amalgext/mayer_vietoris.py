@@ -14,7 +14,7 @@ import numpy as np
 
 from amalgext.amalgam import AmalgamDatum, TAG_I, TAG_K1, TAG_K2
 from amalgext.induction import GRep
-from amalgext.linalg import CochainComplex, Field
+from amalgext.linalg import CochainComplex, Field, array_key
 from amalgext.reps import hom_space, intertwiner_constraints
 from amalgext.resolutions import (
     AlgebraMatrix,
@@ -34,6 +34,9 @@ def chain_lift_pi(datum: AmalgamDatum, side: int, q: FreeResolution, p: FreeReso
     of one degree from a single elimination, taking the first
     back-substitution solution each time.
     Exactness of P guarantees a solution; failure signals a broken resolution.
+    phi_j depends only on d_P,j, d_Q,j and phi_{j-1}, so a degree where that
+    triple repeats (periodic resolutions share their differential objects)
+    reuses the earlier lift, read-only like the differentials.
     """
     emb = datum.emb1 if side == 1 else datum.emb2
     K = emb.target
@@ -47,15 +50,19 @@ def chain_lift_pi(datum: AmalgamDatum, side: int, q: FreeResolution, p: FreeReso
     targets = f.eye(q.module.dim)[:, : q.ranks[0]]
     lifts.append(_lift_degree(f, K, p.diff_operator(0), targets, p.ranks[0],
                               "degree-0 lift has no solution; augmentation not surjective"))
+    seen = {}  # (d_P,j, d_Q,j, array_key of phi_{j-1}) -> phi_j, for lifts that succeeded
     for j in range(1, length + 1):
         if not q.ranks[j]:  # Q has stopped, so the lift starts from the zero module
             lifts.append(AlgebraMatrix(K, f, f.zeros(0, p.ranks[j], n)))
             continue
-        # row i of d_indQ is the image of basis row i
-        rows = q.diffs[j].map_entries(emb).coeffs.reshape(q.ranks[j], -1)
-        targets = f.matmul(lifts[j - 1].operator(), rows.T)
-        lifts.append(_lift_degree(f, K, p.diff_operator(j), targets, p.ranks[j],
-                                  f"degree-{j} lift has no solution"))
+        key = p.diffs[j], q.diffs[j], array_key(lifts[j - 1].coeffs)
+        if key not in seen:
+            # row i of d_indQ is the image of basis row i
+            rows = q.diffs[j].map_entries(emb).coeffs.reshape(q.ranks[j], -1)
+            targets = f.matmul(lifts[j - 1].operator(), rows.T)
+            seen[key] = _lift_degree(f, K, p.diff_operator(j), targets, p.ranks[j],
+                                     f"degree-{j} lift has no solution")
+        lifts.append(seen[key])
     return lifts
 
 

@@ -54,14 +54,6 @@ def trivial_module(group: FiniteGroup, field: Field, dim: int = 1) -> KModule:
     return KModule(group, field, np.broadcast_to(field.eye(dim), (group.order, dim, dim)))
 
 
-def regular_module(group: FiniteGroup, field: Field) -> KModule:
-    n = group.order
-    mats = field.zeros(n, n, n)
-    # g sends basis vector h to basis vector gh
-    mats[np.arange(n)[:, None], group.table, np.arange(n)] = field.one
-    return KModule(group, field, mats)
-
-
 def module_from_generators(group: FiniteGroup, field: Field, gen_mats: dict[int, np.ndarray]) -> KModule:
     """Extend matrices given on generators to the whole group by closure.
 

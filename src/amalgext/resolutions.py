@@ -20,7 +20,7 @@ import random
 import numpy as np
 
 from amalgext.groups import FiniteGroup, SubgroupEmbedding
-from amalgext.linalg import CochainComplex, CompositionNonzero, Field, Span
+from amalgext.linalg import CochainComplex, CompositionNonzero, Field, Span, array_key
 from amalgext.reps import KModule
 
 
@@ -106,6 +106,11 @@ class FreeResolution:
     the same result.  For a p-group, O = G and no candidate is ever compared:
     the generators lift a basis of M / J M, so from degree 2 on the ranks are
     dim Ext^j(V, k).
+
+    d_{j+1} is a function of d_j (its kernel; the generator is seeded on every
+    call), so once d_j equals an earlier d_i, as under periodic cohomology,
+    d_{j+1} is the object d_{i+1}, with no elimination.  Sharing is exact:
+    nothing writes into an AlgebraMatrix's coeffs or operator once it is built.
     """
 
     def __init__(self, module: KModule):
@@ -126,6 +131,7 @@ class FreeResolution:
         self._coset_reps = sorted({min(int(self.group.table[h, o]) for o in core)
                                    for h in range(self.group.order)})
         self._trials = min(SAMPLE_TRIALS, SAMPLE_ROWS // len(self._coset_reps))
+        self._next: dict[tuple, AlgebraMatrix] = {}  # array_key of d_j -> d_{j+1}, j >= 1
 
     def diff_operator(self, j: int) -> np.ndarray:
         """The column-convention operator of d_j: F_j -> F_{j-1}, d_0 the augmentation."""
@@ -143,13 +149,16 @@ class FreeResolution:
         n = self.group.order
         j = self.length()
         prev_rank = self.ranks[j]
-        if prev_rank == 0:
-            self.ranks.append(0)
-            self.diffs.append(AlgebraMatrix(self.group, f, f.zeros(0, 0, n)))
-            return
-        gens = self._module_generators(f.kernel_matrix(self.diff_operator(j)).T, prev_rank)
-        self.ranks.append(len(gens))
-        self.diffs.append(AlgebraMatrix(self.group, f, gens.reshape(len(gens), prev_rank, n)))
+        key = array_key(self.diffs[j].coeffs) if j else None
+        d = self._next.get(key)
+        if d is None:
+            gens = (self._module_generators(f.kernel_matrix(self.diff_operator(j)).T, prev_rank)
+                    if prev_rank else f.zeros(0, 0))
+            d = AlgebraMatrix(self.group, f, gens.reshape(len(gens), prev_rank, n))
+            if j:
+                self._next[key] = d
+        self.ranks.append(d.rows)
+        self.diffs.append(d)
 
     def _module_generators(self, kernel: np.ndarray, rank: int) -> np.ndarray:
         """Algebra generators, as rows, of the group-stable span M of the kernel rows.

@@ -57,6 +57,14 @@ def cyclic(n: int) -> FiniteGroup:
     return FiniteGroup(table, labels=labels, name=f"Z/{n}")
 
 
+def regular_module(group: FiniteGroup, field: Field) -> KModule:
+    """k[group] acting on itself by left multiplication: g sends basis vector h to gh."""
+    n = group.order
+    mats = field.zeros(n, n, n)
+    mats[np.arange(n)[:, None], group.table, np.arange(n)] = field.one
+    return KModule(group, field, mats)
+
+
 def random_matrix(field, rng: np.random.Generator, m, n) -> np.ndarray:
     """Seeded entries, uniform over F_p and in -5..5 over Q."""
     if field.p:

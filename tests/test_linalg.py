@@ -11,11 +11,12 @@ from amalgext.linalg import (
     Field,
     PackedSpan,
     Span,
+    array_key,
     is_prime,
     subquotient_dim,
 )
 
-from conftest import brute_force_rank, random_matrix
+from conftest import brute_force_rank, random_invertible, random_matrix
 
 
 def test_rref_identity_f3():
@@ -523,6 +524,65 @@ def test_each_cochain_map_costs_one_elimination(p, monkeypatch):
         for j in range(len(widths)):
             cx.coboundaries(j)
     assert len(calls) == 2 * (len(widths) - 1)
+
+
+def _periodic_pair(f, rng):
+    """Maps A, B of k[Z/3] + k with AB = BA = 0: 1 - s and the norm 1 + s + s^2 on
+    the regular summand, zero on the trivial one, in a random basis."""
+    a, b = f.zeros(4, 4), f.zeros(4, 4)
+    for i in range(3):
+        a[i, i], a[(i + 1) % 3, i] = f.one, f.neg(f.one)
+        b[:3, i] = f.one
+    conj = random_invertible(f, rng, 4)
+    inverse = f.solve_many(conj, f.eye(4))
+    return f.matmul(f.matmul(conj, a), inverse), f.matmul(f.matmul(conj, b), inverse)
+
+
+@pytest.mark.parametrize("p", [3, 0])
+def test_cochain_complex_with_repeated_maps(p, monkeypatch):
+    """[A, B, A, B, A] has at each degree the cohomology of its two neighbouring
+    maps alone, and eliminates each distinct map once, also when the repeats
+    are equal arrays held in different objects."""
+    f = Field(p)
+    a, b = _periodic_pair(f, np.random.default_rng(1000 + p))
+    assert not f.matmul(a, b).any() and not f.matmul(b, a).any()
+    deltas = [a, b, a.copy(), b.copy(), a.copy()]
+    calls = []
+    rref = Field.rref
+
+    def counting(self, m):
+        calls.append(np.shape(m))
+        return rref(self, m)
+
+    monkeypatch.setattr(Field, "rref", counting)
+    cx = CochainComplex(f, deltas)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    around = [f.zeros(4, 0)] + deltas + [f.zeros(0, 4)]
+    assert cx.dims == [subquotient_dim(f, around[j], around[j + 1]) for j in range(5)]
+    assert cx.dims == [2, 1, 1, 1, 1]
+    assert cx.coboundaries(1) is cx.coboundaries(3) is cx.coboundaries(5)
+    assert cx.cocycles[1] is cx.cocycles[3]
+
+
+@pytest.mark.parametrize("p", [3, 0])
+def test_cochain_complex_tells_equal_bytes_of_other_shapes_apart(p):
+    f = Field(p)
+    assert array_key(f.zeros(2, 3)) != array_key(f.zeros(3, 2))
+    cx = CochainComplex(f, [f.zeros(2, 3), f.zeros(3, 2), f.zeros(2, 3)])
+    assert cx.dims == [3, 2, 3]
+    assert [z.shape for z in cx.cocycles] == [(3, 3), (2, 2), (3, 3)]
+    assert [len(cx.coboundaries(j)) for j in range(4)] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("p", [3, 0])
+def test_cochain_complex_checks_every_pair_of_repeated_maps(p):
+    """A repeated map is still checked against the map before it."""
+    f = Field(p)
+    a, b = _periodic_pair(f, np.random.default_rng(1100 + p))
+    with pytest.raises(CompositionNonzero) as exc:
+        CochainComplex(f, [a, b, a, a.copy(), b])
+    assert exc.value.degree == 3
 
 
 def _dense_field(p):

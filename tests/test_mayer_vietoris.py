@@ -8,6 +8,7 @@ from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2, AmalgamDatum
 from amalgext.cli import run
 from amalgext.groups import FiniteGroup, SubgroupEmbedding
 from amalgext.induction import trivial_grep
+from amalgext.instfile import parse
 from amalgext.linalg import Field
 from amalgext.mayer_vietoris import (
     MVComplex,
@@ -63,6 +64,41 @@ def test_chain_lift_equations_hold(all_datums):
                 lhs = ind_d.mul(lifts[j - 1])
                 rhs = lifts[j].mul(p.diffs[j])
                 assert np.array_equal(lhs.coeffs, rhs.coeffs)
+
+
+# (file, p) whose factor resolutions repeat while Q keeps a nonzero rank, so
+# that chain_lift_pi meets a degree it has lifted before
+LIFTS_REPEAT = {("sl2z", 2), ("sl2z", 3), ("sl2z-f5", 2), ("sl2z-f5", 3), ("gl2z", 3),
+                ("s4-s3-s4", 3)}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.name)
+def test_a_reused_lift_is_the_one_a_fresh_solve_gives(path, p):
+    """Each lift through degree 12 has the bytes of the first back-substitution
+    solution from the lift before it, and a degree whose differentials and lift
+    before repeat an earlier degree's holds that degree's lift object."""
+    f = Field(p)
+    greps = instance_greps(path, p)
+    d = greps[0].datum
+    reused = 0
+    for v in greps:
+        q = free_resolution(v.module(TAG_I), 12)
+        for side, emb, tag in ((1, d.emb1, TAG_K1), (2, d.emb2, TAG_K2)):
+            res = free_resolution(v.module(tag), 12)
+            lifts = chain_lift_pi(d, side, q, res, 12)
+            first = {}
+            for j in range(1, 13):
+                if not q.ranks[j]:
+                    continue
+                rows = q.diffs[j].map_entries(emb).coeffs.reshape(q.ranks[j], -1)
+                sols = f.solve_many(res.diff_operator(j), f.matmul(lifts[j - 1].operator(), rows.T))
+                assert lifts[j].coeffs.tobytes() == sols.T.tobytes()
+                key = id(res.diffs[j]), id(q.diffs[j]), lifts[j - 1].coeffs.tobytes()
+                if first.setdefault(key, j) < j:
+                    assert lifts[j] is lifts[first[key]]
+                    reused += 1
+    assert bool(reused) == ((path.stem, p) in LIFTS_REPEAT)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -329,3 +365,28 @@ def test_les_gl2z_f2_signs4_report_is_pinned():
     code, text = run(["les", str(path), "--char", "2", "--degree", "6", "--v1", "triv", "--v2", "signs4"])
     assert code == 0
     assert text.splitlines() == GL2Z_F2_SIGNS4_LES
+
+
+S4_S3_S4 = Path(__file__).resolve().parents[1] / "bench" / "instances" / "s4-s3-s4.amg"
+
+
+def test_ext_s4_s3_s4_f3_is_periodic_through_degree_40():
+    """At F3, restriction from S4 to S3 is an isomorphism on cohomology (S3 is the
+    normalizer of a Sylow 3-subgroup), so Ext over G is H*(S3; F3): 1 at degrees
+    0 and 3 mod 4, else 0.  The factor resolutions repeat from low degree on."""
+    v = parse(str(S4_S3_S4)).build(3).grep("triv")
+    assert ext_G(v, v, 40) == [1 if j % 4 in (0, 3) else 0 for j in range(41)]
+
+
+def test_ext_s4_s3_s4_f2_matches_the_closed_form_through_degree_16():
+    """At F2, restriction H*(S4) -> H*(S3) is onto, so Mayer-Vietoris splits: Ext^j
+    over G is 2 h(j) - 1 for j >= 1, with h(j) = dim H^j(S4; F2), whose Poincare
+    series is (1 + t^2) / ((1 - t)(1 - t^3)), and dim H^j(S3; F2) = 1."""
+    v = parse(str(S4_S3_S4)).build(2).grep("triv")
+
+    def h(j):
+        return j // 3 + (j + 1) // 3 + 1
+
+    dims = ext_G(v, v, 16)
+    assert dims == [1] + [2 * h(j) - 1 for j in range(1, 17)]
+    assert dims == [1, 1, 3, 5, 5, 7, 9, 9, 11, 13, 13, 15, 17, 17, 19, 21, 21]

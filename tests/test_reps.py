@@ -12,11 +12,17 @@ from amalgext.reps import (
     KModule,
     hom_space,
     module_from_generators,
-    regular_module,
     trivial_module,
 )
 
-from conftest import INSTANCE_FILES, conjugate_grep, conjugate_module, cyclic, random_invertible
+from conftest import (
+    INSTANCE_FILES,
+    conjugate_grep,
+    conjugate_module,
+    cyclic,
+    random_invertible,
+    regular_module,
+)
 
 
 def sign_module_z2(field):

@@ -12,11 +12,10 @@ from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
 from amalgext.groups import FiniteGroup
 from amalgext.induction import grep_from_generators, trivial_grep
 from amalgext.instfile import parse
-from amalgext.linalg import Field, Span
+from amalgext.linalg import Field, Span, array_key
 from amalgext.reps import (
     hom_space,
     module_from_generators,
-    regular_module,
     trivial_module,
 )
 from amalgext.resolutions import (
@@ -27,7 +26,16 @@ from amalgext.resolutions import (
     free_resolution,
 )
 
-from conftest import conjugate_module, cyclic, direct_sum_module, random_invertible, random_matrix
+from conftest import (
+    INSTANCE_FILES,
+    conjugate_module,
+    cyclic,
+    direct_sum_module,
+    instance_greps,
+    random_invertible,
+    random_matrix,
+    regular_module,
+)
 
 
 def random_algebra_matrix(group, field, rng, rows, cols):
@@ -482,3 +490,65 @@ def test_resolution_is_the_same_in_a_fresh_process():
         assert done.stdout.strip() == str(here.ranks)
         there = np.load(out)
     assert np.array_equal(there, np.concatenate([d.coeffs.reshape(-1) for d in here.diffs[1:]]))
+
+
+REUSE_DEGREE = 12
+
+
+def _distinct_factor_modules(path, p):
+    """The K1, K2 and I modules of every representation of the file over F_p, each once."""
+    modules = {}
+    for grep in instance_greps(path, p):
+        for tag in (TAG_K1, TAG_K2, TAG_I):
+            module = grep.module(tag)
+            modules.setdefault((id(module.group), array_key(module.mats)), module)
+    return list(modules.values())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.name)
+def test_a_stored_differential_is_the_one_its_predecessor_determines(path, p):
+    """d_{j+1} recomputed from d_j alone has the stored bytes at every degree, reused
+    or not; the generator choice is a function of the kernel (its random generator
+    is seeded on every call); and where d_j repeats an earlier d_i, d_{j+1} is the
+    object d_{i+1}."""
+    for module in _distinct_factor_modules(path, p):
+        f, n = module.field, module.group.order
+        res = free_resolution(module, REUSE_DEGREE)
+        assert res.verify(REUSE_DEGREE)
+        first = {}  # array_key of a differential -> the first degree it appears at
+        for j in range(1, REUSE_DEGREE):
+            rank, following = res.ranks[j], res.diffs[j + 1]
+            if rank:
+                kernel = f.kernel_matrix(res.diff_operator(j)).T
+                gens = res._module_generators(kernel, rank)
+                assert np.array_equal(res._module_generators(kernel, rank), gens)
+                assert following.coeffs.shape == (len(gens), rank, n)
+                assert following.coeffs.tobytes() == gens.tobytes()
+            else:
+                assert following.coeffs.shape == (0, 0, n)
+            i = first.setdefault(array_key(res.diffs[j].coeffs), j)
+            if i < j:
+                assert following is res.diffs[i + 1]
+
+
+def test_periodic_resolutions_reuse_their_differentials():
+    """The factors of GL2(Z) at F3 have periodic cohomology; from the first repeat on,
+    each of their resolutions holds as many differential objects as its period."""
+    built = parse(str(ROOT / "bench" / "instances" / "gl2z.amg")).build(3)
+    for tag, period in ((TAG_K1, 2), (TAG_K2, 4), (TAG_I, 2)):
+        res = free_resolution(built.grep("triv").module(tag), REUSE_DEGREE)
+        assert all(res.diffs[j] is res.diffs[j + period] for j in range(2, REUSE_DEGREE - period + 1))
+
+
+def test_resolution_over_q_reuses_by_value():
+    """Over Q the entries are Fraction objects, so equal arrays have different bytes;
+    the resolution still finds the repeat, keyed by the entries."""
+    f = Field(0)
+    res = free_resolution(trivial_module(cyclic(3), f), 8)
+    assert res.verify(8)
+    assert res.diffs[1] is not res.diffs[3]
+    assert array_key(res.diffs[1].coeffs) == array_key(res.diffs[3].coeffs)
+    assert all(res.diffs[j] is res.diffs[j + 2] for j in range(2, 7))
+    a, b = f.array([[1, 2]]) / 3, f.array([[1, 2]]) / 3
+    assert a.tobytes() != b.tobytes() and array_key(a) == array_key(b)
