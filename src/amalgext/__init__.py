@@ -9,7 +9,7 @@ from amalgext.reps import (
     restrict_module,
 )
 from amalgext.amalgam import AmalgamDatum, GWord, CosetRep, TAG_K1, TAG_K2, TAG_I
-from amalgext.tree import TreeBall, build_ball, chain_complex, leaf_elimination, to_dot
+from amalgext.tree import TreeBall, build_ball, chain_complex, to_dot
 from amalgext.induction import (
     GRep,
     IndElement,

@@ -20,11 +20,11 @@ class GroupMismatch(ValueError):
 
 
 # The largest group order accepted: a table and the checks on it take O(n^2)
-# memory and time up to n^3.  Every bundled and benchmark group has order <= 24.
+# memory, and the associativity check n^2 cells per generator (at most log2 n
+# generators for a group).  Every bundled and benchmark group has order <= 24.
 MAX_ORDER = 1000
 
-# Cells per block of the associativity check and of from_permutations'
-# composition: a table of order n <= 101 is checked in one block.
+# Cells per block of from_permutations' composition.
 _BLOCK_CELLS = 1 << 20
 
 
@@ -58,13 +58,16 @@ class FiniteGroup:
             raise ValueError("no identity element")
         self.identity = ident
 
-        # associativity on all triples (xy)z = x(yz), in blocks of rows x,
-        # gathered from the narrowest dtype that holds an element index
+        # associativity (Light's test): the z with (xy)z = x(yz) for all x, y
+        # are closed under products, and right multiplication by the generators
+        # reaches every element from the identity, so (xy)s = x(ys) for each
+        # generator s covers all triples.  One generator at a time keeps it at
+        # n^2 cells however many generators a table that is no group has;
+        # gathered from the narrowest dtype that holds an element index.
         small = table.astype(np.min_scalar_type(n - 1))
-        rows = max(1, _BLOCK_CELLS // (n * n))
-        for start in range(0, n, rows):
-            block = slice(start, start + rows)
-            if not np.array_equal(small[table[block], :], small[block][:, table]):
+        for s in self.generators:
+            right = small[:, s]  # right[y] = y s
+            if not np.array_equal(right[table], small[:, right]):
                 raise ValueError("multiplication table is not associative")
 
         inv = np.full(n, -1, dtype=np.int64)

@@ -485,7 +485,6 @@ class CochainComplex:
 
     def __init__(self, field: Field, deltas):
         self.field = field
-        self.deltas = deltas
         for j in range(1, len(deltas)):
             if np.any(field.matmul(deltas[j], deltas[j - 1]) != 0):
                 raise CompositionNonzero(j)

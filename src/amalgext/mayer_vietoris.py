@@ -57,9 +57,9 @@ def chain_lift_pi(datum: AmalgamDatum, side: int, q: FreeResolution, p: FreeReso
             continue
         key = p.diffs[j], q.diffs[j], array_key(lifts[j - 1].coeffs)
         if key not in seen:
-            # row i of d_indQ is the image of basis row i
-            rows = q.diffs[j].map_entries(emb).coeffs.reshape(q.ranks[j], -1)
-            targets = f.matmul(lifts[j - 1].operator(), rows.T)
+            # column i is the image of basis row i under d_indQ phi_{j-1}
+            image = q.diffs[j].map_entries(emb).mul(lifts[j - 1])
+            targets = image.coeffs.reshape(q.ranks[j], -1).T
             seen[key] = _lift_degree(f, K, p.diff_operator(j), targets, p.ranks[j],
                                      f"degree-{j} lift has no solution")
         lifts.append(seen[key])

@@ -57,7 +57,6 @@ class AlgebraMatrix:
         self.field = field
         self.coeffs = coeffs
         self.rows, self.cols = coeffs.shape[:2]
-        self._operator = None
 
     def mul(self, other: "AlgebraMatrix") -> "AlgebraMatrix":
         if self.cols != other.rows or self.group is not other.group:
@@ -82,12 +81,6 @@ class AlgebraMatrix:
         blocks = self.coeffs[:, :, self.group.quotient_table]
         return blocks.transpose(0, 2, 1, 3).reshape(self.rows * n, self.cols * n)
 
-    def operator(self) -> np.ndarray:
-        """Column-convention operator: op @ coords(x) = coords(x * D)."""
-        if self._operator is None:
-            self._operator = self.to_k_matrix().T
-        return self._operator
-
 
 class FreeResolution:
     """An augmented free resolution of a module over a finite group algebra.
@@ -110,7 +103,7 @@ class FreeResolution:
     d_{j+1} is a function of d_j (its kernel; the generator is seeded on every
     call), so once d_j equals an earlier d_i, as under periodic cohomology,
     d_{j+1} is the object d_{i+1}, with no elimination.  Sharing is exact:
-    nothing writes into an AlgebraMatrix's coeffs or operator once it is built.
+    nothing writes into an AlgebraMatrix's coeffs once it is built.
     """
 
     def __init__(self, module: KModule):
@@ -134,8 +127,10 @@ class FreeResolution:
         self._next: dict[tuple, AlgebraMatrix] = {}  # array_key of d_j -> d_{j+1}, j >= 1
 
     def diff_operator(self, j: int) -> np.ndarray:
-        """The column-convention operator of d_j: F_j -> F_{j-1}, d_0 the augmentation."""
-        return self.diffs[j].operator() if j else self._augmentation
+        """The column-convention operator of d_j: F_j -> F_{j-1}, d_0 the augmentation:
+        op @ coords(x) = coords(x * d_j).  Gathered from the coefficients on each
+        read and not kept, so a resolution holds only its coefficient arrays."""
+        return self.diffs[j].to_k_matrix().T if j else self._augmentation
 
     def length(self) -> int:
         return len(self.ranks) - 1

@@ -9,12 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from amalgext.amalgam import AmalgamDatum, CosetRep, GWord, TAG_I, TAG_K1, TAG_K2
+from amalgext.amalgam import AmalgamDatum, CosetRep, TAG_I, TAG_K1, TAG_K2
 from amalgext.linalg import Field
-
-
-class NotInBall(ValueError):
-    pass
 
 
 class TreeBall:
@@ -28,7 +24,6 @@ class TreeBall:
         self.vertices = [CosetRep(TAG_K1, w) for w in v1] + [CosetRep(TAG_K2, w) for w in v2]
         self.vertex_index = {(rep.tag, rep.word): i for i, rep in enumerate(self.vertices)}
         self.edges = [CosetRep(TAG_I, w) for w in datum.ball(TAG_I, r)]
-        self.edge_index = {rep.word: i for i, rep in enumerate(self.edges)}
         self.endpoints = []
         for rep in self.edges:
             a = datum.canon(TAG_K1, rep.word).word
@@ -106,40 +101,6 @@ def chain_complex(ball: TreeBall, field: Field) -> tuple[np.ndarray, np.ndarray]
     augmentation = field.zeros(1, ball.num_vertices)
     augmentation[:] = field.one
     return boundary, augmentation
-
-
-def leaf_elimination(ball: TreeBall, chain: dict[GWord, object]) -> list[int]:
-    """Order the support of an edge chain so each edge has a free endpoint.
-
-    Returns edge indices such that each listed edge has an endpoint meeting
-    no later support edge.  Any finite edge set in a forest admits such an
-    order, found greedily by repeatedly removing an edge with an endpoint of
-    support degree one.
-    """
-    support = set()
-    for w, c in chain.items():
-        if w not in ball.edge_index:
-            raise NotInBall(f"edge {w!r} outside the radius-{ball.r} ball")
-        if c != 0:
-            support.add(ball.edge_index[w])
-    order = []
-    remaining = set(support)
-    while remaining:
-        deg = {}
-        for e in remaining:
-            for v in ball.endpoints[e]:
-                deg[v] = deg.get(v, 0) + 1
-        leaf = None
-        for e in sorted(remaining):
-            a, b = ball.endpoints[e]
-            if deg[a] == 1 or deg[b] == 1:
-                leaf = e
-                break
-        if leaf is None:
-            raise ValueError("support contains a cycle; not a forest")
-        order.append(leaf)
-        remaining.remove(leaf)
-    return order
 
 
 def _rep_label(rep: CosetRep) -> str:

@@ -11,7 +11,7 @@ from amalgext.groups import (
     NotInjective,
     SubgroupEmbedding,
 )
-from amalgext.instfile import parse
+from amalgext.instfile import ValidationError, parse
 
 from conftest import INSTANCE_FILES, S_MAT, ST_MAT, cyclic
 
@@ -65,15 +65,69 @@ LOOP5 = [[0, 1, 2, 3, 4],
 
 
 @pytest.mark.parametrize("block_cells", [groups._BLOCK_CELLS, 1])
-def test_non_associative_table_is_refused_in_any_block_size(monkeypatch, block_cells):
+def test_from_permutations_composes_the_same_table_in_any_block_size(monkeypatch, block_cells):
     s4_gens = [[1, 0, 2, 3], [1, 2, 3, 0]]
     whole = FiniteGroup.from_permutations(s4_gens).table
     monkeypatch.setattr(groups, "_BLOCK_CELLS", block_cells)
-    with pytest.raises(ValueError, match="not associative"):
-        FiniteGroup(LOOP5)
-    # one row per block composes and checks the same table
+    # one row per block composes the same table
     assert np.array_equal(FiniteGroup.from_permutations(s4_gens).table, whole)
     assert np.array_equal(FiniteGroup(whole).table, whole)
+
+
+def test_non_associative_table_is_refused():
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(LOOP5)
+
+
+def swapped(table, x, y1, y2):
+    """The table with the products x y1 and x y2 exchanged."""
+    out = np.array(table)
+    out[x, [y1, y2]] = out[x, [y2, y1]]
+    return out
+
+
+@pytest.mark.parametrize("gens", [[[1, 0, 2], [1, 2, 0]], [[1, 2, 3, 0], [3, 2, 1, 0]]],
+                         ids=["S3", "D8"])
+def test_associativity_on_generators_agrees_with_all_triples(gens):
+    # the check reads (xy)s = x(ys) for generators s only; every table with two
+    # products of one row exchanged (identity row and column kept) that fails
+    # (xy)z = x(yz) for some triple is refused for it, and no other is
+    table = FiniteGroup.from_permutations(gens).table
+    n = len(table)
+    refused = 0
+    for x in range(1, n):
+        for y1 in range(1, n):
+            for y2 in range(y1 + 1, n):
+                t = swapped(table, x, y1, y2)
+                if np.array_equal(t[t, :], t[:, t]):
+                    try:
+                        FiniteGroup(t)
+                    except ValueError as exc:
+                        assert "not associative" not in str(exc)
+                else:
+                    with pytest.raises(ValueError, match="not associative"):
+                        FiniteGroup(t)
+                    refused += 1
+    assert refused
+
+
+def test_a_table_with_two_products_swapped_is_refused_at_its_section(tmp_path):
+    s3 = FiniteGroup.from_permutations([[1, 0, 2], [1, 2, 0]]).table
+
+    def instance(table):
+        rows = " / ".join(" ".join(map(str, row)) for row in table)
+        return ("[instance]\nname = swapped\ncharacteristic = 2\n\n"
+                f"[group K1]\ntable = {rows}\n\n"
+                "[group K2]\nperm b = 1 0\n\n"
+                "[subgroup I]\ntable = 0\nembed K1 = 0\nembed K2 = 0\n")
+
+    path = tmp_path / "swapped.amg"
+    path.write_text(instance(s3))
+    assert parse(str(path)).datum.K1.order == 6
+    path.write_text(instance(swapped(s3, 1, 2, 3)))
+    with pytest.raises(ValidationError, match="not associative") as err:
+        parse(str(path))
+    assert err.value.line == 5
 
 
 def test_group_order_over_the_limit_is_refused():

@@ -289,21 +289,11 @@ def test_mv_check_all_instances_all_radii(all_datums):
 
 def test_kernel_certificates_cohere(sl2z):
     # for trivial coefficients the comparison map has full column rank on any
-    # ball, and leaf elimination certifies the same: no nonzero kernel element
-    rng = random.Random(77)
-    from amalgext.tree import build_ball, leaf_elimination
-
+    # ball: no nonzero kernel element
     f = Field(2)
     v = trivial_grep(sl2z, f)
-    ball = build_ball(sl2z, 3)
     rep = mv_truncated_check(v, 3)
     assert rep.injective
-    for _ in range(100):
-        k = rng.randrange(1, 6)
-        picks = rng.sample(range(ball.num_edges), k)
-        support = {ball.edges[i].word: 1 for i in picks}
-        order = leaf_elimination(ball, support)
-        assert sorted(order) == sorted(picks)
 
 
 # -- the block path against the column-by-column construction ---------------

@@ -37,7 +37,7 @@ def test_chain_lift_degree_zero_compatibility(sl2z):
         K = emb.target
         n = K.order
         aug_p = p.diff_operator(0)
-        x0_op = lifts[0].operator()
+        x0_op = lifts[0].to_k_matrix().T
         module = v1.module(TAG_K1 if side == 1 else TAG_K2)
         for i in range(q.ranks[0]):
             for g in range(n):
@@ -92,7 +92,8 @@ def test_a_reused_lift_is_the_one_a_fresh_solve_gives(path, p):
                 if not q.ranks[j]:
                     continue
                 rows = q.diffs[j].map_entries(emb).coeffs.reshape(q.ranks[j], -1)
-                sols = f.solve_many(res.diff_operator(j), f.matmul(lifts[j - 1].operator(), rows.T))
+                targets = f.matmul(lifts[j - 1].to_k_matrix().T, rows.T)
+                sols = f.solve_many(res.diff_operator(j), targets)
                 assert lifts[j].coeffs.tobytes() == sols.T.tobytes()
                 key = id(res.diffs[j]), id(q.diffs[j]), lifts[j - 1].coeffs.tobytes()
                 if first.setdefault(key, j) < j:

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -490,6 +491,23 @@ def test_resolution_is_the_same_in_a_fresh_process():
         assert done.stdout.strip() == str(here.ranks)
         there = np.load(out)
     assert np.array_equal(there, np.concatenate([d.coeffs.reshape(-1) for d in here.diffs[1:]]))
+
+
+def test_a_resolution_retains_little_beyond_its_coefficients():
+    """A resolution keeps each differential as its coefficient array only: the
+    dense operator, |G| times larger, is gathered when read and not kept."""
+    path = ROOT / "bench" / "instances" / "s4-s3-s4.amg"
+    module = parse(str(path)).build(2).grep("triv").module(TAG_K1)
+    tracemalloc.start()
+    try:
+        res = free_resolution(module, 20)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    coeffs = sum(d.coeffs.nbytes for d in res.diffs[1:])
+    # a kept operator is |G| times its coefficients (24 here), so 4 leaves room
+    # only for the bookkeeping
+    assert retained < 4 * coeffs, (retained, coeffs)
 
 
 REUSE_DEGREE = 12

@@ -1,11 +1,10 @@
 import random
 
 import numpy as np
-import pytest
 
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
 from amalgext.linalg import Field
-from amalgext.tree import NotInBall, build_ball, chain_complex, leaf_elimination, to_dot
+from amalgext.tree import build_ball, chain_complex, to_dot
 
 
 def test_radius_zero_is_base_edge(all_datums):
@@ -84,44 +83,6 @@ def test_d_infinity_r2_boundary_rank(d_inf):
     boundary, _ = chain_complex(ball, f)
     assert ball.num_edges == 5 and ball.num_vertices == 6
     assert f.rank(boundary) == 5
-
-
-def test_leaf_elimination_single_edge(d_inf):
-    ball = build_ball(d_inf, 2)
-    order = leaf_elimination(ball, {ball.edges[0].word: 1})
-    assert order == [0]
-
-
-def test_leaf_elimination_three_edge_path(d_inf):
-    ball = build_ball(d_inf, 2)
-    support = {ball.edges[i].word: 1 for i in range(3)}
-    order = leaf_elimination(ball, support)
-    assert sorted(order) == [0, 1, 2]
-    # each eliminated edge has an endpoint meeting no later edge
-    later = [set(ball.endpoints[e]) for e in order]
-    for i, e in enumerate(order):
-        a, b = ball.endpoints[e]
-        rest = set().union(*later[i + 1 :]) if i + 1 < len(order) else set()
-        assert a not in rest or b not in rest
-
-
-def test_leaf_elimination_random_supports_sl2z(sl2z):
-    rng = random.Random(123)
-    ball = build_ball(sl2z, 4)
-    for _ in range(200):
-        k = rng.randrange(1, min(9, ball.num_edges))
-        picks = rng.sample(range(ball.num_edges), k)
-        support = {ball.edges[i].word: 1 for i in picks}
-        order = leaf_elimination(ball, support)
-        assert sorted(order) == sorted(picks)
-
-
-def test_leaf_elimination_rejects_outside_chain(sl2z):
-    small = build_ball(sl2z, 1)
-    big = build_ball(sl2z, 3)
-    outside = [e for e in big.edges if e.word not in small.edge_index][0]
-    with pytest.raises(NotInBall):
-        leaf_elimination(small, {outside.word: 1})
 
 
 def test_dot_export_deterministic_and_labelled(sl2z):
