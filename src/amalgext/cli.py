@@ -162,8 +162,16 @@ def _run_chain(built, args, report):
     report.check("H_0 = k", ball.num_vertices - rank == 1)
 
 
+def _grep(built, option: str, name: str):
+    """The representation an option names; an unknown name is that option's error."""
+    try:
+        return built.grep(name)
+    except KeyError as exc:
+        raise ValueError(f"{option}: {exc.args[0]}") from None
+
+
 def _run_mv_check(built, args, report):
-    v = built.grep(args.grep)
+    v = _grep(built, "--grep", args.grep)
     _check_ball_size(built.datum, args.radius, v.dim)
     out = mv_truncated_check(v, args.radius)
     report.add(f"radius: {args.radius}")
@@ -178,8 +186,7 @@ def _run_mv_check(built, args, report):
 def _run_ext(built, args, report):
     if args.degree < 0:
         raise ValueError("--degree: degree must be nonnegative")
-    v1 = built.grep(args.v1)
-    v2 = built.grep(args.v2)
+    v1, v2 = _grep(built, "--v1", args.v1), _grep(built, "--v2", args.v2)
     report.add(f"v1: {args.v1} (dim {v1.dim}), v2: {args.v2} (dim {v2.dim})")
     if args.over == "G":
         dims = ext_G(v1, v2, args.degree)
@@ -195,8 +202,7 @@ def _run_ext(built, args, report):
 def _run_les(built, args, report):
     if args.degree < 1:
         raise ValueError("--degree: degree must be at least 1")
-    v1 = built.grep(args.v1)
-    v2 = built.grep(args.v2)
+    v1, v2 = _grep(built, "--v1", args.v1), _grep(built, "--v2", args.v2)
     report.add(f"v1: {args.v1} (dim {v1.dim}), v2: {args.v2} (dim {v2.dim})")
     les = verify_les(v1, v2, args.degree)
     for line in les.render().splitlines():
@@ -244,7 +250,7 @@ def run(argv=None) -> tuple[int, str]:
     report = _Report(built.name, args.command, built.characteristic)
     try:
         _RUNNERS[args.command](built, args, report)
-    except (ParseError, ValidationError, KeyError, ValueError) as exc:
+    except (ParseError, ValidationError, ValueError) as exc:
         return 2, f"error: {exc}\n"
     text = report.finish()
     if args.out:

@@ -24,9 +24,6 @@ class GroupMismatch(ValueError):
 # generators for a group).  Every bundled and benchmark group has order <= 24.
 MAX_ORDER = 1000
 
-# Cells per block of from_permutations' composition.
-_BLOCK_CELLS = 1 << 20
-
 
 class FiniteGroup:
     """A finite group given by its full multiplication table.
@@ -112,24 +109,26 @@ class FiniteGroup:
         """Generators of the subgroup the elements generate: each one, in the
         given order, that the ones before it do not generate."""
         gens: list[int] = []
-        reached = self._closure(gens)
-        for x in elements:
-            if not reached[x]:
-                gens.append(x)
-                reached = self._closure(gens)
+        self._closure(elements, gens)
         return gens
 
-    def _closure(self, gens) -> np.ndarray:
-        """The subgroup generated by gens, as a mask: the identity closed under
-        right multiplication, one frontier of new elements at a time."""
-        step = self.table[:, list(gens)]  # step[frontier] is table[frontier][:, gens]
+    def _closure(self, elements, gens=None) -> np.ndarray:
+        """The subgroup the elements generate, as a mask: the identity closed under
+        right multiplication by each element the ones before it do not reach (in a
+        group the others add nothing), appended to gens and applied to every element
+        reached so far; only newly reached elements then take every generator."""
+        gens = [] if gens is None else gens
         reached = np.zeros(self.order, dtype=bool)
         reached[self.identity] = True
-        frontier = [self.identity]
-        while len(frontier):
-            before = reached.copy()
-            reached[step[frontier]] = True
-            frontier = (reached > before).nonzero()[0]
+        for x in elements:
+            if reached[x]:
+                continue
+            gens.append(x)
+            frontier = self.table[:, x][reached]  # x applied to every element reached
+            while len(frontier):
+                before = reached.copy()
+                reached[frontier] = True
+                frontier = self.table.take((reached > before).nonzero()[0], 0).take(gens, 1)
         return reached
 
     def p_core(self, p: int) -> list[int]:
@@ -188,35 +187,29 @@ class FiniteGroup:
         if gen_names is None:
             gen_names = [chr(ord("a") + i) for i in range(len(gens))]
         ident = tuple(range(deg))
-        elements = [ident]
-        words = {ident: "e"}
-        queue = [ident]
-        while queue:
-            cur = queue.pop(0)
-            for g, gname in zip(gens, gen_names):
-                prod = tuple(cur[g[i]] for i in range(deg))
-                if prod not in words:
-                    words[prod] = gname if cur == ident else words[cur] + gname
+        elements, index, labels = [ident], {ident: 0}, ["e"]
+        source = [None]  # element_j = element_i o gens[s] for (i, s) = source[j], j > 0
+        right = [[] for _ in gens]  # right[s][i] is the index of element_i o gens[s]
+        for i, cur in enumerate(elements):  # a queue: it grows as the loop runs
+            for s, (g, gname) in enumerate(zip(gens, gen_names)):
+                prod = tuple(map(cur.__getitem__, g))
+                if prod not in index:
+                    index[prod] = len(elements)
+                    labels.append(gname if i == 0 else labels[i] + gname)
+                    source.append((i, s))
                     elements.append(prod)
-                    queue.append(prod)
+                right[s].append(index[prod])
             if len(elements) > MAX_ORDER:
                 raise ValueError(f"the generated group has order over the limit of {MAX_ORDER}")
         n = len(elements)
-        # one extra fixed point, so a permutation of no points still has bytes to look up
-        perms = np.array([p + (deg,) for p in elements], dtype=np.int64)
-        key = np.dtype((np.void, perms.itemsize * (deg + 1)))
-        keys = perms.view(key).ravel()
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
-        # table[i, j] = element_i o element_j, a permutation looked up by its
-        # bytes, composed in blocks of rows i
+        right = np.array(right, dtype=np.int64)
+        # with (i, s) = source[j], element_k o element_j = (element_k o element_i) o gens[s],
+        # so column j of the table is right[s] gathered at column i
         table = np.empty((n, n), dtype=np.int64)
-        rows = max(1, _BLOCK_CELLS // (n * (deg + 1)))
-        for start in range(0, n, rows):
-            products = perms[start:start + rows][:, perms].reshape(-1, deg + 1)
-            hits = sorted_keys.searchsorted(products.view(key).ravel())
-            table[start:start + rows] = order[hits].reshape(-1, n)
-        return cls(table, labels=[words[p] for p in elements], name=name)
+        table[:, 0] = np.arange(n)
+        for j, (i, s) in enumerate(source[1:], 1):
+            table[:, j] = right[s][table[:, i]]
+        return cls(table, labels=labels, name=name)
 
 
 class SubgroupEmbedding:

@@ -52,6 +52,11 @@ def test_bad_table_rejected():
     # a permuted-identity table is still a group; identity need not sit at 0
     g = FiniteGroup([[1, 0], [0, 1]])
     assert g.identity == 1
+    # identity 0 and every other product 1: associative, with 299 generators
+    table = np.ones((300, 300), dtype=np.int64)
+    table[0] = table[:, 0] = np.arange(300)
+    with pytest.raises(ValueError, match="element 1 has no two-sided inverse"):
+        FiniteGroup(table)
 
 
 # A loop of order 5: a Latin square with identity 0 in which every element is
@@ -62,16 +67,6 @@ LOOP5 = [[0, 1, 2, 3, 4],
          [2, 4, 0, 1, 3],
          [3, 2, 4, 0, 1],
          [4, 3, 1, 2, 0]]
-
-
-@pytest.mark.parametrize("block_cells", [groups._BLOCK_CELLS, 1])
-def test_from_permutations_composes_the_same_table_in_any_block_size(monkeypatch, block_cells):
-    s4_gens = [[1, 0, 2, 3], [1, 2, 3, 0]]
-    whole = FiniteGroup.from_permutations(s4_gens).table
-    monkeypatch.setattr(groups, "_BLOCK_CELLS", block_cells)
-    # one row per block composes the same table
-    assert np.array_equal(FiniteGroup.from_permutations(s4_gens).table, whole)
-    assert np.array_equal(FiniteGroup(whole).table, whole)
 
 
 def test_non_associative_table_is_refused():
@@ -137,6 +132,25 @@ def test_group_order_over_the_limit_is_refused():
     s7 = [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]
     with pytest.raises(ValueError, match=f"order over the limit of {n - 1}"):
         FiniteGroup.from_permutations(s7)
+
+
+def test_from_permutations_at_the_order_limit():
+    n = groups.MAX_ORDER
+    idx = np.arange(n)
+    # breadth first from one generator, element i is its i-th power
+    cycle = FiniteGroup.from_permutations([[(i + 1) % n for i in range(n)]])
+    assert np.array_equal(cycle.table, (idx[:, None] + idx) % n)
+    assert cycle.labels[1:] == ["a" * i for i in range(1, n)]
+    # C10 x C10 x C10 on 30 points: generator k turns the k-th block of ten
+    gens = [[(i + (i // 10 == k)) % 10 + i // 10 * 10 for i in range(30)] for k in range(3)]
+    c10 = FiniteGroup.from_permutations(gens)
+    assert c10.order == n
+    # code[i] is the exponent vector that element i's word counts, read in base 10
+    code = np.array([[w.count(ch) % 10 for ch in "abc"] for w in c10.labels]) @ [100, 10, 1]
+    assert sorted(code) == list(range(n))
+    digits = code[:, None] // [100, 10, 1] % 10
+    total = sum((d[:, None] + d) % 10 * w for d, w in zip(digits.T, [100, 10, 1]))
+    assert np.array_equal(c10.table, np.argsort(code)[total])
 
 
 def test_from_permutations_of_s5_peaks_small():

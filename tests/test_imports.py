@@ -1,5 +1,6 @@
 """Every name a module imports is used in that module, and every private
-function, class or method of the package is used in the module that defines it.
+function, class, method or module-level name of the package is used in the
+module that defines it.
 
 No linter runs on this code base, so these scans are the check.  The
 package's __init__.py is skipped by the import scan: its imports are the
@@ -32,7 +33,8 @@ def _names_read(tree) -> set[str]:
     such as -> "KModule"."""
     trees = [tree] + [ast.parse(a.value, mode="eval") for a in _annotations(tree)
                       if isinstance(a, ast.Constant) and isinstance(a.value, str)]
-    return {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n.id for t in trees for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -49,12 +51,18 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
 
 
 def unused_private_definitions(source: str) -> list[tuple[int, str]]:
-    """(line, name) of each private (_-prefixed, not dunder) function, class or
-    method the module never references, by name or as an attribute (self._f)."""
+    """(line, name) of each private (_-prefixed, not dunder) function, class,
+    method or module-level assigned name the module never reads, by name or as
+    an attribute (self._f)."""
     tree = ast.parse(source)
     defined = [(node.lineno, node.name) for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and not node.name.endswith("__")]
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    targets = [t for node in tree.body for t in (
+        node.targets if isinstance(node, ast.Assign)
+        else [node.target] if isinstance(node, ast.AnnAssign) else [])]
+    defined += [(n.lineno, n.id) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    defined = [(line, name) for line, name in defined
+               if name.startswith("_") and not name.endswith("__")]
     used = _names_read(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     return sorted((line, name) for line, name in defined if name not in used)
 
@@ -77,8 +85,10 @@ def test_scan_finds_an_unused_private_definition():
               '    def _used(self):\n        pass\n    def _left(self):\n        pass\n'
               'def _helper() -> "_Kept":\n    pass\n'
               'def _orphan():\n    pass\n'
-              'kept = _helper()\n')
-    assert unused_private_definitions(source) == [(6, "_left"), (10, "_orphan")]
+              '_READ, _UNREAD = 1, 2\n_ALONE: int = 3\n'
+              'kept = _helper(_READ)\n')
+    assert unused_private_definitions(source) == [(6, "_left"), (10, "_orphan"),
+                                                  (12, "_UNREAD"), (13, "_ALONE")]
 
 
 def test_no_package_module_defines_a_private_name_it_never_uses():

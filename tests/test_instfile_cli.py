@@ -169,9 +169,11 @@ def test_declared_characteristic_too_large_is_refused(tmp_path):
 
 
 def test_cli_unknown_grep_exit_two():
-    code, text = run(["les", fixture("psl2z.amg"), "--v1", "nope", "--v2", "triv"])
-    assert code == 2
-    assert "nope" in text
+    for command, option in [("les", "--v1"), ("les", "--v2"), ("ext", "--v1"), ("ext", "--v2"),
+                            ("mv-check", "--grep")]:
+        code, text = run([command, fixture("psl2z.amg"), option, "nope"])
+        assert (code, text) == (2, f"error: {option}: no representation named 'nope'; "
+                                   "file defines ['std2']\n")
 
 
 def test_cli_les_command_passes():
