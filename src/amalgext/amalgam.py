@@ -156,18 +156,11 @@ class AmalgamDatum:
     def identity_word(self) -> GWord:
         return self._identity_word
 
-    def _embed_word(self, side: int, k: int) -> GWord:
-        t, i = self.decomp[side][k]
-        if t == self._factor(side).identity:
-            return GWord(self, (), i)
-        return GWord(self, ((side, t),), i)
-
     def word_from_factor(self, tag: str, k: int) -> GWord:
         """The normal form of a single factor element (tag K1, K2 or I)."""
         if tag == TAG_I:
             return GWord(self, (), k)
-        side = 1 if tag == TAG_K1 else 2
-        return self._embed_word(side, k)
+        return self._absorb(_SIDES[tag], k, self._identity_word)
 
     def _push_tail(self, i: int, letters, tail: int):
         """Move an I-element through a normal word from the left.
@@ -189,16 +182,11 @@ class AmalgamDatum:
         K = self._factor(side)
         if k == K.identity:
             return w
-        letters, tail = w.letters, w.tail
+        letters = w.letters
         if letters and letters[0][0] == side:
-            combined = K.mul(k, letters[0][1])
-            t, i = self.decomp[side][combined]
-            rest, tail = self._push_tail(i, letters[1:], tail)
-            if t == K.identity:
-                return GWord(self, rest, tail)
-            return GWord(self, ((side, t),) + rest, tail)
+            k, letters = K.mul(k, letters[0][1]), letters[1:]
         t, i = self.decomp[side][k]
-        rest, tail = self._push_tail(i, letters, tail)
+        rest, tail = self._push_tail(i, letters, w.tail)
         if t == K.identity:
             return GWord(self, rest, tail)
         return GWord(self, ((side, t),) + rest, tail)

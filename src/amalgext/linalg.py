@@ -225,31 +225,29 @@ class Field:
         return out
 
     def solve(self, a, b):
-        """First RREF back-substitution solution of a @ x = b, or None."""
-        x = self.solve_many(a, np.reshape(b, (-1, 1)))
-        return None if x is None else x[:, 0]
+        """First RREF back-substitution solution of a @ x = b, or None.
 
-    def solve_many(self, a, b):
-        """The column-by-column solve(a, b[:, c]) from one rref of [a | b], or None.
-
-        None means some column of b lies outside the column span of a.
+        b is a vector or a block of right-hand sides, all solved from one rref
+        of [a | b]; x has the shape of b.  None means some column of b lies
+        outside the column span of a.
         """
         n = np.shape(a)[1]
-        if np.shape(b)[1] == 0:
+        block = np.ndim(b) == 2
+        if block and not np.shape(b)[1]:
             return self.zeros(n, 0)
-        r, pivots = self.rref(np.concatenate([a, b], axis=1))
+        r, pivots = self.rref(np.concatenate([a, b if block else np.reshape(b, (-1, 1))], axis=1))
         if pivots and pivots[-1] >= n:
             return None
         x = self.zeros(n, r.shape[1] - n)
         x[pivots, :] = r[: len(pivots), n:]
-        return x
+        return x if block else x[:, 0]
 
     def in_column_span(self, a, v) -> bool:
         return self.solve(a, v) is not None
 
     def columns_contained(self, a, b) -> bool:
         """True iff every column of b lies in the column span of a."""
-        return self.solve_many(a, b) is not None
+        return self.solve(a, b) is not None
 
 
 def _lanes(p: int) -> tuple[int, int, int] | None:

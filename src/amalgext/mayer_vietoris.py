@@ -29,10 +29,11 @@ def chain_lift_pi(datum: AmalgamDatum, side: int, q: FreeResolution, p: FreeReso
                   length: int) -> list[AlgebraMatrix]:
     """Chain map from the induced resolution ind(Q) to P lifting the counit.
 
-    Degree 0 satisfies d0_P o phi_0 = counit o ind(d0_Q), d_0 being the
-    augmentation; higher degrees solve phi_j d_P = d_indQ phi_{j-1}, all rows
-    of one degree from a single elimination, taking the first
-    back-substitution solution each time.
+    F_0 of Q and of P is free on the module basis, d_0 sending basis row i to
+    v_i, and the counit sends ind(d_0 of Q)(row i) to v_i: phi_0 is the
+    identity.  Higher degrees solve phi_j d_P = d_indQ phi_{j-1}, all rows of
+    one degree from a single elimination, taking the first back-substitution
+    solution each time.
     Exactness of P guarantees a solution; failure signals a broken resolution.
     phi_j depends only on d_P,j, d_Q,j and phi_{j-1}, so a degree where that
     triple repeats (periodic resolutions share their differential objects)
@@ -45,33 +46,21 @@ def chain_lift_pi(datum: AmalgamDatum, side: int, q: FreeResolution, p: FreeReso
     q.extend(length)
     p.extend(length)
 
-    lifts: list[AlgebraMatrix] = []
-    # d0_Q sends basis row i to module basis vector i
-    targets = f.eye(q.module.dim)[:, : q.ranks[0]]
-    lifts.append(_lift_degree(f, K, p.diff_operator(0), targets, p.ranks[0],
-                              "degree-0 lift has no solution; augmentation not surjective"))
+    identity = f.zeros(q.ranks[0], p.ranks[0], n)
+    identity[:, :, K.identity] = f.eye(q.ranks[0])
+    lifts = [AlgebraMatrix(K, f, identity)]
     seen = {}  # (d_P,j, d_Q,j, array_key of phi_{j-1}) -> phi_j, for lifts that succeeded
     for j in range(1, length + 1):
-        if not q.ranks[j]:  # Q has stopped, so the lift starts from the zero module
-            lifts.append(AlgebraMatrix(K, f, f.zeros(0, p.ranks[j], n)))
-            continue
         key = p.diffs[j], q.diffs[j], array_key(lifts[j - 1].coeffs)
         if key not in seen:
             # column i is the image of basis row i under d_indQ phi_{j-1}
             image = q.diffs[j].map_entries(emb).mul(lifts[j - 1])
-            targets = image.coeffs.reshape(q.ranks[j], -1).T
-            seen[key] = _lift_degree(f, K, p.diff_operator(j), targets, p.ranks[j],
-                                     f"degree-{j} lift has no solution")
+            sols = f.solve(p.diff_operator(j), image.coeffs.reshape(image.rows, image.cols * n).T)
+            if sols is None:
+                raise LiftFailed(f"degree-{j} lift has no solution")
+            seen[key] = AlgebraMatrix(K, f, sols.T.reshape(image.rows, p.ranks[j], n))
         lifts.append(seen[key])
     return lifts
-
-
-def _lift_degree(f, group, op, targets, rank, failure) -> AlgebraMatrix:
-    """The lift whose i-th row solves op @ x = targets[:, i], all from one elimination."""
-    sols = f.solve_many(op, targets)
-    if sols is None:
-        raise LiftFailed(failure)
-    return AlgebraMatrix(group, f, sols.T.reshape(sols.shape[1], rank, group.order))
 
 
 class MVComplex:
@@ -114,25 +103,26 @@ class MVComplex:
         self.delta_p1 = [coefficient_delta(self.p1.diffs[j + 1], w_1) for j in range(degree + 1)]
         self.delta_p2 = [coefficient_delta(self.p2.diffs[j + 1], w_2) for j in range(degree + 1)]
         # precomposition with the lifts: V2^(rank P_j) -> V2^(rank Q_j)
-        self.fmap1 = [coefficient_delta(self.x1[j], w_1) for j in range(degree + 1)]
-        self.fmap2 = [coefficient_delta(self.x2[j], w_2) for j in range(degree + 1)]
-
-        self.deltas = [self._delta(j) for j in range(degree + 1)]
+        self.deltas = [self._delta(j, coefficient_delta(self.x1[j], w_1),
+                                   coefficient_delta(self.x2[j], w_2))
+                       for j in range(degree + 1)]
         self.cone = CochainComplex(f, self.deltas)
 
     def _sizes(self, j: int) -> tuple[int, int, int]:
         a = self.q.ranks[j - 1] * self.d2 if j >= 1 else 0
         return (a, self.p1.ranks[j] * self.d2, self.p2.ranks[j] * self.d2)
 
-    def _delta(self, j: int) -> np.ndarray:
+    def _delta(self, j: int, fmap1: np.ndarray, fmap2: np.ndarray) -> np.ndarray:
+        """The cone differential out of degree j; its top right block is
+        phi = (fmap1, -fmap2), the lifts precomposed."""
         f = self.field
         a_j, b1_j, b2_j = self._sizes(j)
         a_n, b1_n, b2_n = self._sizes(j + 1)
         out = f.zeros(a_n + b1_n + b2_n, a_j + b1_j + b2_j)
         if a_j and a_n:
             out[:a_n, :a_j] = f.neg(self.delta_q[j - 1])
-        out[:a_n, a_j : a_j + b1_j] = self.fmap1[j]
-        out[:a_n, a_j + b1_j :] = f.neg(self.fmap2[j])
+        out[:a_n, a_j : a_j + b1_j] = fmap1
+        out[:a_n, a_j + b1_j :] = f.neg(fmap2)
         out[a_n : a_n + b1_n, a_j : a_j + b1_j] = self.delta_p1[j]
         out[a_n + b1_n :, a_j + b1_j :] = self.delta_p2[j]
         return out
@@ -277,7 +267,7 @@ def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
     edge = CochainComplex(f, mv.delta_q)
 
     # The maps are read off the cone layout (MVComplex._sizes): projection keeps the
-    # (P1, P2) rows, comparison is phi1 psi1 - phi2 psi2, connecting fills the top rows.
+    # (P1, P2) rows, comparison is the cone's phi block, connecting fills the top rows.
     # Each map leaves one node and enters the next, so its image of cocycles
     # and its rank on cohomology are computed once and read twice.
     # The connecting map into degree 0 is zero.
@@ -285,9 +275,7 @@ def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
     conn_image, conn_rank = None, 0
     for j in range(n + 1):
         a, b1, _ = mv._sizes(j)
-
-        def compare(x):
-            return f.sub(f.matmul(mv.fmap1[j], x[:b1]), f.matmul(mv.fmap2[j], x[b1:]))
+        phi = mv.deltas[j][: mv._sizes(j + 1)[0], a:]
 
         def connect(x):
             out = f.zeros(sum(mv._sizes(j + 1)), x.shape[1])
@@ -303,9 +291,9 @@ def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
         cone_b = cone.coboundaries(j + 1)
         proj_image = cone.cocycles[j][a:]
         proj_rank = f.rank(reduce_prod(proj_image.T))
-        comp_image = np.concatenate([f.matmul(mv.fmap1[j], k1.cocycles[j]),
-                                     f.neg(f.matmul(mv.fmap2[j], k2.cocycles[j]))], axis=1)
-        comp_rank = f.rank(edge_b.reduce(comp_image.T))
+        comp_image = np.concatenate([f.matmul(phi[:, :b1], k1.cocycles[j]),
+                                     f.matmul(phi[:, b1:], k2.cocycles[j])], axis=1)
+        comp_rank = len(edge_b.copy().add(comp_image.T))
 
         # node G at degree j
         im_in_ker = j == 0 or not reduce_prod(conn_image[a:].T).any()
@@ -314,13 +302,13 @@ def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
 
         # node K1 x K2 at degree j
         prod_dim = k1.dims[j] + k2.dims[j]
-        im_in_ker = not edge_b.reduce(compare(proj_image).T).any()
+        im_in_ker = not edge_b.reduce(f.matmul(phi, proj_image).T).any()
         nodes.append((j, "K1xK2", prod_dim, proj_rank, comp_rank, im_in_ker,
                       proj_rank + comp_rank == prod_dim))
 
         # node I at degree j
         conn_image = connect(edge.cocycles[j])
-        conn_rank_out = f.rank(cone_b.reduce(conn_image.T))
+        conn_rank_out = len(cone_b.copy().add(conn_image.T))
         im_in_ker = not cone_b.reduce(connect(comp_image).T).any()
         nodes.append((j, "I", edge.dims[j], comp_rank, conn_rank_out, im_in_ker,
                       comp_rank + conn_rank_out == edge.dims[j]))

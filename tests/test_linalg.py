@@ -290,22 +290,22 @@ def test_f2_add_sub_neg_are_the_mod_2_forms():
     assert f.add(f.one, f.one) == 0 and f.sub(f.zeros(1)[0], f.one) == 1
 
 
-def test_solve_many_matches_columnwise_solve():
+def test_solve_block_matches_columnwise_solve():
     rng = np.random.default_rng(8)
     for p in (2, 3, 7, 0):
         f = Field(p)
         for m, n, k in ((5, 7, 3), (7, 4, 4), (6, 6, 2), (4, 9, 4)):
             a = _random_low_rank(f, rng, m, n, k)
             b = f.matmul(a, random_matrix(f, rng, n, 5))  # every column is consistent
-            x = f.solve_many(a, b)
+            x = f.solve(a, b)
             assert x.shape == (n, 5)
             for c in range(5):
                 assert np.array_equal(x[:, c], f.solve(a, b[:, c]))
             assert np.array_equal(f.matmul(a, x), b)
-            assert f.solve_many(a, f.zeros(m, 0)).shape == (n, 0)
+            assert f.solve(a, f.zeros(m, 0)).shape == (n, 0)
 
 
-def test_solve_many_is_none_when_one_column_is_inconsistent():
+def test_solve_block_is_none_when_one_column_is_inconsistent():
     rng = np.random.default_rng(9)
     for p in (2, 5, 0):
         f = Field(p)
@@ -313,9 +313,21 @@ def test_solve_many_is_none_when_one_column_is_inconsistent():
         b = f.matmul(a, random_matrix(f, rng, 5, 4))
         outside = next(v for v in f.eye(6) if f.solve(a, v) is None)
         b[:, 2] = outside
-        assert f.solve_many(a, b) is None
+        assert f.solve(a, b) is None
         assert f.solve(a, b[:, 2]) is None
         assert not f.columns_contained(a, b)
+
+
+def test_solve_returns_the_shape_of_b():
+    """A vector gives a vector, a one-column block a one-column block, the same entries."""
+    rng = np.random.default_rng(10)
+    for p in (2, 3, 0):
+        f = Field(p)
+        a = _random_low_rank(f, rng, 5, 6, 3)
+        v = f.matmul(a, random_matrix(f, rng, 6, 1))[:, 0]
+        x, block = f.solve(a, v), f.solve(a, v[:, None])
+        assert x.shape == (6,) and block.shape == (6, 1)
+        assert np.array_equal(block[:, 0], x) and np.array_equal(f.matmul(a, x), v)
 
 
 def test_matmul_exact_at_large_primes():
@@ -342,7 +354,7 @@ def test_elimination_exact_at_the_largest_prime():
     assert basis.shape[1] == 7 - f.rank(a)
     assert not np.any(f.matmul(a, basis))
     b = f.matmul(a, random_matrix(f, rng, 7, 2))
-    assert np.array_equal(f.matmul(a, f.solve_many(a, b)), b)
+    assert np.array_equal(f.matmul(a, f.solve(a, b)), b)
 
 
 def test_field_refuses_primes_beyond_int64_products():
@@ -534,7 +546,7 @@ def _periodic_pair(f, rng):
         a[i, i], a[(i + 1) % 3, i] = f.one, f.neg(f.one)
         b[:3, i] = f.one
     conj = random_invertible(f, rng, 4)
-    inverse = f.solve_many(conj, f.eye(4))
+    inverse = f.solve(conj, f.eye(4))
     return f.matmul(f.matmul(conj, a), inverse), f.matmul(f.matmul(conj, b), inverse)
 
 

@@ -19,7 +19,13 @@ from amalgext.mayer_vietoris import (
     hom_sequence_check,
     verify_les,
 )
-from amalgext.resolutions import coefficient_delta, ext_finite, free_resolution
+from amalgext.resolutions import (
+    AlgebraMatrix,
+    LiftFailed,
+    coefficient_delta,
+    ext_finite,
+    free_resolution,
+)
 
 from conftest import INSTANCE_FILES, cyclic, grep2, instance_greps, random_grep
 
@@ -47,6 +53,34 @@ def test_chain_lift_degree_zero_compatibility(sl2z):
                 # counit of ind(aug_Q): basis (i, g) goes to g . v_i
                 rhs = f.matmul(module.mats[g], f.eye(v1.dim)[:, i])
                 assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.name)
+def test_degree_zero_lift_is_the_identity(path, p):
+    """F_0 of Q and of P is free on the module basis, d_0 sending row i to v_i,
+    and so does the counit after ind(d_0 of Q): phi_0 is the identity."""
+    f = Field(p)
+    greps = instance_greps(path, p)
+    d = greps[0].datum
+    for v in greps:
+        q = free_resolution(v.module(TAG_I), 0)
+        for side, K, tag in ((1, d.K1, TAG_K1), (2, d.K2, TAG_K2)):
+            phi0, = chain_lift_pi(d, side, q, free_resolution(v.module(tag), 0), 0)
+            identity = f.zeros(v.dim, v.dim, K.order)
+            identity[np.arange(v.dim), np.arange(v.dim), K.identity] = f.one
+            assert np.array_equal(phi0.coeffs, identity)
+
+
+def test_a_lift_without_solution_names_its_degree(sl2z):
+    f = Field(2)
+    v = grep2(sl2z, f)
+    q = free_resolution(v.module(TAG_I), 3)
+    p = free_resolution(v.module(TAG_K1), 3)
+    d2 = p.diffs[2]
+    p.diffs[2] = AlgebraMatrix(d2.group, f, f.zeros(*d2.coeffs.shape))
+    with pytest.raises(LiftFailed, match="degree-2 lift has no solution"):
+        chain_lift_pi(sl2z, 1, q, p, 3)
 
 
 def test_chain_lift_equations_hold(all_datums):
@@ -93,7 +127,7 @@ def test_a_reused_lift_is_the_one_a_fresh_solve_gives(path, p):
                     continue
                 rows = q.diffs[j].map_entries(emb).coeffs.reshape(q.ranks[j], -1)
                 targets = f.matmul(lifts[j - 1].to_k_matrix().T, rows.T)
-                sols = f.solve_many(res.diff_operator(j), targets)
+                sols = f.solve(res.diff_operator(j), targets)
                 assert lifts[j].coeffs.tobytes() == sols.T.tobytes()
                 key = id(res.diffs[j]), id(q.diffs[j]), lifts[j - 1].coeffs.tobytes()
                 if first.setdefault(key, j) < j:
