@@ -243,6 +243,7 @@ class Field:
         return x if block else x[:, 0]
 
     def in_column_span(self, a, v) -> bool:
+        """Nothing in the package or its tests calls it; bench/tracing.py wraps it by name."""
         return self.solve(a, v) is not None
 
     def columns_contained(self, a, b) -> bool:

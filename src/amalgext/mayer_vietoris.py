@@ -10,6 +10,8 @@ K1, K2 and I is then verified degree by degree with exact rank arithmetic.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from amalgext.amalgam import AmalgamDatum, TAG_I, TAG_K1, TAG_K2
@@ -71,6 +73,12 @@ class MVComplex:
     differential combines the coefficient complexes of Q, P1, P2 with the
     pullbacks along the lifted chain maps, with cone signs
     d(a, b) = (-d a, phi(a) + d b) and phi = (phi_1, -phi_2).
+
+    A resolution is a function of the table and the action, and a lift also of
+    the embedding: when K2's table and V1's K2 action equal K1's, p2 is p1, and
+    x2 is x1 if the embeddings of I also agree, so the AlgebraMatrix.group of
+    a shared object is K1's group, whose table is K2's.  delta_p2 is delta_p1
+    when V2's K2 action also equals its K1 action.
     """
 
     def __init__(self, v1: GRep, v2: GRep, degree: int):
@@ -86,25 +94,30 @@ class MVComplex:
         f = self.field
 
         # cone degrees 0..degree read Q through degree, P1 and P2 through
-        # degree + 1, and the lifts through degree
+        # degree + 1, and the lifts through degree; contents compare by array_key
+        d, key = self.datum, array_key
+        m1, m2 = v1.module(TAG_K1), v1.module(TAG_K2)
+        same_p = key(d.K1.table) == key(d.K2.table) and key(m1.mats) == key(m2.mats)
         self.q = free_resolution(v1.module(TAG_I), degree)
-        self.p1 = free_resolution(v1.module(TAG_K1), degree + 1)
-        self.p2 = free_resolution(v1.module(TAG_K2), degree + 1)
-        self.x1 = chain_lift_pi(self.datum, 1, self.q, self.p1, degree)
-        self.x2 = chain_lift_pi(self.datum, 2, self.q, self.p2, degree)
+        self.p1 = free_resolution(m1, degree + 1)
+        self.p2 = self.p1 if same_p else free_resolution(m2, degree + 1)
+        self.x1 = chain_lift_pi(d, 1, self.q, self.p1, degree)
+        self.x2 = (self.x1 if same_p and key(d.emb1.mapping) == key(d.emb2.mapping)
+                   else chain_lift_pi(d, 2, self.q, self.p2, degree))
 
         w_i = v2.module(TAG_I)
-        w_1 = v2.module(TAG_K1)
-        w_2 = v2.module(TAG_K2)
-        d2 = v2.dim
-        self.d2 = d2
-        # coefficient complexes: delta_q[j] maps degree j to j+1 (index from 0)
-        self.delta_q = [coefficient_delta(self.q.diffs[j + 1], w_i) for j in range(degree)]
-        self.delta_p1 = [coefficient_delta(self.p1.diffs[j + 1], w_1) for j in range(degree + 1)]
-        self.delta_p2 = [coefficient_delta(self.p2.diffs[j + 1], w_2) for j in range(degree + 1)]
+        w_1, w_2 = v2.module(TAG_K1), v2.module(TAG_K2)
+        w_2 = w_1 if same_p and key(w_1.mats) == key(w_2.mats) else w_2
+        self.d2 = v2.dim
+        # coefficient complexes: delta_q[j] maps degree j to j+1 (index from 0);
+        # each distinct (differential, module) pair of objects is expanded once
+        delta = functools.cache(coefficient_delta)
+        self.delta_q = [delta(self.q.diffs[j + 1], w_i) for j in range(degree)]
+        self.delta_p1 = [delta(self.p1.diffs[j + 1], w_1) for j in range(degree + 1)]
+        self.delta_p2 = (self.delta_p1 if w_2 is w_1  # then p2 is p1 too
+                         else [delta(self.p2.diffs[j + 1], w_2) for j in range(degree + 1)])
         # precomposition with the lifts: V2^(rank P_j) -> V2^(rank Q_j)
-        self.deltas = [self._delta(j, coefficient_delta(self.x1[j], w_1),
-                                   coefficient_delta(self.x2[j], w_2))
+        self.deltas = [self._delta(j, delta(self.x1[j], w_1), delta(self.x2[j], w_2))
                        for j in range(degree + 1)]
         self.cone = CochainComplex(f, self.deltas)
 
@@ -263,7 +276,7 @@ def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
     mv = MVComplex(v1, v2, n + 1)
     cone = mv.cone
     k1 = CochainComplex(f, mv.delta_p1[: n + 1])
-    k2 = CochainComplex(f, mv.delta_p2[: n + 1])
+    k2 = k1 if mv.delta_p2 is mv.delta_p1 else CochainComplex(f, mv.delta_p2[: n + 1])
     edge = CochainComplex(f, mv.delta_q)
 
     # The maps are read off the cone layout (MVComplex._sizes): projection keeps the

@@ -27,7 +27,7 @@ from amalgext.resolutions import (
     free_resolution,
 )
 
-from conftest import INSTANCE_FILES, cyclic, grep2, instance_greps, random_grep
+from conftest import FIXTURES, INSTANCE_FILES, bundled, cyclic, grep2, instance_greps, random_grep
 
 
 def test_chain_lift_degree_zero_compatibility(sl2z):
@@ -413,7 +413,7 @@ def test_ext_s4_s3_s4_f3_is_periodic_through_degree_40():
     assert ext_G(v, v, 40) == [1 if j % 4 in (0, 3) else 0 for j in range(41)]
 
 
-def test_ext_s4_s3_s4_f2_matches_the_closed_form_through_degree_16():
+def test_ext_s4_s3_s4_f2_matches_the_closed_form_through_degree_24():
     """At F2, restriction H*(S4) -> H*(S3) is onto, so Mayer-Vietoris splits: Ext^j
     over G is 2 h(j) - 1 for j >= 1, with h(j) = dim H^j(S4; F2), whose Poincare
     series is (1 + t^2) / ((1 - t)(1 - t^3)), and dim H^j(S3; F2) = 1."""
@@ -422,6 +422,121 @@ def test_ext_s4_s3_s4_f2_matches_the_closed_form_through_degree_16():
     def h(j):
         return j // 3 + (j + 1) // 3 + 1
 
-    dims = ext_G(v, v, 16)
-    assert dims == [1] + [2 * h(j) - 1 for j in range(1, 17)]
-    assert dims == [1, 1, 3, 5, 5, 7, 9, 9, 11, 13, 13, 15, 17, 17, 19, 21, 21]
+    dims = ext_G(v, v, 24)
+    assert dims == [1] + [2 * h(j) - 1 for j in range(1, 25)]
+    assert dims == [1, 1, 3, 5, 5, 7, 9, 9, 11, 13, 13, 15, 17, 17, 19, 21, 21,
+                    23, 25, 25, 27, 29, 29, 31, 33]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_repeated_factor_is_resolved_and_lifted_once(p):
+    """On s4-s3-s4 the two factors, their actions and the embeddings of I are
+    equal, so K2's resolution, lift and coefficient complexes are K1's objects,
+    and these equal, entry for entry, what K2's own resolution and lift give."""
+    v = parse(str(S4_S3_S4)).build(p).grep("triv")
+    d, n = v.datum, 6
+    mv = MVComplex(v, v, n)
+    assert mv.p2 is mv.p1 and mv.x2 is mv.x1 and mv.delta_p2 is mv.delta_p1
+    p2 = free_resolution(v.module(TAG_K2), n + 1)
+    x2 = chain_lift_pi(d, 2, free_resolution(v.module(TAG_I), n), p2, n)
+    assert mv.p2.ranks == p2.ranks
+    for j in range(1, n + 2):
+        assert np.array_equal(mv.p2.diffs[j].coeffs, p2.diffs[j].coeffs)
+        assert np.array_equal(mv.delta_p2[j - 1], coefficient_delta(p2.diffs[j], v.module(TAG_K2)))
+    assert len(mv.x2) == len(x2)
+    for shared, own in zip(mv.x2, x2):
+        assert np.array_equal(shared.coeffs, own.coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_d_infinity_shares_the_lift_but_not_the_flip2_coefficients(p):
+    """K1 = K2 = Z/2 over the trivial subgroup: triv's resolution and lift serve
+    both factors, while flip2 acts by different matrices on the two."""
+    built = bundled("d-infinity").build(p)
+    mv = MVComplex(built.grep("triv"), built.grep("flip2"), 4)
+    assert mv.p2 is mv.p1 and mv.x2 is mv.x1
+    assert mv.delta_p2 is not mv.delta_p1
+    code, text = run(["les", str(FIXTURES / "d-infinity.amg"), "--char", str(p), "--degree", "3",
+                      "--v1", "triv", "--v2", "flip2"])
+    assert code == 0 and text.splitlines()[-1] == "RESULT: PASS"
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["gl2z", "sl2z"])
+def test_distinct_factors_share_nothing(name, p):
+    path, = [path for path in INSTANCE_FILES if path.stem == name]
+    greps = instance_greps(path, p)
+    for v1 in greps:
+        for v2 in greps:
+            mv = MVComplex(v1, v2, 3)
+            assert mv.p2 is not mv.p1 and mv.x2 is not mv.x1
+            assert mv.delta_p2 is not mv.delta_p1
+
+
+def s4_report(path, command, p, degree) -> list[str]:
+    """The lines of an ext or les report on triv but the instance name."""
+    code, out = run([command, str(path), "--char", str(p), "--degree", str(degree)])
+    assert code == 0
+    return [line for line in out.splitlines() if not line.startswith("instance:")]
+
+
+def renumbered(old: FiniteGroup, new: FiniteGroup, names) -> np.ndarray:
+    """The isomorphism old -> new, as an index map, that sends each named
+    generator to the generator of that name."""
+    gens = [(old.labels.index(s), new.labels.index(s)) for s in names]
+    image = {old.identity: new.identity}
+    frontier = [old.identity]
+    for x in frontier:  # a queue: it grows as the loop runs
+        for g_old, g_new in gens:
+            y = int(old.table[x, g_old])
+            if y not in image:
+                image[y] = int(new.table[image[x], g_new])
+                frontier.append(y)
+    return np.array([image[x] for x in range(old.order)])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_reordered_s4_s3_s4_reports_what_the_shared_run_reports(p, tmp_path):
+    """The oracle without sharing: s4-s3-s4 with K2's generators listed in the other
+    order numbers K2 otherwise, so nothing is shared, and every ext and les line
+    but the instance name is the shared run's."""
+    text = S4_S3_S4.read_text(encoding="utf-8")
+    old = parse(str(S4_S3_S4)).datum
+    k2 = FiniteGroup.from_permutations([[1, 2, 3, 0], [1, 0, 2, 3]], gen_names=["d", "c"])
+    assert not np.array_equal(k2.table, old.K2.table)
+    mapping = " ".join(str(x) for x in renumbered(old.K2, k2, "cd")[old.emb2.mapping])
+    emb2 = "embed K2 = " + " ".join(str(x) for x in old.emb2.mapping)
+    text = text.replace("perm c = 1 0 2 3\nperm d = 1 2 3 0", "perm d = 1 2 3 0\nperm c = 1 0 2 3")
+    text = text.replace(emb2, f"embed K2 = {mapping}").replace("name = s4-s3-s4", "name = reordered")
+    path = tmp_path / "reordered.amg"
+    path.write_text(text, encoding="utf-8")
+
+    v = parse(str(path)).build(p).grep("triv")
+    assert np.array_equal(v.datum.K2.table, k2.table)
+    mv = MVComplex(v, v, 2)
+    assert mv.p2 is not mv.p1 and mv.x2 is not mv.x1
+
+    for command, degree in (("ext", 12), ("les", 6)):
+        assert s4_report(path, command, p, degree) == s4_report(S4_S3_S4, command, p, degree)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_conjugated_embedding_shares_the_resolution_but_not_the_lift(p, tmp_path):
+    """s4-s3-s4 with I embedded into K2 by a conjugate of K1's embedding: the factor
+    tables and actions agree, so P2 is P1, but the lifts of the counit differ.  The
+    amalgam is the same group, so every ext and les line but the name is the same."""
+    text = S4_S3_S4.read_text(encoding="utf-8")
+    old = parse(str(S4_S3_S4)).datum
+    k2, g = old.K2, old.K2.labels.index("d")
+    conjugate = k2.table[k2.table[g, old.emb2.mapping], k2.inverse_table[g]]
+    assert not np.array_equal(conjugate, old.emb2.mapping)
+    emb2 = "embed K2 = " + " ".join(str(x) for x in old.emb2.mapping)
+    text = text.replace(emb2, "embed K2 = " + " ".join(str(x) for x in conjugate))
+    path = tmp_path / "conjugated.amg"
+    path.write_text(text.replace("name = s4-s3-s4", "name = conjugated"), encoding="utf-8")
+
+    v = parse(str(path)).build(p).grep("triv")
+    mv = MVComplex(v, v, 2)
+    assert mv.p2 is mv.p1 and mv.delta_p2 is mv.delta_p1 and mv.x2 is not mv.x1
+    for command, degree in (("ext", 12), ("les", 6)):
+        assert s4_report(path, command, p, degree) == s4_report(S4_S3_S4, command, p, degree)
