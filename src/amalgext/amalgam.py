@@ -270,6 +270,20 @@ class AmalgamDatum:
     def canon(self, tag: str, g: GWord) -> CosetRep:
         return self.canon_with_witness(tag, g)[0]
 
+    def canon_from_edge(self, tag: str, w: GWord):
+        """canon_with_witness(tag, w) for a factor tag and an I-canonical word w.
+
+        The vertex ends of the edge coset I*w.  Unless w starts with a letter
+        of the factor's side, the shortest elements of its orbit are the
+        j * w for j in I (see canon_with_witness), and w is the least of them,
+        so w is its own representative with the identity as witness.  Only the
+        leading side needs the search.
+        """
+        side = _SIDES[tag]
+        if w.letters and w.letters[0][0] == side:
+            return self.canon_with_witness(tag, w)
+        return CosetRep(tag, w), self._factor(side).identity
+
     def reduced_words(self, max_len: int) -> list[GWord]:
         """All normal forms of word length at most max_len, shortest first."""
         layers = [[GWord(self, (), i) for i in range(self.I.order)]]
@@ -310,7 +324,9 @@ class AmalgamDatum:
         strip_s removes a leading side-s letter.  As canonicalizing over I
         keeps the side of the first letter, the ball of K_s is the edge ball
         (of I) without the representatives that start with a side-s letter,
-        in the same order.
+        in the same order.  For those representatives w the witness is the
+        identity of K_s: canon_with_witness(K_s, w) is (w, identity), which is
+        what canon_from_edge returns without a search.
         """
         if r < 0:
             raise ValueError("radius must be nonnegative")

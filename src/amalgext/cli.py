@@ -24,8 +24,9 @@ REPORT_FORMAT = 1
 # The most cells (edge cosets, times the representation's dimension for
 # mv-check) a tree, chain or mv-check ball may hold.  The dense matrices of
 # chain and mv-check grow with its square.  It bounds the time only at small p:
-# on D-infinity, mv-check --grep flip2 --radius 249 (998 cells) takes 0.45 s at
-# p = 2 and 30 s at p = 2147483647, where matmul runs on Python integers.
+# on D-infinity, mv-check --grep flip2 --radius 249 (998 cells) takes 0.08 s at
+# p = 2 and 25 s at p = 2147483647, where matmul runs on Python integers
+# (Python 3.11, numpy 2.4, one core of a shared x86-64 host).
 MAX_BALL_CELLS = 1000
 
 

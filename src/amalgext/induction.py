@@ -295,9 +295,16 @@ def mv_truncated_check(v: GRep, r: int) -> MVCheckReport:
     checks kernel elements supported in the vertex (r-1)-balls against the
     image of the edge r-ball; surjectivity uses the section given by iota.
 
-    Coordinates run coset by coset in ball order, dim per coset.  Each map
-    is applied once per coset, to the element whose value there is the
-    identity block; its image is the block of columns of that coset.
+    Coordinates run coset by coset in ball order, dim per coset.  Each block
+    of columns is the map applied to the element whose value on one coset is
+    the identity block, and both maps are read off the normal forms:
+
+    - gamma_s of the edge coset I*w is the single block module_s(k), negated
+      for s = 2, at the K_s coset rep, where (rep, k) = canon_from_edge(K_s,
+      w): the value moved to the vertex representative, as gamma does.
+    - pi of the vertex coset K*w is rho(w^-1).  For w = t*u with t its first
+      letter on side s, rho(w^-1) = rho(u^-1) rho_s(t^-1), so pi_blocks
+      builds them suffix by suffix, one product per suffix not met before.
     """
     if r < 1:
         raise ValueError("radius must be at least 1")
@@ -313,23 +320,23 @@ def mv_truncated_check(v: GRep, r: int) -> MVCheckReport:
             first_row[tag, w] = len(first_row) * dim
 
     gamma_matrix = fld.zeros(len(first_row) * dim, len(edge) * dim)
+    signed_actions = ((TAG_K1, v.module1.mats), (TAG_K2, fld.neg(v.module2.mats)))
     for c, w in enumerate(edge):
-        e = IndElement(TAG_I, v, {w: eye})
-        for side, tag in ((1, TAG_K1), (2, TAG_K2)):
-            for u, block in gamma(side, e).support.items():
-                row = first_row[tag, u]
-                gamma_matrix[row : row + dim, c * dim : (c + 1) * dim] = (
-                    block if side == 1 else fld.neg(block))
+        for tag, mats in signed_actions:
+            rep, k = d.canon_from_edge(tag, w)
+            row = first_row[tag, rep.word]
+            gamma_matrix[row : row + dim, c * dim : (c + 1) * dim] = mats[k]
     gamma_span = Span(fld, gamma_matrix.shape[0], gamma_matrix.T)
     gamma_rank = len(gamma_span)
     injective = gamma_rank == gamma_matrix.shape[1]
 
     # pi_1 + pi_2 on pairs supported in the vertex (r-1)-balls; each small
-    # coordinate lands on the row of the same coset and component
-    small = [(tag, w) for tag in (TAG_K1, TAG_K2) for w in d.ball(tag, r - 1)]
+    # coordinate lands on the row of the same coset and component.  These are
+    # the (r-1)-balls in their order: canonicalizing keeps word length.
+    small = [(tag, w) for tag in (TAG_K1, TAG_K2) for w in d.ball(tag, r) if len(w) < r]
     pi_sum = fld.zeros(dim, len(small) * dim)
-    for c, (tag, w) in enumerate(small):
-        pi_sum[:, c * dim : (c + 1) * dim] = pi(IndElement(tag, v, {w: eye}))
+    for c, block in enumerate(pi_blocks(v, [w for _tag, w in small])):
+        pi_sum[:, c * dim : (c + 1) * dim] = block
     kernel = fld.kernel_matrix(pi_sum)
     rows = [first_row[key] + t for key in small for t in range(dim)]
     embedded_kernel = fld.zeros(gamma_matrix.shape[0], kernel.shape[1])
@@ -339,3 +346,32 @@ def mv_truncated_check(v: GRep, r: int) -> MVCheckReport:
     surjective = np.array_equal(pi(iota(TAG_K1, v, eye)), eye)
 
     return MVCheckReport(r, dim, len(edge), gamma_rank, injective, middle_exact, surjective)
+
+
+def pi_blocks(v: GRep, words) -> list[np.ndarray]:
+    """rho(w^-1) for each w of words: pi of the identity block on the coset of w.
+
+    With w = t_1 ... t_n * i, rho(w^-1) = rho(i^-1) rho(t_n^-1) ... rho(t_1^-1).
+    Each suffix t_k ... t_n * i is looked up, or built from the next one with
+    one product, and kept for the rest of the call.  The walk is a loop, so
+    word length is not bounded by the recursion limit.
+    """
+    fld = v.field
+    d = v.datum
+    factors = {1: v.module1, 2: v.module2}
+    memo = {}
+    out = []
+    for w in words:
+        letters, tail = w.letters, w.tail
+        k = 0
+        while k < len(letters) and (letters[k:], tail) not in memo:
+            k += 1
+        block = memo.get((letters[k:], tail))
+        if block is None:
+            block = memo[(), tail] = v.module(TAG_I).mats[d.I.inv(tail)]
+        for j in range(k - 1, -1, -1):
+            side, t = letters[j]
+            module = factors[side]
+            block = memo[letters[j:], tail] = fld.matmul(block, module.mats[module.group.inv(t)])
+        out.append(block)
+    return out

@@ -26,8 +26,8 @@ class TreeBall:
         self.edges = [CosetRep(TAG_I, w) for w in datum.ball(TAG_I, r)]
         self.endpoints = []
         for rep in self.edges:
-            a = datum.canon(TAG_K1, rep.word).word
-            b = datum.canon(TAG_K2, rep.word).word
+            a = datum.canon_from_edge(TAG_K1, rep.word)[0].word
+            b = datum.canon_from_edge(TAG_K2, rep.word)[0].word
             self.endpoints.append((self.vertex_index[(TAG_K1, a)],
                                    self.vertex_index[(TAG_K2, b)]))
 

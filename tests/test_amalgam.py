@@ -6,6 +6,7 @@ import pytest
 
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2, DatumMismatch, GWord, LetterOutOfGroup
 from amalgext.instfile import parse
+from amalgext.tree import build_ball
 
 from conftest import sl2z_word_to_matrix, subgroup_words
 
@@ -199,3 +200,17 @@ def test_inverse_matches_the_product_of_inverted_letters(path):
             tag, K = (TAG_K1, d.K1) if side == 1 else (TAG_K2, d.K2)
             w = d.multiply(w, d.word_from_factor(tag, K.inv(t)))
         assert d.inverse(u) == w
+
+
+@pytest.mark.parametrize("path", AMG_FILES, ids=lambda p: p.name)
+def test_canon_from_edge_and_tree_endpoints_match_canon_with_witness(path):
+    d = file_datum(path)
+    for w in d.ball(TAG_I, 3):
+        for tag in (TAG_K1, TAG_K2):
+            assert d.canon_from_edge(tag, w) == d.canon_with_witness(tag, w), (tag, w)
+    for r in range(4):
+        ball = build_ball(d, r)
+        assert ball.endpoints == [
+            (ball.vertex_index[TAG_K1, d.canon(TAG_K1, e.word).word],
+             ball.vertex_index[TAG_K2, d.canon(TAG_K2, e.word).word])
+            for e in ball.edges]

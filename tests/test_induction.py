@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import amalgext.induction as induction
-from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
+from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2, AmalgamDatum
 from amalgext.cli import MAX_BALL_CELLS
 from amalgext.induction import (
     IndElement,
@@ -19,6 +19,7 @@ from amalgext.induction import (
     iota,
     mv_truncated_check,
     pi,
+    pi_blocks,
     tensor_identity,
     tensor_identity_inverse,
     trivial_grep,
@@ -384,8 +385,9 @@ def test_maps_on_blocks_are_their_column_by_column_results(all_datums):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_mv_check_applies_gamma_and_pi_once_per_coset(monkeypatch, all_datums, dim):
-    calls = {"gamma": 0, "pi": 0}
+def test_mv_check_canonicalizes_each_edge_once_and_calls_neither_gamma_nor_pi(
+        monkeypatch, all_datums, dim):
+    calls = {"gamma": 0, "pi": 0, "canon": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -395,14 +397,51 @@ def test_mv_check_applies_gamma_and_pi_once_per_coset(monkeypatch, all_datums, d
 
     monkeypatch.setattr(induction, "gamma", counted("gamma", induction.gamma))
     monkeypatch.setattr(induction, "pi", counted("pi", induction.pi))
+    monkeypatch.setattr(AmalgamDatum, "canon_with_witness",
+                        counted("canon", AmalgamDatum.canon_with_witness))
     f = Field(3)
     for d in all_datums:
         v = trivial_grep(d, f, dim)
         for r in (1, 2, 3):
-            calls.update(gamma=0, pi=0)
+            calls.update(gamma=0, pi=0, canon=0)
             assert all_pass(mv_truncated_check(v, r))
-            assert calls["gamma"] == 2 * d.edge_coset_count(r)
-            assert calls["pi"] == len(d.ball(TAG_K1, r - 1)) + len(d.ball(TAG_K2, r - 1)) + 1
+            # one search per edge coset with a first letter, on its leading
+            # side, plus the one of iota in the surjectivity check
+            assert calls["canon"] == sum(1 for w in d.ball(TAG_I, r) if w.letters) + 1
+            assert calls["gamma"] == 0
+            assert calls["pi"] == 1  # the surjectivity check
+
+
+def assert_pi_blocks_are_pi(v, radius):
+    """pi_blocks over the vertex balls, in mv-check's order, against pi coset by coset."""
+    eye = v.field.eye(v.dim)
+    small = [(tag, w) for tag in (TAG_K1, TAG_K2) for w in v.datum.ball(tag, radius)]
+    blocks = pi_blocks(v, [w for _tag, w in small])
+    for (tag, w), block in zip(small, blocks, strict=True):
+        assert np.array_equal(block, pi(IndElement(tag, v, {w: eye}))), (tag, w)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_pi_blocks_are_pi_of_the_identity_block_on_each_small_coset(all_datums, p):
+    for d in all_datums:
+        for v in (trivial_grep(d, Field(p)), grep2(d, Field(p))):
+            assert_pi_blocks_are_pi(v, 3)  # the small cosets of every radius up to 4
+
+
+def test_pi_blocks_walk_deep_words_without_recursion(d_inf):
+    v = grep2(d_inf, Field(3))
+    assert_pi_blocks_are_pi(v, 200)
+    # alone, a word longer than the recursion limit is walked letter by letter
+    w = d_inf.reduce([(TAG_K1, 1), (TAG_K2, 1)] * 750)
+    assert len(w) == 1500
+    assert np.array_equal(pi_blocks(v, [w])[0], pi(IndElement(TAG_K2, v, {w: v.field.eye(2)})))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_mv_check_over_the_rationals_equals_the_column_by_column_reference(all_datums, r):
+    for d in all_datums:
+        v = grep2(d, Field(0))
+        assert vars(mv_truncated_check(v, r)) == mv_check_by_columns(v, r), d.name
 
 
 BUNDLED_DATUMS = [bundled(name).datum for name in ("d-infinity", "psl2z", "sl2z")]
