@@ -131,15 +131,16 @@ class AmalgamDatum:
             side: [t for t in reps if t != self._factor(side).identity]
             for side, reps in self.transversal.items()
         }
-        # push[side][i][t] = decomp[side][emb(i) * t]: one step of _push_tail
+        # push[side][t][i] = decomp[side][emb(i) * t]: one step of _push_tail
         self._push = {
             side: [[self.decomp[side][k] for k in row]
-                   for row in K.table[emb.mapping].tolist()]
+                   for row in K.table[emb.mapping].T.tolist()]
             for side, K, emb in ((1, K1, emb1), (2, K2, emb2))
         }
         self._I_table = I.table.tolist()
         self._identity_word = GWord(self, (), I.identity)
         self._ball_cache = {}
+        self._lead_ends = {}  # (letters, tail) of an edge rep -> its leading end (_edge_ball)
 
     def __repr__(self):
         return f"AmalgamDatum({self.name or 'unnamed'})"
@@ -173,7 +174,7 @@ class AmalgamDatum:
         push = self._push
         out = []
         for side, t in letters:
-            t2, i = push[side][i][t]
+            t2, i = push[side][t][i]
             out.append((side, t2))
         return tuple(out), self._I_table[i][tail]
 
@@ -276,13 +277,16 @@ class AmalgamDatum:
         The vertex ends of the edge coset I*w.  Unless w starts with a letter
         of the factor's side, the shortest elements of its orbit are the
         j * w for j in I (see canon_with_witness), and w is the least of them,
-        so w is its own representative with the identity as witness.  Only the
-        leading side needs the search.
+        so w is its own representative with the identity as witness.  The end
+        on the leading side was recorded when the edge ball that holds w was
+        built (see _edge_ball), so it is read, not searched for; only a word
+        of no ball built so far falls back to canon_with_witness.
         """
         side = _SIDES[tag]
-        if w.letters and w.letters[0][0] == side:
-            return self.canon_with_witness(tag, w)
-        return CosetRep(tag, w), self._factor(side).identity
+        if not (w.letters and w.letters[0][0] == side):
+            return CosetRep(tag, w), self._factor(side).identity
+        end = self._lead_ends.get((w.letters, w.tail))
+        return self.canon_with_witness(tag, w) if end is None else end
 
     def reduced_words(self, max_len: int) -> list[GWord]:
         """All normal forms of word length at most max_len, shortest first."""
@@ -319,14 +323,16 @@ class AmalgamDatum:
     def ball(self, tag: str, r: int) -> list[GWord]:
         """Canonical coset representatives of word length <= r, in sort order.
 
-        Canonicalizing never lengthens a word, and by the length argument of
-        canon_with_witness canon(K_s, w) = canon(I, strip_s(w)), where
-        strip_s removes a leading side-s letter.  As canonicalizing over I
-        keeps the side of the first letter, the ball of K_s is the edge ball
-        (of I) without the representatives that start with a side-s letter,
-        in the same order.  For those representatives w the witness is the
-        identity of K_s: canon_with_witness(K_s, w) is (w, identity), which is
-        what canon_from_edge returns without a search.
+        The edge ball (tag I) is built by _edge_ball, which also records each
+        representative's vertex end on its leading side.  Canonicalizing never
+        lengthens a word, and by the length argument of canon_with_witness
+        canon(K_s, w) = canon(I, strip_s(w)), where strip_s removes a leading
+        side-s letter.  As canonicalizing over I keeps the side of the first
+        letter, the ball of K_s is the edge ball without the representatives
+        that start with a side-s letter, in the same order.  For those
+        representatives w the witness is the identity of K_s:
+        canon_with_witness(K_s, w) is (w, identity), which is what
+        canon_from_edge returns without a search.
         """
         if r < 0:
             raise ValueError("radius must be nonnegative")
@@ -341,16 +347,73 @@ class AmalgamDatum:
         return self._ball_cache[key]
 
     def _edge_ball(self, r: int) -> list[GWord]:
-        # The orbits of I split the reduced words into groups of one length;
-        # the words come in sort order, so the first word met in each orbit
-        # is its minimum.
-        reps = []
-        covered = set()
-        for w in self.reduced_words(r):
-            if (w.letters, w.tail) not in covered:
-                reps.append(w)
-                covered.update(self._push_tail(j, w.letters, w.tail)
-                               for j in range(self.I.order))
+        """The minima of the I-orbits of reduced words of length <= r, in sort
+        order, built one word length at a time from (letters, tail) tuples.
+
+        A word of length n + 1 is a letter (s, t) followed by a word x of
+        length n that does not start on side s, and its sort key compares
+        (s, t) before x.  So taking the letters in order, and for each the
+        words x in their own order, meets the words of length n + 1 in sort
+        order.  Each x is named by its orbit c and the a in I with
+        x = a * rep_c, where rep_c is the orbit's minimum.  The orbit of
+        w = (s, t) x is then read off the orbit of x: for j in I,
+
+            j * w = (s, t') (i' a) * rep_c,  where (t', i') = push[s][j][t],
+
+        and (i' a) * rep_c is entry i'a of rep_c's orbit table, so no word is
+        walked letter by letter.  All of an orbit is marked when its first
+        word is met, and the orbit's words are met in sort order, so the first
+        one met is its minimum; only the minima become GWords.
+
+        The vertex end of w on its leading side s is canon_with_witness(K_s,
+        w): stripping (s, t) leaves x, whose minimum rep_c is reached by
+        a^-1, so it is (rep_c, emb_s(a^-1) t^-1).  It is recorded for
+        canon_from_edge.  The orbit tables of one length are dropped once the
+        next length is built.
+        """
+        I = self.I
+        n, e = I.order, I.identity
+        times = I.table.T.tolist()  # times[a][i] = i * a
+        sides = []  # per side: its tag, and per nontrivial t its letter, pushes and witnesses
+        for s, tag in ((1, TAG_K1), (2, TAG_K2)):
+            K, ts = self._factor(s), self.nontrivial_transversal[s]
+            # witnesses[t][a] = emb_s(a^-1) t^-1
+            witnesses = K.table[self._emb(s).mapping[I.inverse_table][:, None],
+                                K.inverse_table[ts]].T.tolist()
+            sides.append((s, tag, {t: (((s, t),), self._push[s][t], w)
+                                   for t, w in zip(ts, witnesses)}))
+        reps, first = [self._identity_word], 0  # first: index in reps of the length's first
+        orbits = [[((), a) for a in range(n)]]  # orbits[c][a] = a * rep_(first + c)
+        # a * rep_(first + c) has id c * n + a; follow[s] lists, in sort order,
+        # the ids of the words that may follow a side-s letter
+        follow = dict.fromkeys((1, 2), list(range(n)))
+        for _ in range(r):
+            new_orbits, starts = [], {}
+            for s, tag, steps in sides:
+                # marks[t][x]: the id of (s, t) x once its orbit is met
+                marks = {t: [None] * (len(orbits) * n) for t in steps}
+                out = starts[s] = []
+                for t, (_, pushes, witness) in steps.items():
+                    moves = [(steps[t2][0], marks[t2], i2) for t2, i2 in pushes]
+                    mark = marks[t]
+                    for x in follow[s]:
+                        hit = mark[x]
+                        if hit is None:
+                            c, a = divmod(x, n)
+                            g, rows, orbit, times_a = len(new_orbits) * n, orbits[c], [], times[a]
+                            for j, (letter, mark2, i2) in enumerate(moves):
+                                b = times_a[i2]
+                                letters, tail = rows[b]
+                                orbit.append((letter + letters, tail))
+                                mark2[x - a + b] = g + j
+                            new_orbits.append(orbit)
+                            reps.append(GWord(self, *orbit[e]))
+                            self._lead_ends[orbit[e]] = (CosetRep(tag, reps[first + c]),
+                                                         witness[a])
+                            hit = g + e
+                        out.append(hit)
+            first = len(reps) - len(new_orbits)
+            orbits, follow = new_orbits, {1: starts[2], 2: starts[1]}
         return reps
 
     def right_transversal_of_I(self, side: int) -> list[int]:

@@ -13,8 +13,9 @@ import numpy as np
 
 from amalgext.amalgam import AmalgamDatum, GWord, TAG_I, TAG_K1, TAG_K2
 from amalgext.groups import GroupMismatch
-from amalgext.linalg import Field, Span
+from amalgext.linalg import Field
 from amalgext.reps import KModule, module_from_generators, restrict_module, trivial_module
+from amalgext.spans import Span
 
 
 class DimensionMismatch(ValueError):

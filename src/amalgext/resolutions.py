@@ -20,8 +20,9 @@ import random
 import numpy as np
 
 from amalgext.groups import FiniteGroup, SubgroupEmbedding
-from amalgext.linalg import CochainComplex, CompositionNonzero, Field, Span, array_key
+from amalgext.linalg import CochainComplex, CompositionNonzero, Field, array_key
 from amalgext.reps import KModule
+from amalgext.spans import Span
 
 
 # Random kernel combinations tried per generator, from a generator seeded with

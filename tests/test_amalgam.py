@@ -214,3 +214,45 @@ def test_canon_from_edge_and_tree_endpoints_match_canon_with_witness(path):
             (ball.vertex_index[TAG_K1, d.canon(TAG_K1, e.word).word],
              ball.vertex_index[TAG_K2, d.canon(TAG_K2, e.word).word])
             for e in ball.edges]
+
+
+def orbit_minima(d, words):
+    """The edge ball by its definition: the least j * w over j in I, for each w, in sort order."""
+    translates = [j for _, j in subgroup_words(d, TAG_I)]
+    return sorted({min((d.multiply(j, w) for j in translates), key=GWord.sort_key)
+                   for w in words}, key=GWord.sort_key)
+
+
+def no_search(*args):
+    raise AssertionError("an edge end was searched for, not read")
+
+
+def assert_edge_balls_and_ends(monkeypatch, d, words, radii):
+    """ball(I, r) against the orbit minima of words, requested radius by radius
+    in the given order, and both ends of every edge against canon_with_witness,
+    read from what building the balls recorded."""
+    minima = orbit_minima(d, words)
+    ends = {(tag, w): d.canon_with_witness(tag, w) for w in minima for tag in (TAG_K1, TAG_K2)}
+    monkeypatch.setattr(d, "canon_with_witness", no_search)
+    for r in radii:
+        ball = d.ball(TAG_I, r)
+        assert ball == [w for w in minima if len(w) <= r], r
+        for w in ball:
+            for tag in (TAG_K1, TAG_K2):
+                assert d.canon_from_edge(tag, w) == ends[tag, w], (r, tag, w)
+
+
+@pytest.mark.parametrize("radii", [range(5), range(4, -1, -1)], ids=["increasing", "decreasing"])
+@pytest.mark.parametrize("path", AMG_FILES, ids=lambda p: p.name)
+def test_edge_balls_are_the_orbit_minima_and_their_ends_are_canon_with_witness(
+        monkeypatch, path, radii):
+    d = file_datum(path)
+    assert_edge_balls_and_ends(monkeypatch, d, d.reduced_words(4), radii)
+
+
+def test_a_deep_edge_ball_of_d_infinity_is_its_reduced_words(monkeypatch):
+    # |I| = 1: every reduced word is its own orbit, and the deepest is 250 letters long
+    d = file_datum(ROOT / "fixtures" / "d-infinity.amg")
+    words = d.reduced_words(250)
+    assert orbit_minima(d, words) == words
+    assert_edge_balls_and_ends(monkeypatch, d, words, [250, 3, 200])

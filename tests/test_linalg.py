@@ -9,12 +9,11 @@ from amalgext.linalg import (
     CochainComplex,
     CompositionNonzero,
     Field,
-    PackedSpan,
-    Span,
     array_key,
     is_prime,
     subquotient_dim,
 )
+from amalgext.spans import PackedSpan, Span
 
 from conftest import brute_force_rank, random_invertible, random_matrix
 

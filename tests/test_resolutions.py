@@ -13,7 +13,7 @@ from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
 from amalgext.groups import FiniteGroup
 from amalgext.induction import grep_from_generators, trivial_grep
 from amalgext.instfile import parse
-from amalgext.linalg import Field, Span, array_key
+from amalgext.linalg import Field, array_key
 from amalgext.reps import (
     hom_space,
     module_from_generators,
@@ -26,6 +26,7 @@ from amalgext.resolutions import (
     ext_finite,
     free_resolution,
 )
+from amalgext.spans import Span
 
 from conftest import (
     INSTANCE_FILES,

@@ -1,10 +1,14 @@
 import random
 
 import numpy as np
+import pytest
 
-from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
+from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2, AmalgamDatum
+from amalgext.instfile import parse
 from amalgext.linalg import Field
 from amalgext.tree import build_ball, chain_complex, to_dot
+
+from conftest import INSTANCE_FILES
 
 
 def test_radius_zero_is_base_edge(all_datums):
@@ -29,6 +33,24 @@ def test_tree_property_all_radii(all_datums):
             ball = build_ball(d, r)
             assert ball.num_vertices == ball.num_edges + 1
             assert ball.is_forest() and ball.is_connected()
+
+
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda p: p.name)
+def test_build_ball_reads_every_end_without_a_search(monkeypatch, path):
+    calls = []
+    real = AmalgamDatum.canon_with_witness
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(AmalgamDatum, "canon_with_witness", counted)
+    d = parse(str(path)).build().datum  # a fresh datum: no ball is built yet
+    for r in (3, 0, 1, 2):
+        ball = build_ball(d, r)
+        assert ball.num_vertices == ball.num_edges + 1
+    # every edge's ends were recorded while its ball was built
+    assert calls == []
 
 
 def test_sl2z_interior_degrees_two_and_three(sl2z):
