@@ -279,14 +279,13 @@ class AmalgamDatum:
         j * w for j in I (see canon_with_witness), and w is the least of them,
         so w is its own representative with the identity as witness.  The end
         on the leading side was recorded when the edge ball that holds w was
-        built (see _edge_ball), so it is read, not searched for; only a word
-        of no ball built so far falls back to canon_with_witness.
+        built (see _edge_ball), so it is read, not searched for: w must be a
+        word of ball(TAG_I, r) for some r already requested.
         """
         side = _SIDES[tag]
         if not (w.letters and w.letters[0][0] == side):
             return CosetRep(tag, w), self._factor(side).identity
-        end = self._lead_ends.get((w.letters, w.tail))
-        return self.canon_with_witness(tag, w) if end is None else end
+        return self._lead_ends[w.letters, w.tail]
 
     def reduced_words(self, max_len: int) -> list[GWord]:
         """All normal forms of word length at most max_len, shortest first."""
@@ -358,12 +357,14 @@ class AmalgamDatum:
         x = a * rep_c, where rep_c is the orbit's minimum.  The orbit of
         w = (s, t) x is then read off the orbit of x: for j in I,
 
-            j * w = (s, t') (i' a) * rep_c,  where (t', i') = push[s][j][t],
+            j * w = (s, t') (i' a) * rep_c,  where (t', i') = push[s][t][j],
 
         and (i' a) * rep_c is entry i'a of rep_c's orbit table, so no word is
         walked letter by letter.  All of an orbit is marked when its first
         word is met, and the orbit's words are met in sort order, so the first
-        one met is its minimum; only the minima become GWords.
+        one met is its minimum; only the minima become GWords.  The one orbit
+        of length 0 is all of I, and its minimum is ((), 0), which is the
+        identity word only when I's identity is element 0.
 
         The vertex end of w on its leading side s is canon_with_witness(K_s,
         w): stripping (s, t) leaves x, whose minimum rep_c is reached by
@@ -382,11 +383,13 @@ class AmalgamDatum:
                                 K.inverse_table[ts]].T.tolist()
             sides.append((s, tag, {t: (((s, t),), self._push[s][t], w)
                                    for t, w in zip(ts, witnesses)}))
-        reps, first = [self._identity_word], 0  # first: index in reps of the length's first
-        orbits = [[((), a) for a in range(n)]]  # orbits[c][a] = a * rep_(first + c)
+        # the words of length 0 are one orbit, all of I, with minimum ((), 0)
+        reps, first = [GWord(self, (), 0)], 0  # first: index in reps of the length's first
+        tails = I.table[:, 0].tolist()  # tails[a] = a * 0
+        orbits = [[((), i) for i in tails]]  # orbits[c][a] = a * rep_(first + c)
         # a * rep_(first + c) has id c * n + a; follow[s] lists, in sort order,
         # the ids of the words that may follow a side-s letter
-        follow = dict.fromkeys((1, 2), list(range(n)))
+        follow = dict.fromkeys((1, 2), sorted(range(n), key=tails.__getitem__))
         for _ in range(r):
             new_orbits, starts = [], {}
             for s, tag, steps in sides:

@@ -5,13 +5,52 @@ import numpy as np
 import pytest
 
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2, DatumMismatch, GWord, LetterOutOfGroup
-from amalgext.instfile import parse
+from amalgext.instfile import parse, parse_text
 from amalgext.tree import build_ball
 
 from conftest import sl2z_word_to_matrix, subgroup_words
 
 ROOT = Path(__file__).resolve().parents[1]
 AMG_FILES = sorted(ROOT.glob("fixtures/*.amg")) + sorted(ROOT.glob("bench/instances/*.amg"))
+
+# Amalgams whose I is a table with its identity off element 0; then the least
+# word of length 0 is ((), 0), not the identity word.
+SHIFTED_I = {
+    "sl2z-identity-of-I-at-1": """
+[instance]
+name = sl2z-shifted
+characteristic = 2
+
+[group K1]
+perm a = 1 2 3 0
+
+[group K2]
+perm b = 1 2 3 4 5 0
+
+[subgroup I]
+table = 1 0 / 0 1
+embed K1 = 2 0
+embed K2 = 3 0
+""",
+    "z6-z3-z6-identity-of-I-at-2": """
+[instance]
+name = z6-z3-z6-shifted
+characteristic = 2
+
+[group K1]
+perm a = 1 2 3 4 5 0
+
+[group K2]
+perm b = 1 2 3 4 5 0
+
+[subgroup I]
+table = 1 2 0 / 2 0 1 / 0 1 2
+embed K1 = 2 4 0
+embed K2 = 2 4 0
+""",
+}
+DATUM_CASES = ([pytest.param(p, id=p.name) for p in AMG_FILES]
+               + [pytest.param(text, id=name) for name, text in SHIFTED_I.items()])
 
 
 def test_reduce_psl2z_a_a_b(psl2z):
@@ -160,6 +199,11 @@ def file_datum(path):
     return parse(str(path)).build().datum
 
 
+def case_datum(case):
+    """The datum of a DATUM_CASES entry: an instance file, or an instance text."""
+    return file_datum(case) if isinstance(case, Path) else parse_text(case).build().datum
+
+
 def brute_force_canon(d, tag, g):
     """The definition: the minimum of {k * g : k in the subgroup} by sort_key, with its k."""
     candidates = [(d.multiply(k_word, g), k) for k, k_word in subgroup_words(d, tag)]
@@ -202,9 +246,9 @@ def test_inverse_matches_the_product_of_inverted_letters(path):
         assert d.inverse(u) == w
 
 
-@pytest.mark.parametrize("path", AMG_FILES, ids=lambda p: p.name)
-def test_canon_from_edge_and_tree_endpoints_match_canon_with_witness(path):
-    d = file_datum(path)
+@pytest.mark.parametrize("case", DATUM_CASES)
+def test_canon_from_edge_and_tree_endpoints_match_canon_with_witness(case):
+    d = case_datum(case)
     for w in d.ball(TAG_I, 3):
         for tag in (TAG_K1, TAG_K2):
             assert d.canon_from_edge(tag, w) == d.canon_with_witness(tag, w), (tag, w)
@@ -243,10 +287,10 @@ def assert_edge_balls_and_ends(monkeypatch, d, words, radii):
 
 
 @pytest.mark.parametrize("radii", [range(5), range(4, -1, -1)], ids=["increasing", "decreasing"])
-@pytest.mark.parametrize("path", AMG_FILES, ids=lambda p: p.name)
+@pytest.mark.parametrize("case", DATUM_CASES)
 def test_edge_balls_are_the_orbit_minima_and_their_ends_are_canon_with_witness(
-        monkeypatch, path, radii):
-    d = file_datum(path)
+        monkeypatch, case, radii):
+    d = case_datum(case)
     assert_edge_balls_and_ends(monkeypatch, d, d.reduced_words(4), radii)
 
 
