@@ -383,7 +383,6 @@ class AmalgamDatum:
                                 K.inverse_table[ts]].T.tolist()
             sides.append((s, tag, {t: (((s, t),), self._push[s][t], w)
                                    for t, w in zip(ts, witnesses)}))
-        # the words of length 0 are one orbit, all of I, with minimum ((), 0)
         reps, first = [GWord(self, (), 0)], 0  # first: index in reps of the length's first
         tails = I.table[:, 0].tolist()  # tails[a] = a * 0
         orbits = [[((), i) for i in tails]]  # orbits[c][a] = a * rep_(first + c)
