@@ -108,8 +108,7 @@ class Field:
 
     def eye(self, n) -> np.ndarray:
         m = self.zeros(n, n)
-        for i in range(n):
-            m[i, i] = self.one
+        m.reshape(-1)[:: n + 1] = self.one  # the diagonal of a fresh array, as a view
         return m
 
     @property
@@ -267,19 +266,22 @@ class CochainComplex:
     cocycles[j] columns.  A map equal to an earlier one shares its span and
     cocycles, which is exact because callers only read them (reduce against a
     span, multiply by cocycles).  Every consecutive pair is checked to compose
-    to zero.
+    to zero, once per distinct pair of maps.
     """
 
     def __init__(self, field: Field, deltas):
         self.field = field
+        keys = [array_key(d) for d in deltas]
+        composed = set()  # (key of delta_{j-1}, key of delta_j) pairs checked
         for j in range(1, len(deltas)):
-            if np.any(field.matmul(deltas[j], deltas[j - 1]) != 0):
-                raise CompositionNonzero(j)
+            if (keys[j - 1], keys[j]) not in composed:
+                if np.any(field.matmul(deltas[j], deltas[j - 1]) != 0):
+                    raise CompositionNonzero(j)
+                composed.add((keys[j - 1], keys[j]))
         self.cocycles = []
         self._coboundaries = [Span(field, deltas[0].shape[1])] if deltas else []
         seen = {}  # array_key of a map -> (its coboundary span, its cocycles)
-        for d in deltas:
-            key = array_key(d)
+        for d, key in zip(deltas, keys):
             if key not in seen:
                 tgt, src = d.shape
                 r, pivots = field.rref(np.concatenate([d.T, field.eye(src)], axis=1))

@@ -15,9 +15,10 @@ import functools
 import numpy as np
 
 from amalgext.amalgam import AmalgamDatum, TAG_I, TAG_K1, TAG_K2
+from amalgext.groups import GroupMismatch
 from amalgext.induction import GRep
 from amalgext.linalg import CochainComplex, Field, array_key
-from amalgext.reps import hom_space, intertwiner_constraints
+from amalgext.reps import intertwiner_constraints
 from amalgext.resolutions import (
     AlgebraMatrix,
     FreeResolution,
@@ -165,17 +166,15 @@ def hom_sequence_check(v1: GRep, v2: GRep) -> dict:
     The middle map is the difference of restrictions; its kernel must match
     the simultaneous intertwiner space exactly.
     """
+    if v1.datum is not v2.datum or v1.field != v2.field:
+        raise GroupMismatch("intertwiners need modules over one amalgam and one field")
     f = v1.field
-    basis_g = hom_G_direct(v1, v2)
-    basis_1 = hom_space(v1.module(TAG_K1), v2.module(TAG_K1))
-    basis_2 = hom_space(v1.module(TAG_K2), v2.module(TAG_K2))
-
-    def vecs(basis):
-        if not basis:
-            return f.zeros(v1.dim * v2.dim, 0)
-        return np.column_stack([b.reshape(-1) for b in basis])
-
-    h1, h2, hg = vecs(basis_1), vecs(basis_2), vecs(basis_g)
+    # each factor's constraints are built once; the kernels are the three
+    # intertwiner bases (hom_space and hom_G_direct), as columns
+    c1 = intertwiner_constraints(v1.module(TAG_K1), v2.module(TAG_K1))
+    c2 = intertwiner_constraints(v1.module(TAG_K2), v2.module(TAG_K2))
+    h1, h2 = f.kernel_matrix(c1), f.kernel_matrix(c2)
+    hg = f.kernel_matrix(np.concatenate([c1, c2]))
     difference = np.concatenate([h1, f.neg(h2)], axis=1)
     kernel = f.kernel_matrix(difference)
     # kernel members are coefficient pairs with equal matrices on both sides;
@@ -185,11 +184,11 @@ def hom_sequence_check(v1: GRep, v2: GRep) -> dict:
     # is hg's.
     matched = f.matmul(h1, kernel[: h1.shape[1], :]) if kernel.shape[1] else f.zeros(v1.dim * v2.dim, 0)
     image_in_kernel = f.columns_contained(matched, hg)
-    exact_middle = kernel.shape[1] == len(basis_g) and image_in_kernel
+    exact_middle = kernel.shape[1] == hg.shape[1] and image_in_kernel
     return {
-        "dim_G": len(basis_g),
-        "dim_K1": len(basis_1),
-        "dim_K2": len(basis_2),
+        "dim_G": hg.shape[1],
+        "dim_K1": h1.shape[1],
+        "dim_K2": h2.shape[1],
         "exact_at_middle": bool(exact_middle),
         "image_in_kernel": bool(image_in_kernel),
     }
@@ -268,6 +267,12 @@ def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
     cohomology must add up to the cohomology dimension.  A map's rank on
     cohomology is the rank of its image of cocycles modulo the target's
     coboundaries.
+
+    A degree's ranks and membership tests are a function of what it reads
+    (see _les_degree).  From the first repeated differential on, a degree of
+    periodic resolutions reads the coboundary spans and arrays an earlier
+    degree read, so it takes that degree's results: spans are keyed by
+    identity (equal maps share one span), arrays by array_key.
     """
     if n < 1:
         raise ValueError("degree bound must be at least 1")
@@ -279,52 +284,68 @@ def verify_les(v1: GRep, v2: GRep, n: int) -> LESReport:
     k2 = k1 if mv.delta_p2 is mv.delta_p1 else CochainComplex(f, mv.delta_p2[: n + 1])
     edge = CochainComplex(f, mv.delta_q)
 
-    # The maps are read off the cone layout (MVComplex._sizes): projection keeps the
-    # (P1, P2) rows, comparison is the cone's phi block, connecting fills the top rows.
-    # Each map leaves one node and enters the next, so its image of cocycles
-    # and its rank on cohomology are computed once and read twice.
-    # The connecting map into degree 0 is zero.
+    # Each map leaves one node and enters the next, so its rank on cohomology
+    # is computed once and read twice.
     nodes = []
-    conn_image, conn_rank = None, 0
+    conn_rank = 0
+    seen = {}  # the key of what a degree reads -> its _les_degree results
     for j in range(n + 1):
-        a, b1, _ = mv._sizes(j)
-        phi = mv.deltas[j][: mv._sizes(j + 1)[0], a:]
-
-        def connect(x):
-            out = f.zeros(sum(mv._sizes(j + 1)), x.shape[1])
-            out[: x.shape[0]] = x
-            return out
-
-        def reduce_prod(rows):
-            """Rows of K1 x K2 modulo its coboundaries, each factor's block by its own."""
-            return np.concatenate([k1.coboundaries(j).reduce(rows[:, :b1]),
-                                   k2.coboundaries(j).reduce(rows[:, b1:])], axis=1)
-
-        edge_b = edge.coboundaries(j)
-        cone_b = cone.coboundaries(j + 1)
-        proj_image = cone.cocycles[j][a:]
-        proj_rank = f.rank(reduce_prod(proj_image.T))
-        comp_image = np.concatenate([f.matmul(phi[:, :b1], k1.cocycles[j]),
-                                     f.matmul(phi[:, b1:], k2.cocycles[j])], axis=1)
-        comp_rank = len(edge_b.copy().add(comp_image.T))
-
-        # node G at degree j
-        im_in_ker = j == 0 or not reduce_prod(conn_image[a:].T).any()
-        nodes.append((j, "G", cone.dims[j], conn_rank, proj_rank, im_in_ker,
+        # the comparison map is the cone's phi block (layout in MVComplex._sizes)
+        phi = mv.deltas[j][: mv._sizes(j + 1)[0], mv._sizes(j)[0] :]
+        spans = k1.coboundaries(j), k2.coboundaries(j), edge.coboundaries(j), cone.coboundaries(j + 1)
+        # no cocycle of I precedes degree 0, so the connecting map into it is zero
+        before = edge.cocycles[j - 1] if j else f.zeros(0, 0)
+        arrays = cone.cocycles[j], k1.cocycles[j], k2.cocycles[j], phi, before, edge.cocycles[j]
+        key = spans + tuple(map(array_key, arrays))
+        if key not in seen:
+            seen[key] = _les_degree(f, spans, *arrays)
+        proj_rank, comp_rank, conn_rank_out, in_g, in_prod, in_i = seen[key]
+        nodes.append((j, "G", cone.dims[j], conn_rank, proj_rank, in_g,
                       conn_rank + proj_rank == cone.dims[j]))
-
-        # node K1 x K2 at degree j
         prod_dim = k1.dims[j] + k2.dims[j]
-        im_in_ker = not edge_b.reduce(f.matmul(phi, proj_image).T).any()
-        nodes.append((j, "K1xK2", prod_dim, proj_rank, comp_rank, im_in_ker,
+        nodes.append((j, "K1xK2", prod_dim, proj_rank, comp_rank, in_prod,
                       proj_rank + comp_rank == prod_dim))
-
-        # node I at degree j
-        conn_image = connect(edge.cocycles[j])
-        conn_rank_out = len(cone_b.copy().add(conn_image.T))
-        im_in_ker = not cone_b.reduce(connect(comp_image).T).any()
-        nodes.append((j, "I", edge.dims[j], comp_rank, conn_rank_out, im_in_ker,
+        nodes.append((j, "I", edge.dims[j], comp_rank, conn_rank_out, in_i,
                       comp_rank + conn_rank_out == edge.dims[j]))
         conn_rank = conn_rank_out
 
     return LESReport(v1.datum, n, cone.dims[: n + 1], k1.dims, k2.dims, edge.dims, nodes)
+
+
+def _les_degree(f: Field, spans, cone_z, z1, z2, phi, edge_before, edge_z):
+    """(projection rank, comparison rank, connecting rank, im_in_ker at G, at
+    K1 x K2 and at I) of one LES degree j, from what it reads and nothing else.
+
+    spans are the coboundaries of K1 and K2 at j, of I at j and of the cone at
+    j + 1; cone_z, z1, z2 and edge_z are the cocycles of the cone, K1, K2 and
+    I at j, and edge_before I's at j - 1 (0 x 0 at j = 0).  The cone's rows are
+    laid out as in MVComplex._sizes: I's block of height len(edge_before),
+    then K1's of height len(z1), then K2's.  Projection keeps the (P1, P2)
+    rows, comparison is phi, and connecting fills the top rows.
+    """
+    k1_b, k2_b, edge_b, cone_b = spans
+    a, b1 = len(edge_before), len(z1)
+
+    def connect(x, height):
+        out = f.zeros(height, x.shape[1])
+        out[: len(x)] = x
+        return out
+
+    def inside(span, rows) -> bool:
+        return all(map(span.contains, span.pack(rows)))
+
+    def inside_prod(rows) -> bool:
+        """Whether rows of K1 x K2 are coboundaries, each factor's block by its own."""
+        return inside(k1_b, rows[:, :b1]) and inside(k2_b, rows[:, b1:])
+
+    proj_image = cone_z[a:]
+    proj_rank = f.rank(np.concatenate([k1_b.reduce(proj_image[:b1].T),
+                                       k2_b.reduce(proj_image[b1:].T)], axis=1))
+    comp_image = np.concatenate([f.matmul(phi[:, :b1], z1), f.matmul(phi[:, b1:], z2)], axis=1)
+    comp_rank = len(edge_b.copy().add(comp_image.T))
+    conn_rank = len(cone_b.copy().add(connect(edge_z, cone_b.width).T))
+    # the connecting map out of degree j - 1, then the projection
+    in_g = inside_prod(connect(edge_before, len(cone_z))[a:].T)
+    in_prod = inside(edge_b, f.matmul(phi, proj_image).T)
+    in_i = inside(cone_b, connect(comp_image, cone_b.width).T)
+    return proj_rank, comp_rank, conn_rank, in_g, in_prod, in_i

@@ -101,10 +101,13 @@ class FreeResolution:
     the generators lift a basis of M / J M, so from degree 2 on the ranks are
     dim Ext^j(V, k).
 
-    d_{j+1} is a function of d_j (its kernel; the generator is seeded on every
-    call), so once d_j equals an earlier d_i, as under periodic cohomology,
-    d_{j+1} is the object d_{i+1}, with no elimination.  Sharing is exact:
-    nothing writes into an AlgebraMatrix's coeffs once it is built.
+    d_{j+1} is a function of ker d_j (the generator is seeded on every call),
+    so once d_j equals an earlier d_i, as under periodic cohomology, d_{j+1} is
+    the object d_{i+1}, with no elimination; and once ker d_j equals the
+    augmentation's kernel, d_{j+1} is the object d_1, with no generator
+    selection.  Periodic cohomology thus shares from the first repeat of M on,
+    not one period later.  Sharing is exact: nothing writes into an
+    AlgebraMatrix's coeffs once it is built.
     """
 
     def __init__(self, module: KModule):
@@ -126,6 +129,7 @@ class FreeResolution:
                                    for h in range(self.group.order)})
         self._trials = min(SAMPLE_TRIALS, SAMPLE_ROWS // len(self._coset_reps))
         self._next: dict[tuple, AlgebraMatrix] = {}  # array_key of d_j -> d_{j+1}, j >= 1
+        self._cover_kernel: tuple | None = None  # array_key of the augmentation's kernel
 
     def diff_operator(self, j: int) -> np.ndarray:
         """The column-convention operator of d_j: F_j -> F_{j-1}, d_0 the augmentation:
@@ -148,11 +152,16 @@ class FreeResolution:
         key = array_key(self.diffs[j].coeffs) if j else None
         d = self._next.get(key)
         if d is None:
-            gens = (self._module_generators(f.kernel_matrix(self.diff_operator(j)).T, prev_rank)
-                    if prev_rank else f.zeros(0, 0))
-            d = AlgebraMatrix(self.group, f, gens.reshape(len(gens), prev_rank, n))
+            kernel = f.kernel_matrix(self.diff_operator(j)).T if prev_rank else f.zeros(0, 0)
+            if j and array_key(kernel) == self._cover_kernel:
+                d = self.diffs[1]
+            else:
+                gens = self._module_generators(kernel, prev_rank) if prev_rank else kernel
+                d = AlgebraMatrix(self.group, f, gens.reshape(len(gens), prev_rank, n))
             if j:
                 self._next[key] = d
+            else:
+                self._cover_kernel = array_key(kernel)
         self.ranks.append(d.rows)
         self.diffs.append(d)
 

@@ -552,22 +552,30 @@ def _periodic_pair(f, rng):
 @pytest.mark.parametrize("p", [3, 0])
 def test_cochain_complex_with_repeated_maps(p, monkeypatch):
     """[A, B, A, B, A] has at each degree the cohomology of its two neighbouring
-    maps alone, and eliminates each distinct map once, also when the repeats
-    are equal arrays held in different objects."""
+    maps alone, eliminates each distinct map once and composes each distinct
+    pair of neighbours once, also when the repeats are equal arrays held in
+    different objects."""
     f = Field(p)
     a, b = _periodic_pair(f, np.random.default_rng(1000 + p))
     assert not f.matmul(a, b).any() and not f.matmul(b, a).any()
     deltas = [a, b, a.copy(), b.copy(), a.copy()]
-    calls = []
-    rref = Field.rref
+    calls, composed = [], []
+    rref, matmul = Field.rref, Field.matmul
 
     def counting(self, m):
         calls.append(np.shape(m))
         return rref(self, m)
 
+    def composing(self, x, y):
+        if any(x is d for d in deltas):
+            composed.append((x, y))
+        return matmul(self, x, y)
+
     monkeypatch.setattr(Field, "rref", counting)
+    monkeypatch.setattr(Field, "matmul", composing)
     cx = CochainComplex(f, deltas)
     assert len(calls) == 2
+    assert len(composed) == 2  # B A and A B
     monkeypatch.undo()
     around = [f.zeros(4, 0)] + deltas + [f.zeros(0, 4)]
     assert cx.dims == [subquotient_dim(f, around[j], around[j + 1]) for j in range(5)]

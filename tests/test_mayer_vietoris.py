@@ -4,12 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from amalgext import mayer_vietoris, reps
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2, AmalgamDatum
 from amalgext.cli import run
 from amalgext.groups import FiniteGroup, SubgroupEmbedding
 from amalgext.induction import trivial_grep
 from amalgext.instfile import parse
-from amalgext.linalg import Field
+from amalgext.linalg import CochainComplex, Field
 from amalgext.mayer_vietoris import (
     MVComplex,
     abelianized_hom_dim,
@@ -19,6 +20,7 @@ from amalgext.mayer_vietoris import (
     hom_sequence_check,
     verify_les,
 )
+from amalgext.reps import hom_space
 from amalgext.resolutions import (
     AlgebraMatrix,
     LiftFailed,
@@ -271,7 +273,14 @@ def test_abelianization_oracle_matches_row_by_row_relations(all_datums):
             assert abelianized_hom_dim(d, p) == looped_abelianized_hom_dim(d, p), (d.name, p)
 
 
-def test_hom_sequence_exact_seeded_pairs(all_datums):
+def test_hom_sequence_exact_seeded_pairs(all_datums, monkeypatch):
+    """Exact at the middle, with the dimensions of hom_space and hom_G_direct,
+    from one constraint stack per factor."""
+    built = []
+    constraints = reps.intertwiner_constraints
+    for module in (mayer_vietoris, reps):
+        monkeypatch.setattr(module, "intertwiner_constraints",
+                            lambda v, w: built.append(v.group) or constraints(v, w))
     rng = np.random.default_rng(99)
     for d in all_datums:
         for p in (2, 3):
@@ -279,10 +288,15 @@ def test_hom_sequence_exact_seeded_pairs(all_datums):
             for _ in range(10):
                 v1 = random_grep(d, f, rng)
                 v2 = random_grep(d, f, rng)
+                built.clear()
                 out = hom_sequence_check(v1, v2)
+                assert built == [d.K1, d.K2]
                 assert out["exact_at_middle"], (d.name, p)
                 assert out["image_in_kernel"]
                 assert out["dim_G"] <= min(out["dim_K1"], out["dim_K2"])
+                assert out["dim_G"] == len(hom_G_direct(v1, v2))
+                assert out["dim_K1"] == len(hom_space(v1.module(TAG_K1), v2.module(TAG_K1)))
+                assert out["dim_K2"] == len(hom_space(v1.module(TAG_K2), v2.module(TAG_K2)))
 
 
 def test_verify_les_trivial_pairs_all_instances(all_datums):
@@ -540,3 +554,72 @@ def test_a_conjugated_embedding_shares_the_resolution_but_not_the_lift(p, tmp_pa
     assert mv.p2 is mv.p1 and mv.delta_p2 is mv.delta_p1 and mv.x2 is not mv.x1
     for command, degree in (("ext", 12), ("les", 6)):
         assert s4_report(path, command, p, degree) == s4_report(S4_S3_S4, command, p, degree)
+
+
+def _les_nodes_from_scratch(v1, v2, n):
+    """verify_les's node tuples with every degree ranked anew: each membership is
+    a dense reduction, and nothing is carried from one degree to the next but
+    the connecting rank and image."""
+    f = v1.field
+    mv = MVComplex(v1, v2, n + 1)
+    cone = mv.cone
+    k1 = CochainComplex(f, mv.delta_p1[: n + 1])
+    k2 = CochainComplex(f, mv.delta_p2[: n + 1])
+    edge = CochainComplex(f, mv.delta_q)
+
+    def zero_mod(span, rows):
+        return not span.reduce(rows).any()
+
+    nodes, conn_rank, conn_image = [], 0, None
+    for j in range(n + 1):
+        a, b1, _ = mv._sizes(j)
+        height = sum(mv._sizes(j + 1))
+        k1_b, k2_b = k1.coboundaries(j), k2.coboundaries(j)
+        edge_b, cone_b = edge.coboundaries(j), cone.coboundaries(j + 1)
+        phi = mv.deltas[j][: mv._sizes(j + 1)[0], a:]
+        proj = cone.cocycles[j][a:].T
+        proj_rank = f.rank(np.concatenate([k1_b.reduce(proj[:, :b1]), k2_b.reduce(proj[:, b1:])], axis=1))
+        comp = np.concatenate([f.matmul(phi[:, :b1], k1.cocycles[j]),
+                               f.matmul(phi[:, b1:], k2.cocycles[j])], axis=1)
+        comp_rank = f.rank(np.concatenate([edge_b.basis, comp.T])) - len(edge_b)
+        in_g = j == 0 or (zero_mod(k1_b, conn_image[a : a + b1].T) and zero_mod(k2_b, conn_image[a + b1 :].T))
+        nodes.append((j, "G", cone.dims[j], conn_rank, proj_rank, in_g, conn_rank + proj_rank == cone.dims[j]))
+        prod_dim = k1.dims[j] + k2.dims[j]
+        nodes.append((j, "K1xK2", prod_dim, proj_rank, comp_rank, zero_mod(edge_b, f.matmul(phi, proj.T).T),
+                      proj_rank + comp_rank == prod_dim))
+        conn_image = f.zeros(height, edge.cocycles[j].shape[1])
+        conn_image[: len(edge.cocycles[j])] = edge.cocycles[j]
+        conn_out = f.rank(np.concatenate([cone_b.basis, conn_image.T])) - len(cone_b)
+        comp_up = f.zeros(height, comp.shape[1])
+        comp_up[: len(comp)] = comp
+        nodes.append((j, "I", edge.dims[j], comp_rank, conn_out, zero_mod(cone_b, comp_up.T),
+                      comp_rank + conn_out == edge.dims[j]))
+        conn_rank = conn_out
+    return nodes
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.name)
+def test_les_nodes_equal_a_per_degree_recomputation(path, p):
+    """Through degree 8, where periodic inputs repeat whole degrees, every node of
+    verify_les is the one its own degree gives when ranked from scratch, for the
+    trivial module against each coefficient module of the file (as `les` runs)."""
+    coefficients = instance_greps(path, p)
+    triv = coefficients[0]
+    for v2 in coefficients:
+        assert verify_les(triv, v2, 8).nodes == _les_nodes_from_scratch(triv, v2, 8), v2.dim
+
+
+@pytest.mark.parametrize("p, degree, ext_g", [
+    (3, 24, [1, 0, 0, 1] * 6 + [1]),
+    (2, 16, [j + 1 for j in range(17)]),
+])
+def test_deep_les_on_gl2z_is_known(p, degree, ext_g):
+    """GL2(Z) = D8 *_{V4} D12 with trivial coefficients: Ext_G is 1 0 0 1 repeated
+    over F3, and j + 1 in degree j over F2; the sequence is exact throughout."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "instances" / "gl2z.amg"
+    code, text = run(["les", str(path), "--char", str(p), "--degree", str(degree)])
+    lines = text.splitlines()
+    assert code == 0
+    assert "ext_G:  " + " ".join(map(str, ext_g)) in lines
+    assert lines[-1] == "RESULT: PASS"

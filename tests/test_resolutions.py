@@ -552,12 +552,28 @@ def test_a_stored_differential_is_the_one_its_predecessor_determines(path, p):
 
 
 def test_periodic_resolutions_reuse_their_differentials():
-    """The factors of GL2(Z) at F3 have periodic cohomology; from the first repeat on,
-    each of their resolutions holds as many differential objects as its period."""
+    """The factors of GL2(Z) at F3 have periodic cohomology; from d_1 on, each of
+    their resolutions holds as many differential objects as its period, since
+    ker d_period is the augmentation's kernel."""
     built = parse(str(ROOT / "bench" / "instances" / "gl2z.amg")).build(3)
     for tag, period in ((TAG_K1, 2), (TAG_K2, 4), (TAG_I, 2)):
         res = free_resolution(built.grep("triv").module(tag), REUSE_DEGREE)
-        assert all(res.diffs[j] is res.diffs[j + period] for j in range(2, REUSE_DEGREE - period + 1))
+        assert all(res.diffs[j] is res.diffs[j + period] for j in range(1, REUSE_DEGREE - period + 1))
+        assert len({id(d) for d in res.diffs[1:]}) == period
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.name)
+def test_d1_follows_exactly_the_kernels_equal_to_the_augmentations(path, p):
+    """diffs[j + 1] is the object diffs[1] exactly when ker d_j, computed here from
+    d_j, has the bytes of the augmentation's kernel, through degree 8."""
+    for module in _distinct_factor_modules(path, p):
+        f = module.field
+        res = free_resolution(module, 8)
+        cover = array_key(f.kernel_matrix(res.diff_operator(0)).T)
+        for j in range(1, 8):
+            kernel = f.kernel_matrix(res.diff_operator(j)).T if res.ranks[j] else f.zeros(0, 0)
+            assert (res.diffs[j + 1] is res.diffs[1]) == (array_key(kernel) == cover), j
 
 
 def test_resolution_over_q_reuses_by_value():
@@ -566,8 +582,11 @@ def test_resolution_over_q_reuses_by_value():
     f = Field(0)
     res = free_resolution(trivial_module(cyclic(3), f), 8)
     assert res.verify(8)
-    assert res.diffs[1] is not res.diffs[3]
-    assert array_key(res.diffs[1].coeffs) == array_key(res.diffs[3].coeffs)
-    assert all(res.diffs[j] is res.diffs[j + 2] for j in range(2, 7))
+    assert res.diffs[1] is res.diffs[3]
+    # ker d_2 equals the augmentation's kernel by entries, not by bytes
+    kernels = [f.kernel_matrix(res.diff_operator(j)).T for j in (0, 2)]
+    assert kernels[0].tobytes() != kernels[1].tobytes()
+    assert array_key(kernels[0]) == array_key(kernels[1])
+    assert all(res.diffs[j] is res.diffs[j + 2] for j in range(1, 7))
     a, b = f.array([[1, 2]]) / 3, f.array([[1, 2]]) / 3
     assert a.tobytes() != b.tobytes() and array_key(a) == array_key(b)
