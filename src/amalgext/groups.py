@@ -46,14 +46,12 @@ class FiniteGroup:
         if table.min() < 0 or table.max() >= n:
             raise ValueError("table entries out of range")
 
-        ident = None
-        for e in range(n):
-            if np.array_equal(table[e], np.arange(n)) and np.array_equal(table[:, e], np.arange(n)):
-                ident = e
-                break
-        if ident is None:
+        # the first e whose row and column are both the identity permutation
+        ar = np.arange(n)
+        units = ((table == ar).all(axis=1) & (table == ar[:, None]).all(axis=0)).nonzero()[0]
+        if not units.size:
             raise ValueError("no identity element")
-        self.identity = ident
+        self.identity = ident = int(units[0])
 
         # associativity (Light's test): the z with (xy)z = x(yz) for all x, y
         # are closed under products, and right multiplication by the generators
@@ -67,12 +65,12 @@ class FiniteGroup:
             if not np.array_equal(right[table], small[:, right]):
                 raise ValueError("multiplication table is not associative")
 
-        inv = np.full(n, -1, dtype=np.int64)
-        for x in range(n):
-            hits = np.nonzero(table[x] == ident)[0]
-            if len(hits) != 1 or table[hits[0], x] != ident:
-                raise ValueError(f"element {x} has no two-sided inverse")
-            inv[x] = hits[0]
+        # x has an inverse when its row holds the identity once, at a y with yx = e
+        hits = table == ident
+        inv = hits.argmax(axis=1)
+        bad = ((hits.sum(axis=1) != 1) | (table[inv, ar] != ident)).nonzero()[0]
+        if bad.size:
+            raise ValueError(f"element {bad[0]} has no two-sided inverse")
         self.inverse_table = inv
         # quotient_table[x, y] is the index of x^-1 y
         self.quotient_table = table[inv]

@@ -327,7 +327,9 @@ def mv_truncated_check(v: GRep, r: int) -> MVCheckReport:
             rep, k = d.canon_from_edge(tag, w)
             row = first_row[tag, rep.word]
             gamma_matrix[row : row + dim, c * dim : (c + 1) * dim] = mats[k]
-    gamma_span = Span(fld, gamma_matrix.shape[0], gamma_matrix.T)
+    # deepest edges first: the columns are a tree's incidence, so leaves first
+    # leaves no long reduction chains (at F2 the rows enter in this order)
+    gamma_span = Span(fld, gamma_matrix.shape[0], gamma_matrix.T[::-1])
     gamma_rank = len(gamma_span)
     injective = gamma_rank == gamma_matrix.shape[1]
 

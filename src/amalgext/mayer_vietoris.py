@@ -73,7 +73,8 @@ class MVComplex:
     realized as plain coefficient spaces by the free-module adjunction.  The
     differential combines the coefficient complexes of Q, P1, P2 with the
     pullbacks along the lifted chain maps, with cone signs
-    d(a, b) = (-d a, phi(a) + d b) and phi = (phi_1, -phi_2).
+    d(a, b) = (-d a, phi(a) + d b) and phi = (phi_1, -phi_2).  Out of the top degree
+    P maps by kernel_cover(degree), which has the cocycles d_{degree+1} has.
 
     A resolution is a function of the table and the action, and a lift also of
     the embedding: when K2's table and V1's K2 action equal K1's, p2 is p1, and
@@ -94,14 +95,13 @@ class MVComplex:
             raise ValueError("module pair must share the coefficient field")
         f = self.field
 
-        # cone degrees 0..degree read Q through degree, P1 and P2 through
-        # degree + 1, and the lifts through degree; contents compare by array_key
+        # Q, P1, P2 and the lifts are read through degree; contents compare by array_key
         d, key = self.datum, array_key
         m1, m2 = v1.module(TAG_K1), v1.module(TAG_K2)
         same_p = key(d.K1.table) == key(d.K2.table) and key(m1.mats) == key(m2.mats)
         self.q = free_resolution(v1.module(TAG_I), degree)
-        self.p1 = free_resolution(m1, degree + 1)
-        self.p2 = self.p1 if same_p else free_resolution(m2, degree + 1)
+        self.p1 = free_resolution(m1, degree)
+        self.p2 = self.p1 if same_p else free_resolution(m2, degree)
         self.x1 = chain_lift_pi(d, 1, self.q, self.p1, degree)
         self.x2 = (self.x1 if same_p and key(d.emb1.mapping) == key(d.emb2.mapping)
                    else chain_lift_pi(d, 2, self.q, self.p2, degree))
@@ -114,9 +114,11 @@ class MVComplex:
         # each distinct (differential, module) pair of objects is expanded once
         delta = functools.cache(coefficient_delta)
         self.delta_q = [delta(self.q.diffs[j + 1], w_i) for j in range(degree)]
-        self.delta_p1 = [delta(self.p1.diffs[j + 1], w_1) for j in range(degree + 1)]
+        top1 = self.p1.kernel_cover(degree)
+        top2 = top1 if self.p2 is self.p1 else self.p2.kernel_cover(degree)
+        self.delta_p1 = [delta(m, w_1) for m in self.p1.diffs[1:] + [top1]]
         self.delta_p2 = (self.delta_p1 if w_2 is w_1  # then p2 is p1 too
-                         else [delta(self.p2.diffs[j + 1], w_2) for j in range(degree + 1)])
+                         else [delta(m, w_2) for m in self.p2.diffs[1:] + [top2]])
         # precomposition with the lifts: V2^(rank P_j) -> V2^(rank Q_j)
         self.deltas = [self._delta(j, delta(self.x1[j], w_1), delta(self.x2[j], w_2))
                        for j in range(degree + 1)]
@@ -131,7 +133,7 @@ class MVComplex:
         phi = (fmap1, -fmap2), the lifts precomposed."""
         f = self.field
         a_j, b1_j, b2_j = self._sizes(j)
-        a_n, b1_n, b2_n = self._sizes(j + 1)
+        a_n, b1_n, b2_n = len(fmap1), len(self.delta_p1[j]), len(self.delta_p2[j])
         out = f.zeros(a_n + b1_n + b2_n, a_j + b1_j + b2_j)
         if a_j and a_n:
             out[:a_n, :a_j] = f.neg(self.delta_q[j - 1])

@@ -103,11 +103,11 @@ class FreeResolution:
 
     d_{j+1} is a function of ker d_j (the generator is seeded on every call),
     so once d_j equals an earlier d_i, as under periodic cohomology, d_{j+1} is
-    the object d_{i+1}, with no elimination; and once ker d_j equals the
-    augmentation's kernel, d_{j+1} is the object d_1, with no generator
-    selection.  Periodic cohomology thus shares from the first repeat of M on,
-    not one period later.  Sharing is exact: nothing writes into an
-    AlgebraMatrix's coeffs once it is built.
+    the object d_{i+1}, with no elimination; and once ker d_j equals an
+    earlier ker d_i (the augmentation's, say), d_{j+1} is the object d_{i+1},
+    with no generator selection.  Periodic cohomology thus shares from the
+    first repeat of M on, not one period later.  Sharing is exact: nothing
+    writes into an AlgebraMatrix's coeffs once it is built.
     """
 
     def __init__(self, module: KModule):
@@ -129,7 +129,7 @@ class FreeResolution:
                                    for h in range(self.group.order)})
         self._trials = min(SAMPLE_TRIALS, SAMPLE_ROWS // len(self._coset_reps))
         self._next: dict[tuple, AlgebraMatrix] = {}  # array_key of d_j -> d_{j+1}, j >= 1
-        self._cover_kernel: tuple | None = None  # array_key of the augmentation's kernel
+        self._kernels: dict[tuple, list[AlgebraMatrix]] = {}  # shape of ker d_j -> d_{j+1}s
 
     def diff_operator(self, j: int) -> np.ndarray:
         """The column-convention operator of d_j: F_j -> F_{j-1}, d_0 the augmentation:
@@ -142,28 +142,38 @@ class FreeResolution:
 
     def extend(self, n: int):
         while self.length() < n:
-            self._extend_once()
+            d = self._successor(self.length(), select=True)
+            self.ranks.append(d.rows)
+            self.diffs.append(d)
 
-    def _extend_once(self):
+    def kernel_cover(self, n: int) -> AlgebraMatrix:
+        """A free module onto ker d_n, extending nothing: d_{n+1} if this resolution or
+        its memos hold it, else the k-basis of ker d_n as rows.  A map on F_n kills its
+        image exactly when it kills im d_{n+1}: Hom of it has the cocycles of d_{n+1}'s."""
+        return self.diffs[n + 1] if self.length() > n else self._successor(n, select=False)
+
+    def _successor(self, j: int, select: bool) -> AlgebraMatrix:
+        """d_{j+1} from the memos, else generators of ker d_j (select) or its k-basis, which
+        is no differential and no memo keeps.  ker d_j is ker d_i if it has its shape and
+        holds the rows of d_{i+1}, which span ker d_i; kernel_matrix then gives equal arrays."""
         f = self.field
-        n = self.group.order
-        j = self.length()
-        prev_rank = self.ranks[j]
         key = array_key(self.diffs[j].coeffs) if j else None
-        d = self._next.get(key)
+        if key in self._next:
+            return self._next[key]
+        op = self.diff_operator(j)
+        kernel = f.kernel_matrix(op).T if self.ranks[j] else f.zeros(0, 0)
+        known = self._kernels.setdefault(kernel.shape, [])
+        d = next((c for c in known
+                  if not f.matmul(op, c.coeffs.reshape(c.rows, kernel.shape[1]).T).any()), None)
         if d is None:
-            kernel = f.kernel_matrix(self.diff_operator(j)).T if prev_rank else f.zeros(0, 0)
-            if j and array_key(kernel) == self._cover_kernel:
-                d = self.diffs[1]
-            else:
-                gens = self._module_generators(kernel, prev_rank) if prev_rank else kernel
-                d = AlgebraMatrix(self.group, f, gens.reshape(len(gens), prev_rank, n))
-            if j:
-                self._next[key] = d
-            else:
-                self._cover_kernel = array_key(kernel)
-        self.ranks.append(d.rows)
-        self.diffs.append(d)
+            rows = self._module_generators(kernel, self.ranks[j]) if select and len(kernel) else kernel
+            d = AlgebraMatrix(self.group, f, rows.reshape(len(rows), self.ranks[j], self.group.order))
+            if not select:
+                return d
+            known.append(d)
+        if j:
+            self._next[key] = d
+        return d
 
     def _module_generators(self, kernel: np.ndarray, rank: int) -> np.ndarray:
         """Algebra generators, as rows, of the group-stable span M of the kernel rows.
@@ -279,9 +289,11 @@ def coefficient_delta(diff: AlgebraMatrix, w: KModule) -> np.ndarray:
 
 def ext_finite(v: KModule, w: KModule, n: int,
                resolution: FreeResolution | None = None) -> CochainComplex:
-    """The coefficient cochain complex Hom(F_j, w); its dims are Ext^j(v, w), 0 <= j <= n."""
+    """The coefficient cochain complex Hom(F_j, w), 0 <= j <= n, closed at the top
+    by Hom of the resolution's kernel_cover(n); its dims are Ext^j(v, w)."""
     if v.group is not w.group:
         raise ValueError("Ext needs two modules over one group")
-    res = resolution if resolution is not None else free_resolution(v, n + 1)
-    res.extend(n + 1)
-    return CochainComplex(v.field, [coefficient_delta(res.diffs[j], w) for j in range(1, n + 2)])
+    res = resolution or FreeResolution(v)
+    res.extend(n)
+    maps = res.diffs[1 : n + 1] + [res.kernel_cover(n)]
+    return CochainComplex(v.field, [coefficient_delta(m, w) for m in maps])

@@ -326,7 +326,9 @@ def test_criterion_7_property_suite():
                 assert not res.diffs[j].mul(res.diffs[j - 1]).coeffs.any()
                 zero_checks += 1
             assert not np.any(f.matmul(res.diff_operator(0), res.diff_operator(1)))
-            zero_checks += 1
+            # the kernel cover that closes the cone's top in place of d_5
+            assert not res.kernel_cover(4).mul(res.diffs[4]).coeffs.any()
+            zero_checks += 2
         for j in range(len(mv.deltas) - 1):
             assert not np.any(f.matmul(mv.deltas[j + 1], mv.deltas[j]))
             zero_checks += 1

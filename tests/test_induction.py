@@ -353,6 +353,18 @@ def test_mv_check_equals_the_column_by_column_reference(path, p):
     assert checked
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name, r", [("d-infinity.amg", 50), ("s4-s3-s4.amg", 5)])
+def test_deep_mv_check_equals_the_column_by_column_reference(name, r, p):
+    """gamma's span is built deepest edges first; on deep balls the reports are
+    the reference's, whose span takes the edges in ball order."""
+    path = next(path for path in INSTANCE_FILES if path.name == name)
+    for v in instance_greps(path, p):
+        report = vars(mv_truncated_check(v, r))
+        assert report == mv_check_by_columns(v, r), v.dim
+        assert report["gamma_rank"] == report["edge_cosets"] * v.dim
+
+
 def column_of(elem, c):
     """The element made of column c of every block value."""
     return IndElement(elem.tag, elem.grep, {w: val[:, c] for w, val in elem.support.items()})

@@ -10,7 +10,7 @@ from amalgext.cli import run
 from amalgext.groups import FiniteGroup, SubgroupEmbedding
 from amalgext.induction import trivial_grep
 from amalgext.instfile import parse
-from amalgext.linalg import CochainComplex, Field
+from amalgext.linalg import CochainComplex, Field, array_key
 from amalgext.mayer_vietoris import (
     MVComplex,
     abelianized_hom_dim,
@@ -23,6 +23,7 @@ from amalgext.mayer_vietoris import (
 from amalgext.reps import hom_space
 from amalgext.resolutions import (
     AlgebraMatrix,
+    FreeResolution,
     LiftFailed,
     coefficient_delta,
     ext_finite,
@@ -156,14 +157,16 @@ def test_frobenius_reciprocity_on_induced_differentials(path, p):
 
 
 def test_mv_complex_builds_only_what_the_cone_reads(all_datums):
-    """Cone degrees 0..n read Q through n, P1 and P2 through n + 1, the lifts through n."""
+    """Cone degrees 0..n read Q, P1, P2 and the lifts through n; the top P blocks
+    map by a kernel cover, which extends no resolution."""
     for d in all_datums:
         for p in (2, 3):
             f = Field(p)
             for degree in (0, 1, 3, 6):
                 mv = MVComplex(grep2(d, f), trivial_grep(d, f), degree)
                 assert len(mv.q.ranks) == degree + 1
-                assert len(mv.p1.ranks) == len(mv.p2.ranks) == degree + 2
+                assert len(mv.p1.ranks) == len(mv.p2.ranks) == degree + 1
+                assert len(mv.delta_p1) == len(mv.delta_p2) == degree + 1
                 assert len(mv.x1) == len(mv.x2) == degree + 1
                 assert len(mv.deltas) == degree + 1
 
@@ -442,21 +445,57 @@ def test_ext_s4_s3_s4_f2_matches_the_closed_form_through_degree_24():
                     23, 25, 25, 27, 29, 29, 31, 33]
 
 
+def _cover_by_the_next_differential(res, n):
+    """kernel_cover as a cone resolved one degree further reads it: d_{n+1}."""
+    res.extend(n + 1)
+    return res.diffs[n + 1]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.name)
+def test_a_kernel_cover_closes_the_cone_as_the_next_differential_does(path, p, monkeypatch):
+    """Through degree 6, the cone (ext_G) and ext_finite closed by kernel_cover(n)
+    give the dims of the complexes built from free_resolution(m, n + 1), and the
+    same top-degree cocycle arrays, byte for byte; no resolution goes past n."""
+    coefficients = instance_greps(path, p)
+    triv = coefficients[0]
+    for v1, v2 in [(triv, v) for v in coefficients] + [(v, triv) for v in coefficients[1:]]:
+        for n in range(7):
+            mv = MVComplex(v1, v2, n)
+            assert {len(mv.p1.ranks), len(mv.p2.ranks)} == {n + 1}
+            with monkeypatch.context() as m:
+                m.setattr(FreeResolution, "kernel_cover", _cover_by_the_next_differential)
+                ref = MVComplex(v1, v2, n)
+            assert len(ref.p1.ranks) == n + 2
+            assert mv.dims() == ref.dims(), (v1.dim, v2.dim, n)
+            assert array_key(mv.cone.cocycles[n]) == array_key(ref.cone.cocycles[n])
+            for tag in (TAG_K1, TAG_K2, TAG_I):
+                m1, m2 = v1.module(tag), v2.module(tag)
+                own = ext_finite(m1, m2, n)
+                full = ext_finite(m1, m2, n, resolution=free_resolution(m1, n + 1))
+                assert own.dims == full.dims, (tag, n)
+                assert array_key(own.cocycles[n]) == array_key(full.cocycles[n])
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_a_repeated_factor_is_resolved_and_lifted_once(p):
     """On s4-s3-s4 the two factors, their actions and the embeddings of I are
     equal, so K2's resolution, lift and coefficient complexes are K1's objects,
-    and these equal, entry for entry, what K2's own resolution and lift give."""
+    and these equal, entry for entry, what K2's own resolution and lift give
+    through degree n; the top coefficient map has the cocycles of K2's own d_{n+1}."""
     v = parse(str(S4_S3_S4)).build(p).grep("triv")
-    d, n = v.datum, 6
+    d, n, w = v.datum, 6, v.module(TAG_K2)
     mv = MVComplex(v, v, n)
     assert mv.p2 is mv.p1 and mv.x2 is mv.x1 and mv.delta_p2 is mv.delta_p1
-    p2 = free_resolution(v.module(TAG_K2), n + 1)
+    p2 = free_resolution(w, n)
     x2 = chain_lift_pi(d, 2, free_resolution(v.module(TAG_I), n), p2, n)
     assert mv.p2.ranks == p2.ranks
-    for j in range(1, n + 2):
+    for j in range(1, n + 1):
         assert np.array_equal(mv.p2.diffs[j].coeffs, p2.diffs[j].coeffs)
-        assert np.array_equal(mv.delta_p2[j - 1], coefficient_delta(p2.diffs[j], v.module(TAG_K2)))
+        assert np.array_equal(mv.delta_p2[j - 1], coefficient_delta(p2.diffs[j], w))
+    own_top = coefficient_delta(free_resolution(w, n + 1).diffs[n + 1], w)
+    assert array_key(CochainComplex(p2.field, [mv.delta_p2[n]]).cocycles[0]) == \
+        array_key(CochainComplex(p2.field, [own_top]).cocycles[0])
     assert len(mv.x2) == len(x2)
     for shared, own in zip(mv.x2, x2):
         assert np.array_equal(shared.coeffs, own.coeffs)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
+from amalgext.cli import run
 from amalgext.groups import FiniteGroup
 from amalgext.induction import grep_from_generators, trivial_grep
 from amalgext.instfile import parse
@@ -590,3 +591,84 @@ def test_resolution_over_q_reuses_by_value():
     assert all(res.diffs[j] is res.diffs[j + 2] for j in range(1, 7))
     a, b = f.array([[1, 2]]) / 3, f.array([[1, 2]]) / 3
     assert a.tobytes() != b.tobytes() and array_key(a) == array_key(b)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.name)
+def test_a_repeated_kernel_takes_the_differential_selected_for_it(path, p):
+    """Through degree 8, diffs[j + 1] is the object diffs[i + 1] exactly when
+    ker d_j, computed here from d_j, has the bytes of ker d_i."""
+    for module in _distinct_factor_modules(path, p):
+        f = module.field
+        res = free_resolution(module, 8)
+        keys = [array_key(f.kernel_matrix(res.diff_operator(j)).T if res.ranks[j] else f.zeros(0, 0))
+                for j in range(8)]
+        for j in range(8):
+            for i in range(j):
+                assert (res.diffs[j + 1] is res.diffs[i + 1]) == (keys[j] == keys[i]), (i, j)
+
+
+def test_std2_over_z4_repeats_its_kernel_at_degree_3():
+    """std2 of sl2z over Z/4 at F2 (as `ext sl2z.amg --degree 3 --v1 std2 --v2
+    std2` resolves it): ker d_3 is ker d_2, so d_4 is the object d_3, and the
+    cover that closes degree 3 is that object too, with no selection."""
+    module = parse(str(ROOT / "fixtures" / "sl2z.amg")).build(2).grep("std2").module(TAG_K1)
+    res = free_resolution(module, 4)
+    assert res.diffs[4] is res.diffs[3] and res.diffs[3] is not res.diffs[2]
+    short = free_resolution(module, 3)
+    assert short.kernel_cover(3) is short.diffs[3] and short.length() == 3
+
+
+def test_kernel_cover_takes_d_next_then_the_memos_then_the_kernel_basis():
+    f = Field(2)
+    # a resolution that holds d_{n+1}
+    res = free_resolution(trivial_module(cyclic(2), f), 3)
+    assert res.kernel_cover(2) is res.diffs[3]
+    # d_2 repeats d_1, so the _next memo holds d_3 = d_2
+    res = free_resolution(trivial_module(cyclic(2), f), 2)
+    assert res.kernel_cover(2) is res.diffs[2] and res.length() == 2
+    # no memo: the k-basis of ker d_n, as rows; the resolution is left as it was
+    s3 = FiniteGroup.from_permutations([[1, 0, 2], [1, 2, 0]])
+    for module in (trivial_module(s3, f), trivial_module(cyclic(4), f), regular_module(cyclic(4), f)):
+        for n in range(4):
+            res = free_resolution(module, n)
+            ranks, diffs = list(res.ranks), list(res.diffs)
+            kernel = f.kernel_matrix(res.diff_operator(n)).T
+            cover = res.kernel_cover(n)
+            assert res.ranks == ranks and res.diffs == diffs
+            if cover not in res.diffs:  # no repeated kernel
+                assert cover.rows == len(kernel)
+                assert cover.coeffs.reshape(kernel.shape).tobytes() == kernel.tobytes()
+                if n:
+                    assert not cover.mul(res.diffs[n]).coeffs.any()
+            # and no memo took the cover for a differential
+            res.extend(n + 1)
+            assert array_key(res.diffs[n + 1].coeffs) == \
+                array_key(free_resolution(module, n + 1).diffs[n + 1].coeffs)
+
+
+def _selection_degrees(monkeypatch, argv) -> list[int]:
+    """The degree j of every generator selection (for d_{j+1}) the command runs."""
+    degrees = []
+    select = FreeResolution._module_generators
+
+    def counted(self, kernel, rank):
+        degrees.append(self.length())
+        return select(self, kernel, rank)
+
+    monkeypatch.setattr(FreeResolution, "_module_generators", counted)
+    code, _ = run(argv)
+    assert code == 0
+    return degrees
+
+
+def test_ext_selects_no_generators_past_its_degree(monkeypatch):
+    """`ext` at degree n selects d_1 .. d_n at most; the kernel cover closes the
+    top.  ext s4-s3-s4.amg --char 2 --degree 3 makes 5 selections."""
+    s4 = str(ROOT / "bench" / "instances" / "s4-s3-s4.amg")
+    assert len(_selection_degrees(monkeypatch, ["ext", s4, "--char", "2", "--degree", "3"])) == 5
+    for path in INSTANCE_FILES:
+        for p in (2, 3):
+            for n in (0, 2, 4):
+                argv = ["ext", str(path), "--char", str(p), "--degree", str(n)]
+                assert all(j < n for j in _selection_degrees(monkeypatch, argv)), (path.name, p, n)
