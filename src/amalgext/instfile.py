@@ -267,12 +267,15 @@ def parse_text(text: str) -> InstanceFile:
 
     emb1 = SubgroupEmbedding(sub, k1, embeds["K1"][0])
     emb2 = SubgroupEmbedding(sub, k2, embeds["K2"][0])
-    for emb, (mapping, line) in ((emb1, embeds["K1"]), (emb2, embeds["K2"])):
-        try:
-            emb.validate()
-        except (NotInjective, NotHomomorphism) as exc:
-            raise ValidationError(line, str(exc)) from exc
-    datum = AmalgamDatum(k1, k2, sub, emb1, emb2, name=name)
+    try:
+        datum = AmalgamDatum(k1, k2, sub, emb1, emb2, name=name)  # validates emb1, then emb2
+    except (NotInjective, NotHomomorphism) as exc:
+        try:  # the line of the embedding that failed
+            emb1.validate()
+            line = embeds["K2"][1]
+        except (NotInjective, NotHomomorphism):
+            line = embeds["K1"][1]
+        raise ValidationError(line, str(exc)) from exc
 
     gen_maps = {TAG_K1: gens1, TAG_K2: gens2, TAG_I: gens_i}
     module_specs = {}

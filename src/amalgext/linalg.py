@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import isqrt
 
@@ -215,40 +216,42 @@ class Field:
         return list(self.kernel_matrix(a).T.copy())
 
     def kernel_matrix(self, a) -> np.ndarray:
-        """The kernel basis as columns: free column c pinned to one, the others to zero."""
-        r, pivots = self.rref(a)
-        pivot_set = set(pivots)
-        free = [c for c in range(r.shape[1]) if c not in pivot_set]
-        out = self.zeros(r.shape[1], len(free))
-        out[free, np.arange(len(free))] = self.one
-        out[pivots] = self.neg(r[: len(pivots), free])
-        return out
+        """The kernel basis as columns: solve's kernel, with no right-hand side."""
+        return self.solve(a, self.zeros(np.shape(a)[0], 0))[1]
 
     def solve(self, a, b):
-        """First RREF back-substitution solution of a @ x = b, or None.
+        """The general solution of a @ x = b, read off one rref of [a | b]: (x, kernel).
 
-        b is a vector or a block of right-hand sides, all solved from one rref
-        of [a | b]; x has the shape of b.  None means some column of b lies
-        outside the column span of a.
+        b is a vector or a block of right-hand sides.  x is the first
+        back-substitution solution, with the shape of b, or None when some
+        column of b lies outside the column span of a.  kernel is ker a as
+        columns, free column c pinned to one and the other free columns to
+        zero, whether or not b is consistent: the a-block of rref([a | b]) is
+        rref(a).
         """
         n = np.shape(a)[1]
         block = np.ndim(b) == 2
-        if block and not np.shape(b)[1]:
-            return self.zeros(n, 0)
-        r, pivots = self.rref(np.concatenate([a, b if block else np.reshape(b, (-1, 1))], axis=1))
-        if pivots and pivots[-1] >= n:
-            return None
+        b = b if block else np.reshape(b, (-1, 1))
+        r, pivots = self.rref(np.concatenate([a, b], axis=1) if np.shape(b)[1] else a)
+        k = bisect_left(pivots, n)  # the pivots of a
+        pivot_set = set(pivots)
+        free = [c for c in range(n) if c not in pivot_set]
+        kernel = self.zeros(n, len(free))
+        kernel[free, np.arange(len(free))] = self.one
+        kernel[pivots[:k]] = self.neg(r[:k, free])
+        if k < len(pivots):
+            return None, kernel
         x = self.zeros(n, r.shape[1] - n)
-        x[pivots, :] = r[: len(pivots), n:]
-        return x if block else x[:, 0]
+        x[pivots, :] = r[:k, n:]
+        return (x if block else x[:, 0]), kernel
 
     def in_column_span(self, a, v) -> bool:
         """Nothing in the package or its tests calls it; bench/tracing.py wraps it by name."""
-        return self.solve(a, v) is not None
+        return self.solve(a, v)[0] is not None
 
     def columns_contained(self, a, b) -> bool:
         """True iff every column of b lies in the column span of a."""
-        return self.solve(a, b) is not None
+        return self.solve(a, b)[0] is not None
 
 
 def array_key(a: np.ndarray) -> tuple:

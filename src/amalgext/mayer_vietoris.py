@@ -28,42 +28,59 @@ from amalgext.resolutions import (
 )
 
 
-def chain_lift_pi(datum: AmalgamDatum, side: int, q: FreeResolution, p: FreeResolution,
-                  length: int) -> list[AlgebraMatrix]:
-    """Chain map from the induced resolution ind(Q) to P lifting the counit.
+def chain_lift_pi(datum: AmalgamDatum, side: int | tuple[int, int], q: FreeResolution,
+                  p: FreeResolution, length: int):
+    """Chain map from the induced resolution ind(Q) to P lifting the counit, with P
+    resolved in the same loop.
 
     F_0 of Q and of P is free on the module basis, d_0 sending basis row i to
     v_i, and the counit sends ind(d_0 of Q)(row i) to v_i: phi_0 is the
     identity.  Higher degrees solve phi_j d_P = d_indQ phi_{j-1}, all rows of
-    one degree from a single elimination, taking the first back-substitution
-    solution each time.
+    one degree from a single elimination of d_P,j, taking the first
+    back-substitution solution each time; the same elimination gives ker d_P,j,
+    which P takes for d_P,j+1 or, at the top, for kernel_cover(length).
     Exactness of P guarantees a solution; failure signals a broken resolution.
+    side is 1 or 2, or (1, 2) when both counits lift into this one P: then both
+    right-hand sides share the elimination, and one list of lifts per side is
+    returned.
     phi_j depends only on d_P,j, d_Q,j and phi_{j-1}, so a degree where that
     triple repeats (periodic resolutions share their differential objects)
-    reuses the earlier lift, read-only like the differentials.
+    reuses the earlier lift, read-only like the differentials, and P
+    eliminates d_P,j itself if it still needs its kernel.
     """
-    emb = datum.emb1 if side == 1 else datum.emb2
-    K = emb.target
+    sides = (side,) if isinstance(side, int) else side
+    embs = [datum.emb1 if s == 1 else datum.emb2 for s in sides]
     f = q.field
-    n = K.order
+    n = embs[0].target.order
     q.extend(length)
-    p.extend(length)
 
-    identity = f.zeros(q.ranks[0], p.ranks[0], n)
-    identity[:, :, K.identity] = f.eye(q.ranks[0])
-    lifts = [AlgebraMatrix(K, f, identity)]
-    seen = {}  # (d_P,j, d_Q,j, array_key of phi_{j-1}) -> phi_j, for lifts that succeeded
+    lifts = []
+    for emb in embs:
+        identity = f.zeros(q.ranks[0], p.ranks[0], n)
+        identity[:, :, emb.target.identity] = f.eye(q.ranks[0])
+        lifts.append([AlgebraMatrix(emb.target, f, identity)])
+    # per side: (d_P,j, d_Q,j, array_key of phi_{j-1}) -> phi_j, for lifts that succeeded
+    seen = [{} for _ in sides]
     for j in range(1, length + 1):
-        key = p.diffs[j], q.diffs[j], array_key(lifts[j - 1].coeffs)
-        if key not in seen:
-            # column i is the image of basis row i under d_indQ phi_{j-1}
-            image = q.diffs[j].map_entries(emb).mul(lifts[j - 1])
-            sols = f.solve(p.diff_operator(j), image.coeffs.reshape(image.rows, image.cols * n).T)
+        p.extend(j)
+        keys = [(p.diffs[j], q.diffs[j], array_key(x[j - 1].coeffs)) for x in lifts]
+        todo = [i for i, key in enumerate(keys) if key not in seen[i]]
+        if todo:
+            rows = q.ranks[j]
+            # column r of a side's block is the image of basis row r under d_indQ phi_{j-1}
+            images = [q.diffs[j].map_entries(embs[i]).mul(lifts[i][j - 1]).coeffs for i in todo]
+            rhs = np.concatenate([m.reshape(rows, p.ranks[j - 1] * n) for m in images]).T
+            sols, kernel = f.solve(p.diff_operator(j), rhs)
             if sols is None:
                 raise LiftFailed(f"degree-{j} lift has no solution")
-            seen[key] = AlgebraMatrix(K, f, sols.T.reshape(image.rows, p.ranks[j], n))
-        lifts.append(seen[key])
-    return lifts
+            p.take_kernel(j, kernel)
+            del kernel  # P holds it only until it reads d_P,j+1
+            for k, i in enumerate(todo):
+                block = sols[:, k * rows : (k + 1) * rows].T.reshape(rows, p.ranks[j], n)
+                seen[i][keys[i]] = AlgebraMatrix(embs[i].target, f, block)
+        for i, x in enumerate(lifts):
+            x.append(seen[i][keys[i]])
+    return lifts[0] if isinstance(side, int) else lifts
 
 
 class MVComplex:
@@ -75,6 +92,11 @@ class MVComplex:
     pullbacks along the lifted chain maps, with cone signs
     d(a, b) = (-d a, phi(a) + d b) and phi = (phi_1, -phi_2).  Out of the top degree
     P maps by kernel_cover(degree), which has the cocycles d_{degree+1} has.
+
+    Q is resolved first.  Each P is resolved in the one loop over degrees that
+    lifts into it (chain_lift_pi): degree j eliminates d_P,j once, for phi_j and
+    for ker d_P,j, from which P selects d_P,j+1 or, at the top degree, its
+    kernel cover.  With two lifts into one P, both share that elimination.
 
     A resolution is a function of the table and the action, and a lift also of
     the embedding: when K2's table and V1's K2 action equal K1's, p2 is p1, and
@@ -95,16 +117,21 @@ class MVComplex:
             raise ValueError("module pair must share the coefficient field")
         f = self.field
 
-        # Q, P1, P2 and the lifts are read through degree; contents compare by array_key
+        # Q, P1, P2 and the lifts are read through degree; contents compare by array_key.
+        # Each lift resolves its P as it goes, and leaves P the kernel that closes the top.
         d, key = self.datum, array_key
         m1, m2 = v1.module(TAG_K1), v1.module(TAG_K2)
         same_p = key(d.K1.table) == key(d.K2.table) and key(m1.mats) == key(m2.mats)
         self.q = free_resolution(v1.module(TAG_I), degree)
-        self.p1 = free_resolution(m1, degree)
-        self.p2 = self.p1 if same_p else free_resolution(m2, degree)
-        self.x1 = chain_lift_pi(d, 1, self.q, self.p1, degree)
-        self.x2 = (self.x1 if same_p and key(d.emb1.mapping) == key(d.emb2.mapping)
-                   else chain_lift_pi(d, 2, self.q, self.p2, degree))
+        self.p1 = free_resolution(m1, 0)
+        self.p2 = self.p1 if same_p else free_resolution(m2, 0)
+        if not same_p:
+            self.x1 = chain_lift_pi(d, 1, self.q, self.p1, degree)
+            self.x2 = chain_lift_pi(d, 2, self.q, self.p2, degree)
+        elif key(d.emb1.mapping) == key(d.emb2.mapping):
+            self.x1 = self.x2 = chain_lift_pi(d, 1, self.q, self.p1, degree)
+        else:
+            self.x1, self.x2 = chain_lift_pi(d, (1, 2), self.q, self.p1, degree)
 
         w_i = v2.module(TAG_I)
         w_1, w_2 = v2.module(TAG_K1), v2.module(TAG_K2)
@@ -225,7 +252,7 @@ def abelianized_hom_dim(datum: AmalgamDatum, characteristic: int) -> int:
     rows[np.arange(datum.I.order), datum.emb1.mapping] = 1
     rows[np.arange(datum.I.order), n1 + datum.emb2.mapping] = -1
     blocks.append(rows)
-    return len(f.kernel_basis(f.array(np.concatenate(blocks))))
+    return n1 + n2 - f.rank(np.concatenate(blocks))  # the nullity
 
 
 class LESReport:
@@ -324,6 +351,10 @@ def _les_degree(f: Field, spans, cone_z, z1, z2, phi, edge_before, edge_z):
     laid out as in MVComplex._sizes: I's block of height len(edge_before),
     then K1's of height len(z1), then K2's.  Projection keeps the (P1, P2)
     rows, comparison is phi, and connecting fills the top rows.
+
+    So the G node's im_in_ker holds by the layout: the connecting map out of
+    j - 1 fills only the I rows, which the projection drops, and in_g tests
+    zero rows.  Only the node's rank identity can fail there.
     """
     k1_b, k2_b, edge_b, cone_b = spans
     a, b1 = len(edge_before), len(z1)

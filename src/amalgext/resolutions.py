@@ -108,6 +108,11 @@ class FreeResolution:
     with no generator selection.  Periodic cohomology thus shares from the
     first repeat of M on, not one period later.  Sharing is exact: nothing
     writes into an AlgebraMatrix's coeffs once it is built.
+
+    ker d_j is eliminated once.  A chain lift into this resolution solves
+    against d_j, and the kernel its solve returns is handed over by
+    take_kernel(j); the read of d_{j+1} or kernel_cover(j) that follows uses
+    it and drops it.  Only a degree no lift eliminated is eliminated here.
     """
 
     def __init__(self, module: KModule):
@@ -130,6 +135,7 @@ class FreeResolution:
         self._trials = min(SAMPLE_TRIALS, SAMPLE_ROWS // len(self._coset_reps))
         self._next: dict[tuple, AlgebraMatrix] = {}  # array_key of d_j -> d_{j+1}, j >= 1
         self._kernels: dict[tuple, list[AlgebraMatrix]] = {}  # shape of ker d_j -> d_{j+1}s
+        self._handed: dict[int, np.ndarray] = {}  # j -> ker d_j as rows, until d_{j+1} is read
 
     def diff_operator(self, j: int) -> np.ndarray:
         """The column-convention operator of d_j: F_j -> F_{j-1}, d_0 the augmentation:
@@ -152,19 +158,26 @@ class FreeResolution:
         image exactly when it kills im d_{n+1}: Hom of it has the cocycles of d_{n+1}'s."""
         return self.diffs[n + 1] if self.length() > n else self._successor(n, select=False)
 
+    def take_kernel(self, j: int, kernel: np.ndarray):
+        """Keep ker d_j, in kernel_matrix's column form, for the next read of d_{j+1}
+        or kernel_cover(j), if this resolution stands at degree j."""
+        if self.length() == j:
+            self._handed[j] = kernel.T
+
     def _successor(self, j: int, select: bool) -> AlgebraMatrix:
         """d_{j+1} from the memos, else generators of ker d_j (select) or its k-basis, which
-        is no differential and no memo keeps.  ker d_j is ker d_i if it has its shape and
-        holds the rows of d_{i+1}, which span ker d_i; kernel_matrix then gives equal arrays."""
+        is no differential and no memo keeps.  ker d_j is the handed one, else eliminated
+        here.  It is ker d_i if it has its shape and holds the rows of d_{i+1}, which span
+        ker d_i; kernel_matrix then gives equal arrays."""
         f = self.field
+        kernel = self._handed.pop(j, None)
         key = array_key(self.diffs[j].coeffs) if j else None
         if key in self._next:
             return self._next[key]
-        op = self.diff_operator(j)
-        kernel = f.kernel_matrix(op).T if self.ranks[j] else f.zeros(0, 0)
-        known = self._kernels.setdefault(kernel.shape, [])
-        d = next((c for c in known
-                  if not f.matmul(op, c.coeffs.reshape(c.rows, kernel.shape[1]).T).any()), None)
+        if kernel is None:
+            kernel = f.kernel_matrix(self.diff_operator(j)).T if self.ranks[j] else f.zeros(0, 0)
+        known = self._kernels.setdefault(kernel.shape, [])  # empty at j = 0, the first read
+        d = next((c for c in known if not c.mul(self.diffs[j]).coeffs.any()), None)
         if d is None:
             rows = self._module_generators(kernel, self.ranks[j]) if select and len(kernel) else kernel
             d = AlgebraMatrix(self.group, f, rows.reshape(len(rows), self.ranks[j], self.group.order))

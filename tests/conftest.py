@@ -83,7 +83,7 @@ def conjugate_module(module: KModule, p: np.ndarray) -> KModule:
     """The module g -> p module(g) p^-1, isomorphic to module."""
     f = module.field
     p = f.array(p)
-    pinv = f.solve(p, f.eye(p.shape[0]))
+    pinv, _ = f.solve(p, f.eye(p.shape[0]))
     if pinv is None:
         raise ValueError("matrix is not invertible")
     return KModule(module.group, f, f.matmul(f.matmul(p, module.mats), pinv))

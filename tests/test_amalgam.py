@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2, DatumMismatch, GWord, LetterOutOfGroup
-from amalgext.instfile import parse, parse_text
+from amalgext.groups import SubgroupEmbedding
+from amalgext.instfile import ValidationError, parse, parse_text
 from amalgext.tree import build_ball
 
 from conftest import sl2z_word_to_matrix, subgroup_words
@@ -300,3 +301,18 @@ def test_a_deep_edge_ball_of_d_infinity_is_its_reduced_words(monkeypatch):
     words = d.reduced_words(250)
     assert orbit_minima(d, words) == words
     assert_edge_balls_and_ends(monkeypatch, d, words, [250, 3, 200])
+
+
+def test_parsing_validates_each_embedding_once_at_its_own_line(monkeypatch):
+    """parse_text leaves the embedding checks to AmalgamDatum, one each, and a
+    failure names the line of the embedding that fails, K2's here."""
+    calls = []
+    validate = SubgroupEmbedding.validate
+    monkeypatch.setattr(SubgroupEmbedding, "validate", lambda emb: calls.append(emb) or validate(emb))
+    parse(str(ROOT / "bench" / "instances" / "s4-s3-s4.amg"))
+    assert len(calls) == 2 and calls[0] is not calls[1]
+    text = ("[instance]\nname = broken\ncharacteristic = 2\n[group K1]\nperm a = 1 2 3 0\n"
+            "[group K2]\nperm b = 1 2 3 4 5 0\n[subgroup I]\nperm z = 1 0\n"
+            "embed K1 = 0 2\nembed K2 = 0 1\n")
+    with pytest.raises(ValidationError, match="line 11"):
+        parse_text(text)

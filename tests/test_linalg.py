@@ -88,7 +88,7 @@ def test_rationals_exact():
     r, pivots = f.rref(a)
     assert pivots == [0, 1]
     assert np.array_equal(r, f.eye(2))
-    x = f.solve(a, f.array([1, 1]))
+    x, _ = f.solve(a, f.array([1, 1]))
     assert np.array_equal(f.matmul(a, x), f.array([1, 1]))
 
 
@@ -100,10 +100,10 @@ def test_field_rejects_composite_characteristic():
 def test_solve_returns_first_back_substitution_solution():
     f = Field(5)
     a = f.array([[1, 2, 0], [0, 0, 1]])
-    x = f.solve(a, f.array([3, 4]))
+    x, _ = f.solve(a, f.array([3, 4]))
     # free column 1 pinned to zero
     assert np.array_equal(x, f.array([3, 0, 4]))
-    assert f.solve(f.array([[1], [1]]), f.array([1, 2])) is None
+    assert f.solve(f.array([[1], [1]]), f.array([1, 2]))[0] is None
 
 
 def test_subquotient_zero_maps():
@@ -139,8 +139,8 @@ def test_subquotient_raises_when_composite_nonzero():
 def test_columns_contained_and_span():
     f = Field(5)
     a = f.array([[1, 0], [0, 1], [0, 0]])
-    assert f.solve(a, f.array([2, 3, 0])) is not None
-    assert f.solve(a, f.array([0, 0, 1])) is None
+    assert f.solve(a, f.array([2, 3, 0]))[0] is not None
+    assert f.solve(a, f.array([0, 0, 1]))[0] is None
     assert f.columns_contained(a, f.array([[1, 2], [4, 0], [0, 0]]))
 
 
@@ -296,12 +296,12 @@ def test_solve_block_matches_columnwise_solve():
         for m, n, k in ((5, 7, 3), (7, 4, 4), (6, 6, 2), (4, 9, 4)):
             a = _random_low_rank(f, rng, m, n, k)
             b = f.matmul(a, random_matrix(f, rng, n, 5))  # every column is consistent
-            x = f.solve(a, b)
+            x, _ = f.solve(a, b)
             assert x.shape == (n, 5)
             for c in range(5):
-                assert np.array_equal(x[:, c], f.solve(a, b[:, c]))
+                assert np.array_equal(x[:, c], f.solve(a, b[:, c])[0])
             assert np.array_equal(f.matmul(a, x), b)
-            assert f.solve(a, f.zeros(m, 0)).shape == (n, 0)
+            assert f.solve(a, f.zeros(m, 0))[0].shape == (n, 0)
 
 
 def test_solve_block_is_none_when_one_column_is_inconsistent():
@@ -310,10 +310,10 @@ def test_solve_block_is_none_when_one_column_is_inconsistent():
         f = Field(p)
         a = _random_low_rank(f, rng, 6, 5, 2)
         b = f.matmul(a, random_matrix(f, rng, 5, 4))
-        outside = next(v for v in f.eye(6) if f.solve(a, v) is None)
+        outside = next(v for v in f.eye(6) if f.solve(a, v)[0] is None)
         b[:, 2] = outside
-        assert f.solve(a, b) is None
-        assert f.solve(a, b[:, 2]) is None
+        assert f.solve(a, b)[0] is None
+        assert f.solve(a, b[:, 2])[0] is None
         assert not f.columns_contained(a, b)
 
 
@@ -324,9 +324,44 @@ def test_solve_returns_the_shape_of_b():
         f = Field(p)
         a = _random_low_rank(f, rng, 5, 6, 3)
         v = f.matmul(a, random_matrix(f, rng, 6, 1))[:, 0]
-        x, block = f.solve(a, v), f.solve(a, v[:, None])
+        x, block = f.solve(a, v)[0], f.solve(a, v[:, None])[0]
         assert x.shape == (6,) and block.shape == (6, 1)
         assert np.array_equal(block[:, 0], x) and np.array_equal(f.matmul(a, x), v)
+
+
+def _kernel_of_the_rref(f, a):
+    """ker a read off rref(a) alone: free column c pinned to one, the others to zero."""
+    r, pivots = f.rref(a)
+    free = [c for c in range(r.shape[1]) if c not in pivots]
+    out = f.zeros(r.shape[1], len(free))
+    out[free, np.arange(len(free))] = f.one
+    out[pivots] = f.neg(r[: len(pivots), free])
+    return out
+
+
+@given(p=st.sampled_from([2, 3, 5, 17, 0]), m=st.integers(0, 9), n=st.integers(0, 9),
+       k=st.integers(0, 3), data=st.data())
+def test_solve_returns_the_kernel_of_a_alone(p, m, n, k, data):
+    """The kernel half of solve(a, b) is the kernel of rref(a) alone, byte for byte,
+    whether b lies in the column span of a or not; kernel_matrix is that half."""
+    f = Field(p)
+    entries = st.integers(-2 * (p or 3), 2 * (p or 3))
+
+    def draw(rows, cols):
+        flat = data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        return f.array(np.array(flat, dtype=np.int64).reshape(rows, cols))
+
+    a = draw(m, n)
+    want = array_key(_kernel_of_the_rref(f, a))
+    assert array_key(f.kernel_matrix(a)) == want
+    inside = f.matmul(a, draw(n, k))
+    for b in (inside, draw(m, k), f.zeros(m, 0)) + tuple(inside.T) + tuple(draw(m, 1).T):
+        x, kernel = f.solve(a, b)
+        assert array_key(kernel) == want
+        consistent = f.rank(a) == f.rank(np.concatenate([a, b if b.ndim == 2 else b[:, None]], axis=1))
+        assert (x is not None) == consistent
+        if x is not None:
+            assert x.shape == (n,) + b.shape[1:] and array_key(f.matmul(a, x)) == array_key(b)
 
 
 def test_matmul_exact_at_large_primes():
@@ -353,7 +388,7 @@ def test_elimination_exact_at_the_largest_prime():
     assert basis.shape[1] == 7 - f.rank(a)
     assert not np.any(f.matmul(a, basis))
     b = f.matmul(a, random_matrix(f, rng, 7, 2))
-    assert np.array_equal(f.matmul(a, f.solve(a, b)), b)
+    assert np.array_equal(f.matmul(a, f.solve(a, b)[0]), b)
 
 
 def test_field_refuses_primes_beyond_int64_products():
@@ -419,7 +454,7 @@ def test_span_reduce_vanishes_exactly_on_members(p):
             candidates = np.concatenate([inside, random_matrix(f, rng, 3, n), f.eye(n)])
             reduced = span.reduce(candidates)
             for v, r in zip(candidates, reduced):
-                assert (not r.any()) == (f.solve(rows.T, v) is not None)
+                assert (not r.any()) == (f.solve(rows.T, v)[0] is not None)
             assert not span.reduce(inside).any()
 
 
@@ -545,7 +580,7 @@ def _periodic_pair(f, rng):
         a[i, i], a[(i + 1) % 3, i] = f.one, f.neg(f.one)
         b[:3, i] = f.one
     conj = random_invertible(f, rng, 4)
-    inverse = f.solve(conj, f.eye(4))
+    inverse, _ = f.solve(conj, f.eye(4))
     return f.matmul(f.matmul(conj, a), inverse), f.matmul(f.matmul(conj, b), inverse)
 
 

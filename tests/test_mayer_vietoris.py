@@ -130,7 +130,7 @@ def test_a_reused_lift_is_the_one_a_fresh_solve_gives(path, p):
                     continue
                 rows = q.diffs[j].map_entries(emb).coeffs.reshape(q.ranks[j], -1)
                 targets = f.matmul(lifts[j - 1].to_k_matrix().T, rows.T)
-                sols = f.solve(res.diff_operator(j), targets)
+                sols, _ = f.solve(res.diff_operator(j), targets)
                 assert lifts[j].coeffs.tobytes() == sols.T.tobytes()
                 key = id(res.diffs[j]), id(q.diffs[j]), lifts[j - 1].coeffs.tobytes()
                 if first.setdefault(key, j) < j:
@@ -445,6 +445,20 @@ def test_ext_s4_s3_s4_f2_matches_the_closed_form_through_degree_24():
                     23, 25, 25, 27, 29, 29, 31, 33]
 
 
+def test_ext_s4_eliminates_each_operator_once(monkeypatch):
+    """ext s4-s3-s4.amg --char 2 --degree 3 makes 11 rref calls: Q's kernels of d_0,
+    d_1 and d_2, P's of its augmentation, one lift solve for each of d_1, d_2 and d_3
+    of P, whose kernels P takes, and the cone's four maps (the abelianization
+    oracle ranks a span).  No operator is solved against twice."""
+    solved, rrefs = [], []
+    solve, rref = Field.solve, Field.rref
+    monkeypatch.setattr(Field, "solve", lambda f, a, b: solved.append(array_key(f.array(a))) or solve(f, a, b))
+    monkeypatch.setattr(Field, "rref", lambda f, a: rrefs.append(np.shape(a)) or rref(f, a))
+    code, _ = run(["ext", str(S4_S3_S4), "--char", "2", "--degree", "3"])
+    assert code == 0 and len(rrefs) == 11
+    assert len(solved) == len(set(solved)) == 7
+
+
 def _cover_by_the_next_differential(res, n):
     """kernel_cover as a cone resolved one degree further reads it: d_{n+1}."""
     res.extend(n + 1)
@@ -475,6 +489,93 @@ def test_a_kernel_cover_closes_the_cone_as_the_next_differential_does(path, p, m
                 full = ext_finite(m1, m2, n, resolution=free_resolution(m1, n + 1))
                 assert own.dims == full.dims, (tag, n)
                 assert array_key(own.cocycles[n]) == array_key(full.cocycles[n])
+
+
+def _two_pass(v1, v2, n):
+    """The cone as resolving first and lifting after builds it: Q, P1 and P2 from
+    free_resolution (each kernel by its own kernel_matrix), each lift degree by a
+    standalone solve, the top closed by kernel_cover(n) of the resolved P, and the
+    cone's differentials assembled from these blocks.  Returns (Q, [(P, lifts) per
+    factor], differentials)."""
+    d, f, d2 = v1.datum, v1.field, v2.dim
+    q = free_resolution(v1.module(TAG_I), n)
+    factors, maps = [], []
+    for emb, tag in ((d.emb1, TAG_K1), (d.emb2, TAG_K2)):
+        res, k = free_resolution(v1.module(tag), n), emb.target
+        phi = f.zeros(q.ranks[0], res.ranks[0], k.order)
+        phi[:, :, k.identity] = f.eye(q.ranks[0])
+        lifts = [AlgebraMatrix(k, f, phi)]
+        for j in range(1, n + 1):
+            image = q.diffs[j].map_entries(emb).mul(lifts[-1])
+            rhs = image.coeffs.reshape(q.ranks[j], res.ranks[j - 1] * k.order).T
+            sols, _ = f.solve(res.diff_operator(j), rhs)
+            lifts.append(AlgebraMatrix(k, f, sols.T.reshape(q.ranks[j], res.ranks[j], k.order)))
+        factors.append((res, lifts))
+        w = v2.module(tag)
+        maps.append(([coefficient_delta(x, w) for x in lifts],
+                     [coefficient_delta(m, w) for m in res.diffs[1:] + [res.kernel_cover(n)]]))
+    (phi1, out1), (phi2, out2) = maps
+    deltas = []
+    for j in range(n + 1):
+        a, b1, b2 = q.ranks[j - 1] * d2 if j else 0, factors[0][0].ranks[j] * d2, factors[1][0].ranks[j] * d2
+        top = q.ranks[j] * d2
+        delta = f.zeros(top + len(out1[j]) + len(out2[j]), a + b1 + b2)
+        if j:
+            delta[:top, :a] = f.neg(coefficient_delta(q.diffs[j], v2.module(TAG_I)))
+        delta[:top, a : a + b1] = phi1[j]
+        delta[:top, a + b1 :] = f.neg(phi2[j])
+        delta[top : top + len(out1[j]), a : a + b1] = out1[j]
+        delta[top + len(out1[j]) :, a + b1 :] = out2[j]
+        deltas.append(delta)
+    return q, factors, deltas
+
+
+def _glued_twice(f):
+    """V4 *_{Z/2} V4 with Z/2 sent to two different involutions: K2 is K1, so one
+    resolution serves both factors, but the two lifts into it differ."""
+    v4 = FiniteGroup.from_permutations([[1, 0, 3, 2], [2, 3, 0, 1]])
+    z2 = cyclic(2)
+    d = AmalgamDatum(v4, v4, z2, SubgroupEmbedding(z2, v4, [0, 1]), SubgroupEmbedding(z2, v4, [0, 2]))
+    return trivial_grep(d, f)
+
+
+def _assert_lockstep_is_two_pass(v1, v2):
+    for n in range(7):
+        mv = MVComplex(v1, v2, n)
+        q, ((p1, x1), (p2, x2)), deltas = _two_pass(v1, v2, n)
+        for own, ref in ((mv.q, q), (mv.p1, p1), (mv.p2, p2)):
+            assert own.ranks == ref.ranks, n
+            assert [array_key(m.coeffs) for m in own.diffs[1:]] == [array_key(m.coeffs) for m in ref.diffs[1:]]
+        for own, ref in ((mv.x1, x1), (mv.x2, x2)):
+            assert [array_key(x.coeffs) for x in own] == [array_key(x.coeffs) for x in ref], n
+        assert [array_key(m) for m in mv.deltas] == [array_key(m) for m in deltas], n
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.name)
+def test_the_lockstep_cone_is_the_two_pass_cone(path, p):
+    """Through degree 6, MVComplex, which resolves each P in the loop that lifts into
+    it and takes each kernel from the lift's elimination, builds the differentials,
+    lifts and cone differentials of resolving first and lifting after, byte for byte."""
+    coefficients = instance_greps(path, p)
+    triv = coefficients[0]
+    for v1, v2 in [(triv, v) for v in coefficients] + [(v, triv) for v in coefficients[1:]]:
+        _assert_lockstep_is_two_pass(v1, v2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_two_lifts_into_one_resolution_share_each_elimination(p, monkeypatch):
+    """When K2 is K1 but I is glued in twice, both lifts of a degree solve against
+    d_P,j in one elimination, and give what two standalone solves give."""
+    v = _glued_twice(Field(p))
+    _assert_lockstep_is_two_pass(v, v)
+    solved = []
+    solve = Field.solve
+    monkeypatch.setattr(Field, "solve", lambda f, a, b: solved.append(np.shape(b)) or solve(f, a, b))
+    mv = MVComplex(v, v, 4)
+    assert mv.p2 is mv.p1 and mv.x2 is not mv.x1
+    # one lift solve per degree, on the columns of both sides (kernel_matrix solves none)
+    assert [shape[1] for shape in solved if shape[1]] == [2 * mv.q.ranks[j] for j in range(1, 5)]
 
 
 @pytest.mark.parametrize("p", [2, 3])
