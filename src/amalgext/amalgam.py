@@ -87,7 +87,12 @@ class CosetRep(NamedTuple):
 
 
 class AmalgamDatum:
-    """The construction data of G = K1 *_I K2 plus derived normal-form tables."""
+    """The construction data of G = K1 *_I K2 plus derived normal-form tables.
+
+    ends lists the edge's two ends, (TAG_K1, emb1) and (TAG_K2, emb2): each is a
+    vertex tag and the embedding of I into that vertex's group (emb.target).  The
+    mapping cone and the oracles beside it read the vertices from this list only.
+    """
 
     def __init__(self, K1: FiniteGroup, K2: FiniteGroup, I: FiniteGroup,
                  emb1: SubgroupEmbedding, emb2: SubgroupEmbedding, name: str = ""):
@@ -99,6 +104,7 @@ class AmalgamDatum:
         emb2.validate()
         self.K1, self.K2, self.I = K1, K2, I
         self.emb1, self.emb2 = emb1, emb2
+        self.ends = ((TAG_K1, emb1), (TAG_K2, emb2))
         self.name = name
 
         # Transversals: K = union of t * image(I); minimal element index per

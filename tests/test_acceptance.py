@@ -321,7 +321,7 @@ def test_criterion_7_property_suite():
             combos.append((d, f, random_grep(d, f, rng_np), random_grep(d, f, rng_np)))
     for d, f, v1, v2 in combos:
         mv = MVComplex(v1, v2, 4)
-        for res in (mv.q, mv.p1, mv.p2):
+        for res in (mv.q, mv.p[0], mv.p[1]):
             for j in range(2, res.length() + 1):
                 assert not res.diffs[j].mul(res.diffs[j - 1]).coeffs.any()
                 zero_checks += 1
@@ -332,7 +332,7 @@ def test_criterion_7_property_suite():
         for j in range(len(mv.deltas) - 1):
             assert not np.any(f.matmul(mv.deltas[j + 1], mv.deltas[j]))
             zero_checks += 1
-        for deltas in (mv.delta_q, mv.delta_p1, mv.delta_p2):
+        for deltas in (mv.delta_q, mv.delta_p[0], mv.delta_p[1]):
             for j in range(len(deltas) - 1):
                 assert not np.any(f.matmul(deltas[j + 1], deltas[j]))
                 zero_checks += 1

@@ -1,3 +1,5 @@
+import ast
+import re
 from functools import reduce
 from pathlib import Path
 
@@ -7,9 +9,9 @@ import pytest
 from amalgext import mayer_vietoris, reps
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2, AmalgamDatum
 from amalgext.cli import run
-from amalgext.groups import FiniteGroup, SubgroupEmbedding
+from amalgext.groups import FiniteGroup, GroupMismatch, SubgroupEmbedding
 from amalgext.induction import trivial_grep
-from amalgext.instfile import parse
+from amalgext.instfile import ValidationError, parse
 from amalgext.linalg import CochainComplex, Field, array_key
 from amalgext.mayer_vietoris import (
     MVComplex,
@@ -40,7 +42,7 @@ def test_chain_lift_degree_zero_compatibility(sl2z):
         emb = sl2z.emb1 if side == 1 else sl2z.emb2
         q = free_resolution(v1.module(TAG_I), 3)
         p = free_resolution(v1.module(TAG_K1 if side == 1 else TAG_K2), 3)
-        lifts = chain_lift_pi(sl2z, side, q, p, 3)
+        lifts, = chain_lift_pi([emb], q, p, 3)
         # augmentation of P composed with the lift equals the counit composed
         # with the induced augmentation of Q, column by column
         K = emb.target
@@ -68,8 +70,8 @@ def test_degree_zero_lift_is_the_identity(path, p):
     d = greps[0].datum
     for v in greps:
         q = free_resolution(v.module(TAG_I), 0)
-        for side, K, tag in ((1, d.K1, TAG_K1), (2, d.K2, TAG_K2)):
-            phi0, = chain_lift_pi(d, side, q, free_resolution(v.module(tag), 0), 0)
+        for emb, K, tag in ((d.emb1, d.K1, TAG_K1), (d.emb2, d.K2, TAG_K2)):
+            (phi0,), = chain_lift_pi([emb], q, free_resolution(v.module(tag), 0), 0)
             identity = f.zeros(v.dim, v.dim, K.order)
             identity[np.arange(v.dim), np.arange(v.dim), K.identity] = f.one
             assert np.array_equal(phi0.coeffs, identity)
@@ -83,7 +85,7 @@ def test_a_lift_without_solution_names_its_degree(sl2z):
     d2 = p.diffs[2]
     p.diffs[2] = AlgebraMatrix(d2.group, f, f.zeros(*d2.coeffs.shape))
     with pytest.raises(LiftFailed, match="degree-2 lift has no solution"):
-        chain_lift_pi(sl2z, 1, q, p, 3)
+        chain_lift_pi([sl2z.emb1], q, p, 3)
 
 
 def test_chain_lift_equations_hold(all_datums):
@@ -95,7 +97,7 @@ def test_chain_lift_equations_hold(all_datums):
             tag = TAG_K1 if side == 1 else TAG_K2
             q = free_resolution(v1.module(TAG_I), 4)
             p = free_resolution(v1.module(tag), 4)
-            lifts = chain_lift_pi(d, side, q, p, 4)
+            lifts, = chain_lift_pi([emb], q, p, 4)
             for j in range(1, 5):
                 ind_d = q.diffs[j].map_entries(emb)
                 lhs = ind_d.mul(lifts[j - 1])
@@ -123,7 +125,7 @@ def test_a_reused_lift_is_the_one_a_fresh_solve_gives(path, p):
         q = free_resolution(v.module(TAG_I), 12)
         for side, emb, tag in ((1, d.emb1, TAG_K1), (2, d.emb2, TAG_K2)):
             res = free_resolution(v.module(tag), 12)
-            lifts = chain_lift_pi(d, side, q, res, 12)
+            lifts, = chain_lift_pi([emb], q, res, 12)
             first = {}
             for j in range(1, 13):
                 if not q.ranks[j]:
@@ -165,9 +167,9 @@ def test_mv_complex_builds_only_what_the_cone_reads(all_datums):
             for degree in (0, 1, 3, 6):
                 mv = MVComplex(grep2(d, f), trivial_grep(d, f), degree)
                 assert len(mv.q.ranks) == degree + 1
-                assert len(mv.p1.ranks) == len(mv.p2.ranks) == degree + 1
-                assert len(mv.delta_p1) == len(mv.delta_p2) == degree + 1
-                assert len(mv.x1) == len(mv.x2) == degree + 1
+                assert len(mv.p[0].ranks) == len(mv.p[1].ranks) == degree + 1
+                assert len(mv.delta_p[0]) == len(mv.delta_p[1]) == degree + 1
+                assert len(mv.x[0]) == len(mv.x[1]) == degree + 1
                 assert len(mv.deltas) == degree + 1
 
 
@@ -302,6 +304,18 @@ def test_hom_sequence_exact_seeded_pairs(all_datums, monkeypatch):
                 assert out["dim_K2"] == len(hom_space(v1.module(TAG_K2), v2.module(TAG_K2)))
 
 
+def test_hom_g_direct_refuses_a_pair_over_two_fields_or_two_amalgams():
+    """hom_G_direct and hom_sequence_check share one guard: flip2 over F2 against
+    flip2 over F3, and modules over two amalgams, are refused, not answered."""
+    d_inf = bundled("d-infinity")
+    pairs = [(d_inf.build(2).grep("flip2"), d_inf.build(3).grep("flip2")),
+             (bundled("sl2z").build(2).grep("triv"), d_inf.build(2).grep("triv"))]
+    for v1, v2 in pairs:
+        for check in (hom_G_direct, hom_sequence_check):
+            with pytest.raises(GroupMismatch, match="one amalgam and one field"):
+                check(v1, v2)
+
+
 def test_verify_les_trivial_pairs_all_instances(all_datums):
     for d in all_datums:
         for p in (2, 3):
@@ -331,10 +345,10 @@ def test_les_factor_columns_equal_finite_ext(path, p):
     triv = coefficients[0]
     for v2 in coefficients:
         rep = verify_les(triv, v2, n)
-        for tag, dims in ((TAG_K1, rep.dims_k1), (TAG_K2, rep.dims_k2), (TAG_I, rep.dims_i)):
+        for tag, dims in ((TAG_K1, rep.dims_k[0]), (TAG_K2, rep.dims_k[1]), (TAG_I, rep.dims_i)):
             assert dims == ext_finite(triv.module(tag), v2.module(tag), n).dims, (tag, v2.dim)
         products = [(deg, dim) for deg, node, dim, *_ in rep.nodes if node == "K1xK2"]
-        assert products == [(j, rep.dims_k1[j] + rep.dims_k2[j]) for j in range(n + 1)]
+        assert products == [(j, rep.dims_k[0][j] + rep.dims_k[1][j]) for j in range(n + 1)]
 
 
 def test_les_node_rank_identity(sl2z):
@@ -360,7 +374,7 @@ def test_semisimple_collapse_psl2z_f5(psl2z):
         # factor and edge Ext vanish in positive degrees (orders are units)
         mv = MVComplex(v1, v2, 3)
         from amalgext.linalg import subquotient_dim
-        for deltas in (mv.delta_p1, mv.delta_p2, mv.delta_q):
+        for deltas in (mv.delta_p[0], mv.delta_p[1], mv.delta_q):
             for j in range(1, 3):
                 assert subquotient_dim(f, deltas[j - 1], deltas[j]) == 0
         rep = verify_les(v1, v2, 3)
@@ -476,11 +490,11 @@ def test_a_kernel_cover_closes_the_cone_as_the_next_differential_does(path, p, m
     for v1, v2 in [(triv, v) for v in coefficients] + [(v, triv) for v in coefficients[1:]]:
         for n in range(7):
             mv = MVComplex(v1, v2, n)
-            assert {len(mv.p1.ranks), len(mv.p2.ranks)} == {n + 1}
+            assert {len(mv.p[0].ranks), len(mv.p[1].ranks)} == {n + 1}
             with monkeypatch.context() as m:
                 m.setattr(FreeResolution, "kernel_cover", _cover_by_the_next_differential)
                 ref = MVComplex(v1, v2, n)
-            assert len(ref.p1.ranks) == n + 2
+            assert len(ref.p[0].ranks) == n + 2
             assert mv.dims() == ref.dims(), (v1.dim, v2.dim, n)
             assert array_key(mv.cone.cocycles[n]) == array_key(ref.cone.cocycles[n])
             for tag in (TAG_K1, TAG_K2, TAG_I):
@@ -543,10 +557,10 @@ def _assert_lockstep_is_two_pass(v1, v2):
     for n in range(7):
         mv = MVComplex(v1, v2, n)
         q, ((p1, x1), (p2, x2)), deltas = _two_pass(v1, v2, n)
-        for own, ref in ((mv.q, q), (mv.p1, p1), (mv.p2, p2)):
+        for own, ref in ((mv.q, q), (mv.p[0], p1), (mv.p[1], p2)):
             assert own.ranks == ref.ranks, n
             assert [array_key(m.coeffs) for m in own.diffs[1:]] == [array_key(m.coeffs) for m in ref.diffs[1:]]
-        for own, ref in ((mv.x1, x1), (mv.x2, x2)):
+        for own, ref in ((mv.x[0], x1), (mv.x[1], x2)):
             assert [array_key(x.coeffs) for x in own] == [array_key(x.coeffs) for x in ref], n
         assert [array_key(m) for m in mv.deltas] == [array_key(m) for m in deltas], n
 
@@ -573,7 +587,7 @@ def test_two_lifts_into_one_resolution_share_each_elimination(p, monkeypatch):
     solve = Field.solve
     monkeypatch.setattr(Field, "solve", lambda f, a, b: solved.append(np.shape(b)) or solve(f, a, b))
     mv = MVComplex(v, v, 4)
-    assert mv.p2 is mv.p1 and mv.x2 is not mv.x1
+    assert mv.p[1] is mv.p[0] and mv.x[1] is not mv.x[0]
     # one lift solve per degree, on the columns of both sides (kernel_matrix solves none)
     assert [shape[1] for shape in solved if shape[1]] == [2 * mv.q.ranks[j] for j in range(1, 5)]
 
@@ -587,18 +601,18 @@ def test_a_repeated_factor_is_resolved_and_lifted_once(p):
     v = parse(str(S4_S3_S4)).build(p).grep("triv")
     d, n, w = v.datum, 6, v.module(TAG_K2)
     mv = MVComplex(v, v, n)
-    assert mv.p2 is mv.p1 and mv.x2 is mv.x1 and mv.delta_p2 is mv.delta_p1
+    assert mv.p[1] is mv.p[0] and mv.x[1] is mv.x[0] and mv.delta_p[1] is mv.delta_p[0]
     p2 = free_resolution(w, n)
-    x2 = chain_lift_pi(d, 2, free_resolution(v.module(TAG_I), n), p2, n)
-    assert mv.p2.ranks == p2.ranks
+    x2, = chain_lift_pi([d.emb2], free_resolution(v.module(TAG_I), n), p2, n)
+    assert mv.p[1].ranks == p2.ranks
     for j in range(1, n + 1):
-        assert np.array_equal(mv.p2.diffs[j].coeffs, p2.diffs[j].coeffs)
-        assert np.array_equal(mv.delta_p2[j - 1], coefficient_delta(p2.diffs[j], w))
+        assert np.array_equal(mv.p[1].diffs[j].coeffs, p2.diffs[j].coeffs)
+        assert np.array_equal(mv.delta_p[1][j - 1], coefficient_delta(p2.diffs[j], w))
     own_top = coefficient_delta(free_resolution(w, n + 1).diffs[n + 1], w)
-    assert array_key(CochainComplex(p2.field, [mv.delta_p2[n]]).cocycles[0]) == \
+    assert array_key(CochainComplex(p2.field, [mv.delta_p[1][n]]).cocycles[0]) == \
         array_key(CochainComplex(p2.field, [own_top]).cocycles[0])
-    assert len(mv.x2) == len(x2)
-    for shared, own in zip(mv.x2, x2):
+    assert len(mv.x[1]) == len(x2)
+    for shared, own in zip(mv.x[1], x2):
         assert np.array_equal(shared.coeffs, own.coeffs)
 
 
@@ -608,8 +622,8 @@ def test_d_infinity_shares_the_lift_but_not_the_flip2_coefficients(p):
     both factors, while flip2 acts by different matrices on the two."""
     built = bundled("d-infinity").build(p)
     mv = MVComplex(built.grep("triv"), built.grep("flip2"), 4)
-    assert mv.p2 is mv.p1 and mv.x2 is mv.x1
-    assert mv.delta_p2 is not mv.delta_p1
+    assert mv.p[1] is mv.p[0] and mv.x[1] is mv.x[0]
+    assert mv.delta_p[1] is not mv.delta_p[0]
     code, text = run(["les", str(FIXTURES / "d-infinity.amg"), "--char", str(p), "--degree", "3",
                       "--v1", "triv", "--v2", "flip2"])
     assert code == 0 and text.splitlines()[-1] == "RESULT: PASS"
@@ -623,8 +637,8 @@ def test_distinct_factors_share_nothing(name, p):
     for v1 in greps:
         for v2 in greps:
             mv = MVComplex(v1, v2, 3)
-            assert mv.p2 is not mv.p1 and mv.x2 is not mv.x1
-            assert mv.delta_p2 is not mv.delta_p1
+            assert mv.p[1] is not mv.p[0] and mv.x[1] is not mv.x[0]
+            assert mv.delta_p[1] is not mv.delta_p[0]
 
 
 def s4_report(path, command, p, degree) -> list[str]:
@@ -668,7 +682,7 @@ def test_reordered_s4_s3_s4_reports_what_the_shared_run_reports(p, tmp_path):
     v = parse(str(path)).build(p).grep("triv")
     assert np.array_equal(v.datum.K2.table, k2.table)
     mv = MVComplex(v, v, 2)
-    assert mv.p2 is not mv.p1 and mv.x2 is not mv.x1
+    assert mv.p[1] is not mv.p[0] and mv.x[1] is not mv.x[0]
 
     for command, degree in (("ext", 12), ("les", 6)):
         assert s4_report(path, command, p, degree) == s4_report(S4_S3_S4, command, p, degree)
@@ -691,7 +705,7 @@ def test_a_conjugated_embedding_shares_the_resolution_but_not_the_lift(p, tmp_pa
 
     v = parse(str(path)).build(p).grep("triv")
     mv = MVComplex(v, v, 2)
-    assert mv.p2 is mv.p1 and mv.delta_p2 is mv.delta_p1 and mv.x2 is not mv.x1
+    assert mv.p[1] is mv.p[0] and mv.delta_p[1] is mv.delta_p[0] and mv.x[1] is not mv.x[0]
     for command, degree in (("ext", 12), ("les", 6)):
         assert s4_report(path, command, p, degree) == s4_report(S4_S3_S4, command, p, degree)
 
@@ -703,8 +717,8 @@ def _les_nodes_from_scratch(v1, v2, n):
     f = v1.field
     mv = MVComplex(v1, v2, n + 1)
     cone = mv.cone
-    k1 = CochainComplex(f, mv.delta_p1[: n + 1])
-    k2 = CochainComplex(f, mv.delta_p2[: n + 1])
+    k1 = CochainComplex(f, mv.delta_p[0][: n + 1])
+    k2 = CochainComplex(f, mv.delta_p[1][: n + 1])
     edge = CochainComplex(f, mv.delta_q)
 
     def zero_mod(span, rows):
@@ -763,3 +777,73 @@ def test_deep_les_on_gl2z_is_known(p, degree, ext_g):
     assert code == 0
     assert "ext_G:  " + " ".join(map(str, ext_g)) in lines
     assert lines[-1] == "RESULT: PASS"
+
+
+def swapped_vertices(text: str) -> str:
+    """The .amg text of K2 *_I K1: the two vertex sections, the embed lines, the
+    grep matrices and the module groups trade tags."""
+    return re.sub(r"^(\[group |embed |mat |group = )K([12])\b",
+                  lambda m: f"{m[1]}K{3 - int(m[2])}", text, flags=re.M)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda path: path.name)
+def test_swapping_the_vertices_swaps_only_their_ext_lines(path, p, tmp_path):
+    """K1 *_I K2 and K2 *_I K1 are one group with one edge.  With the vertices
+    listed in the other order, ext reports the same Ext over G and les the same
+    lines, node for node, but ext_K1 and ext_K2, which trade places; for triv
+    against triv and against each grep of the file."""
+    swapped = tmp_path / path.name
+    swapped.write_text(swapped_vertices(path.read_text(encoding="utf-8")), encoding="utf-8")
+    old, new = parse(str(path)).datum, parse(str(swapped)).datum
+    assert array_key(new.K1.table) == array_key(old.K2.table)
+    assert array_key(new.emb2.mapping) == array_key(old.emb1.mapping)
+    try:
+        names = ["triv"] + sorted(parse(str(path)).build(p).greps)
+    except ValidationError:  # some grep is not a representation in this characteristic
+        names = ["triv"]
+    for name in names:
+        reports = [[run([command, str(amg), "--char", str(p), "--degree", str(degree), "--v2", name])
+                    for command, degree in (("ext", 8), ("les", 5))] for amg in (path, swapped)]
+        assert all(code == 0 for pair in reports for code, _ in pair)
+        (ext, les), (swapped_ext, swapped_les) = [[text.splitlines() for _, text in pair] for pair in reports]
+        assert swapped_ext == ext, name
+        k1, k2 = (next(i for i, x in enumerate(les) if x.startswith(tag)) for tag in ("ext_K1:", "ext_K2:"))
+        les[k1], les[k2] = "ext_K1:" + les[k2][7:], "ext_K2:" + les[k1][7:]
+        assert swapped_les == les, name
+
+
+VERTEX_NAMES = {"K1", "K2", "emb1", "emb2", "module1", "module2", "TAG_K1", "TAG_K2"}
+
+
+def vertex_names(source: str) -> list[tuple[int, str]]:
+    """(line, word) of each VERTEX_NAMES word the code names: an identifier, an
+    attribute, an argument, an imported name or a word of a string that is not
+    a docstring."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                  and ast.get_docstring(node) is not None}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            words = re.split(r"[^A-Za-z0-9]+", node.value)
+        else:
+            words = [getattr(node, name) for name in ("id", "attr", "arg", "name", "asname")
+                     if isinstance(getattr(node, name, None), str)]
+        found += [(getattr(node, "lineno", 0), w) for w in words if w in VERTEX_NAMES]
+    return sorted(found)
+
+
+def test_vertex_scan_finds_a_named_vertex():
+    source = ('"""K1 and K2 in a docstring are prose."""\n'
+              'from amalgext.amalgam import TAG_K1\n'
+              'def f(d, module2):\n    return d.emb1, "ext_K2", "K1xK2"\n')
+    assert vertex_names(source) == [(2, "TAG_K1"), (3, "module2"), (4, "K2"), (4, "emb1")]
+
+
+def test_the_cone_reads_its_vertices_from_the_ends_list_only():
+    """mayer_vietoris.py names no vertex: the cone, the LES and the oracles beside
+    them read every vertex from AmalgamDatum.ends."""
+    source = Path(mayer_vietoris.__file__).read_text(encoding="utf-8")
+    assert vertex_names(source) == []
