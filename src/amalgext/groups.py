@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from functools import cached_property
 
 import numpy as np
@@ -71,15 +72,18 @@ class FiniteGroup:
         bad = ((hits.sum(axis=1) != 1) | (table[inv, ar] != ident)).nonzero()[0]
         if bad.size:
             raise ValueError(f"element {bad[0]} has no two-sided inverse")
-        self.inverse_table = inv
-        # quotient_table[x, y] is the index of x^-1 y
-        self.quotient_table = table[inv]
+        self._finish(inv, labels)
 
+    def _finish(self, inverse: np.ndarray, labels):
+        """The attributes read off a checked table, its identity and its inverses."""
+        self.inverse_table = inverse
+        # quotient_table[x, y] is the index of x^-1 y
+        self.quotient_table = self.table[inverse]
         if labels is None:
-            labels = [f"g{i}" for i in range(n)]
-            labels[ident] = "e"
+            labels = [f"g{i}" for i in range(self.order)]
+            labels[self.identity] = "e"
         self.labels = list(labels)
-        self._p_cores: dict[int, list[int]] = {}
+        self._cores: dict[tuple[int, bool], list[int]] = {}
 
     def __len__(self):
         return self.order
@@ -130,29 +134,85 @@ class FiniteGroup:
         return reached
 
     def p_core(self, p: int) -> list[int]:
-        """O_p(G), the largest normal p-subgroup, as sorted indices (trivial when p = 0).
+        """O_p(G), the largest normal p-subgroup, as sorted indices (trivial when p = 0)."""
+        return self._core(p, True)
 
-        An element lies in it exactly when the normal subgroup generated by its
-        conjugacy class is a p-group.
+    def p_prime_core(self, p: int) -> list[int]:
+        """O_p'(G), the largest normal subgroup of order prime to p, as sorted
+        indices (G itself when p = 0, where every order is invertible)."""
+        return self._core(p, False)
+
+    def _core(self, p: int, p_group: bool) -> list[int]:
+        """O_p(G) (p_group) or O_p'(G), computed once per group and p.
+
+        An element lies in it exactly when the normal subgroup its conjugacy
+        class generates is a p-group, or of order prime to p: the product of
+        two such normal subgroups is one too.  Each class is closed in one
+        breadth-first pass under all its elements at once.
         """
-        if p not in self._p_cores:
-            # conj[g, x] = g^-1 x g
-            conj = self.table[self.table[self.inverse_table], np.arange(self.order)[:, None]]
-            # power[x] = x^(p^a) for p^a the p-part of |G|: the identity exactly
-            # when x has p-power order, which every element of a p-subgroup has
-            power, part = np.arange(self.order), 1
-            while p and self.order % (part * p) == 0:
-                part *= p
-                base = power
-                for _ in range(p - 1):
-                    power = self.table[power, base]
-            core: set[int] = set()
-            for x in np.flatnonzero(power == self.identity).tolist():
-                cls = set(conj[:, x].tolist())
-                if x == min(cls) and part % int(self._closure(cls).sum()) == 0:
-                    core |= cls
-            self._p_cores[p] = sorted(core)
-        return self._p_cores[p]
+        if (p, p_group) in self._cores:
+            return self._cores[p, p_group]
+        part = 1  # the p-part of |G|
+        while p and self.order % (part * p) == 0:
+            part *= p
+        if part in (1, self.order):  # a p'-group or a p-group: one core is G, the other 1
+            whole = (part == self.order) == p_group
+            self._cores[p, p_group] = list(range(self.order)) if whole else [self.identity]
+            return self._cores[p, p_group]
+        # conj[g, x] = g^-1 x g
+        conj = self.table[self.table[self.inverse_table], np.arange(self.order)[:, None]]
+        # x^m is the identity for every x of the core, m = |G|_p for a p-group
+        # and |G|_p' for a p'-group, and the core's order divides m
+        m = part if p_group else self.order // part
+        power, base, e = np.full(self.order, self.identity), np.arange(self.order), m
+        while e:
+            if e & 1:
+                power = self.table[power, base]
+            base, e = self.table[base, base], e >> 1
+        least = conj.min(axis=0)  # the least element of each class names it
+        core = np.zeros(self.order, dtype=bool)
+        core[self.identity] = True
+        candidates = (least == np.arange(self.order)) & (power == self.identity)
+        candidates[self.identity] = False
+        for x in np.flatnonzero(candidates):
+            cls = np.flatnonzero(least == x)
+            # the subgroup has the class and the identity, and its order divides m
+            if len(cls) < m:
+                size = int(self._generated(cls).sum())
+                core[cls] = (part % size == 0) if p_group else (size % p != 0)
+        self._cores[p, p_group] = np.flatnonzero(core).tolist()
+        return self._cores[p, p_group]
+
+    def _generated(self, elements: list[int]) -> np.ndarray:
+        """The subgroup the elements generate, as a mask: the identity closed
+        under right multiplication by all of them at once, one frontier of new
+        elements at a time."""
+        step = self.table[:, elements]  # step[frontier] is table[frontier][:, elements]
+        reached = np.zeros(self.order, dtype=bool)
+        reached[self.identity] = True
+        frontier = [self.identity]
+        while len(frontier):
+            before = reached.copy()
+            reached[step[frontier]] = True
+            frontier = (reached > before).nonzero()[0]
+        return reached
+
+    def quotient(self, normal: list[int]) -> tuple["FiniteGroup", np.ndarray, np.ndarray]:
+        """(G/N, the projection G -> G/N, the least element of each coset) for a
+        normal subgroup N (sorted indices), maps as index arrays.  The cosets are
+        numbered by their least elements, in order, and labelled by them.  The
+        table is a group's, so it is not checked: the identity is eN and the
+        inverse of xN is x^-1 N."""
+        least = self.table[:, normal].min(axis=1)  # the least element of gN
+        first = least == np.arange(self.order)
+        reps = first.nonzero()[0]
+        projection = (np.cumsum(first) - 1)[least]
+        group = FiniteGroup.__new__(FiniteGroup)
+        group.table = projection[self.table[reps][:, reps]]
+        group.order, group.name = len(reps), f"{self.name}/N"
+        group.identity = int(projection[self.identity])
+        group._finish(projection[self.inverse_table[reps]], [self.labels[r] for r in reps])
+        return group, projection, reps
 
     def right_cosets(self, subset: list[int]) -> list[list[int]]:
         """Partition into right cosets {subset * g}, each sorted, ordered by min element."""
@@ -166,6 +226,25 @@ class FiniteGroup:
             cosets.append(coset)
         cosets.sort(key=lambda c: c[0])
         return cosets
+
+    def renamed(self, gen_names: list[str], name: str) -> "FiniteGroup":
+        """This group as from_permutations built it, its generators (elements
+        1, 2, ...) under other names: a FiniteGroup object of its own that shares
+        the table, inverses, generators and cores, so nothing is validated or
+        computed again, labelled by the words from_permutations gives the names.
+
+        Element j was first reached as element i times generator s for the
+        least (i, s) with table[i, s + 1] = j, so its word is i's and then s.
+        """
+        other = copy.copy(self)
+        other.name = name
+        m = len(gen_names)
+        first = np.unique(self.table[:, 1 : m + 1], return_index=True)[1]
+        other.labels = ["e"]
+        for j, position in enumerate(first[1:].tolist(), 1):
+            i, s = divmod(position, m)
+            other.labels.append(gen_names[s] if i == 0 else other.labels[i] + gen_names[s])
+        return other
 
     @classmethod
     def from_permutations(cls, gens: list[list[int]], gen_names=None, name: str = "") -> "FiniteGroup":
@@ -211,7 +290,8 @@ class FiniteGroup:
 
 
 class SubgroupEmbedding:
-    """An injective homomorphism source -> target, stored as an image map."""
+    """A homomorphism source -> target, stored as an image map: an embedding
+    once validate() passes, or the map of quotients one induces."""
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping):
         self.source = source

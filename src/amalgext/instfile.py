@@ -149,8 +149,12 @@ def _parse_int_list(value: str, line: int) -> list[int]:
     return out
 
 
-def _build_group(section: _Section, name: str) -> tuple[FiniteGroup, dict]:
-    """Returns the group and a map generator-name -> element index."""
+def _build_group(section: _Section, name: str, built: dict) -> tuple[FiniteGroup, dict]:
+    """Returns the group and a map generator-name -> element index.
+
+    built maps the permutation lists of the file's groups so far to their groups:
+    a section that lists the same permutations gets that group renamed, with the
+    table and its validation shared."""
     perms = []
     perm_names = []
     table = None
@@ -192,10 +196,15 @@ def _build_group(section: _Section, name: str) -> tuple[FiniteGroup, dict]:
         return group, {}
     if not perms:
         raise ParseError(section.line, f"group {name} needs perm generators or a table")
-    try:
-        group = FiniteGroup.from_permutations(perms, gen_names=perm_names, name=name)
-    except ValueError as exc:
-        raise ValidationError(section.line, f"group {name}: {exc}") from exc
+    key = tuple(map(tuple, perms))
+    if key in built:
+        group = built[key].renamed(perm_names, name)
+    else:
+        try:
+            group = FiniteGroup.from_permutations(perms, gen_names=perm_names, name=name)
+        except ValueError as exc:
+            raise ValidationError(section.line, f"group {name}: {exc}") from exc
+        built[key] = group
     # distinct nontrivial generators are the first elements after the
     # identity in breadth-first order, in the order they were written
     return group, {nm: k for k, nm in enumerate(perm_names, start=1)}
@@ -246,9 +255,10 @@ def parse_text(text: str) -> InstanceFile:
     k1_section = unique("group K1")
     k2_section = unique("group K2")
     i_section = unique("subgroup I")
-    k1, gens1 = _build_group(k1_section, "K1")
-    k2, gens2 = _build_group(k2_section, "K2")
-    sub, gens_i = _build_group(i_section, "I")
+    built = {}
+    k1, gens1 = _build_group(k1_section, "K1", built)
+    k2, gens2 = _build_group(k2_section, "K2", built)
+    sub, gens_i = _build_group(i_section, "I", built)
 
     embeds = {}
     for key, value, line in i_section.items:

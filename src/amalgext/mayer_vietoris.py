@@ -19,7 +19,7 @@ from amalgext.amalgam import AmalgamDatum, TAG_I
 from amalgext.groups import GroupMismatch, SubgroupEmbedding
 from amalgext.induction import GRep
 from amalgext.linalg import CochainComplex, Field, array_key
-from amalgext.reps import intertwiner_constraints
+from amalgext.reps import Quotient, intertwiner_constraints
 from amalgext.resolutions import (
     AlgebraMatrix,
     FreeResolution,
@@ -32,19 +32,31 @@ from amalgext.resolutions import (
 def chain_lift_pi(embs: list[SubgroupEmbedding], q: FreeResolution, p: FreeResolution,
                   length: int) -> list[list[AlgebraMatrix]]:
     """Chain maps from the induced resolution ind(Q) to P lifting the counit, one
-    per embedding of I into P's group, with P resolved in the same loop.
+    per map of Q's group into P's, with P resolved in the same loop.  A map is
+    an embedding of I into a vertex group, or the map I/N_I -> K/N_K it induces
+    when Q and P resolve over quotients (see MVComplex); map_entries sums
+    along it.
 
     F_0 of Q and of P is free on the module basis, d_0 sending basis row i to
     v_i, and the counit sends ind(d_0 of Q)(row i) to v_i: phi_0 is the
     identity.  Higher degrees solve phi_j d_P = d_indQ phi_{j-1}, the rows of
-    every embedding in one degree from a single elimination of d_P,j, taking the
+    every map in one degree from a single elimination of d_P,j, taking the
     first back-substitution solution each time; the same elimination gives
     ker d_P,j, which P takes for d_P,j+1 or, at the top, for kernel_cover(length).
     Exactness of P guarantees a solution; failure signals a broken resolution.
-    phi_j depends only on d_P,j, d_Q,j and phi_{j-1}, so a degree where that
-    triple repeats (periodic resolutions share their differential objects)
-    reuses the earlier lift, read-only like the differentials, and P
-    eliminates d_P,j itself if it still needs its kernel.
+    phi_j depends only on d_P,j, d_Q,j and phi_{j-1}, and linearly on phi_{j-1},
+    as the first back-substitution solution is linear in the right-hand side.
+    So a degree whose differentials repeat an earlier degree's (periodic
+    resolutions share their differential objects) and whose phi_{j-1} is c
+    times that degree's takes c times its lift, with no solve: the earlier lift
+    itself, read-only like the differentials, when c = 1.  When no map solves
+    at degree j, P takes c_0 d_P,j in place of d_P,j, c_0 the first map's c
+    (FreeResolution.rescale: the same kernel and image, so still a
+    resolution), against which that map's lift is the earlier lift itself.  A
+    period up to a unit, as where an odd p restarts a periodic resolution with
+    a sign, thus becomes a period of the lifts and of the cone, which
+    verify_les ranks once.  P eliminates d_P,j itself if it still needs its
+    kernel.
     """
     f = q.field
     n = embs[0].target.order
@@ -55,11 +67,14 @@ def chain_lift_pi(embs: list[SubgroupEmbedding], q: FreeResolution, p: FreeResol
         identity = f.zeros(q.ranks[0], p.ranks[0], n)
         identity[:, :, emb.target.identity] = f.eye(q.ranks[0])
         lifts.append([AlgebraMatrix(emb.target, f, identity)])
-    # per embedding: (d_P,j, d_Q,j, array_key of phi_{j-1}) -> phi_j, for lifts that succeeded
+    # per embedding: (d_P,j, d_Q,j, array_key of phi_{j-1} / c) -> (c, phi_j), for lifts
+    # that succeeded, c the first nonzero coefficient of phi_{j-1} (1 if there is none)
     seen = [{} for _ in embs]
     for j in range(1, length + 1):
         p.extend(j)
-        keys = [(p.diffs[j], q.diffs[j], array_key(x[j - 1].coeffs)) for x in lifts]
+        leads = [_lead(f, x[j - 1].coeffs) for x in lifts]
+        keys = [(p.diffs[j], q.diffs[j], array_key(_over(f, x[j - 1].coeffs, c)))
+                for c, x in zip(leads, lifts)]
         todo = [i for i, key in enumerate(keys) if key not in seen[i]]
         if todo:
             rows = q.ranks[j]
@@ -73,10 +88,28 @@ def chain_lift_pi(embs: list[SubgroupEmbedding], q: FreeResolution, p: FreeResol
             del kernel  # P holds it only until it reads d_P,j+1
             for k, i in enumerate(todo):
                 block = sols[:, k * rows : (k + 1) * rows].T.reshape(rows, p.ranks[j], n)
-                seen[i][keys[i]] = AlgebraMatrix(embs[i].target, f, block)
+                seen[i][keys[i]] = leads[i], AlgebraMatrix(embs[i].target, f, block)
+        # phi_{j-1} is ratios[i] times the earlier one, and so is the solution against d_P,j
+        ratios = [f.reduce(lead * f.inv_scalar(seen[i][key][0]))
+                  for i, (lead, key) in enumerate(zip(leads, keys))]
+        unit = f.one if todo else ratios[0]
+        if unit != 1:
+            p.rescale(j, unit)
         for i, x in enumerate(lifts):
-            x.append(seen[i][keys[i]])
+            phi, ratio = seen[i][keys[i]][1], f.reduce(ratios[i] * f.inv_scalar(unit))
+            x.append(phi if ratio == 1 else AlgebraMatrix(phi.group, f, f.scale(ratio, phi.coeffs)))
     return lifts
+
+
+def _lead(f: Field, coeffs: np.ndarray):
+    """The first nonzero entry of an array, or 1 if it is zero."""
+    nonzero = np.flatnonzero(coeffs)
+    return coeffs.flat[nonzero[0]] if len(nonzero) else f.one
+
+
+def _over(f: Field, coeffs: np.ndarray, c) -> np.ndarray:
+    """coeffs / c, the array itself when c is 1."""
+    return coeffs if c == 1 else f.scale(f.inv_scalar(c), coeffs)
 
 
 def _check_pair(v1: GRep, v2: GRep) -> None:
@@ -84,45 +117,85 @@ def _check_pair(v1: GRep, v2: GRep) -> None:
         raise GroupMismatch("the module pair must live over one amalgam and one field")
 
 
+def vertex_quotients(v1: GRep) -> tuple[Quotient, list[Quotient]]:
+    """The quotients the cone resolves over: I/N_I, then K/N_K for each end.
+
+    N_K = O_p'(K) ∩ ker(V1 on K) is normal, of order prime to p and acts
+    trivially on V1, so kK e_N = k[K/N] is projective and a resolution of V1
+    over K/N, inflated to K, resolves V1 over K (Brown, Cohomology of Groups,
+    Ch. VII).  N_I is the elements of I that every embedding sends into its
+    N_K: normal, of order prime to p, inside ker(V1 on I), and each embedding
+    induces a homomorphism I/N_I -> K/N_K.
+    """
+    f, datum = v1.field, v1.datum
+    normals = []
+    for tag, emb in datum.ends:
+        m = v1.module(tag)
+        core = emb.target.p_prime_core(f.p)
+        acts = np.any(m.mats[core] != f.eye(m.dim), axis=(1, 2))
+        normals.append([x for x, moves in zip(core, acts.tolist()) if not moves])
+    inside = np.ones(datum.I.order, dtype=bool)
+    for (_, emb), normal in zip(datum.ends, normals):
+        mask = np.zeros(emb.target.order, dtype=bool)
+        mask[normal] = True
+        inside &= mask[emb.mapping]
+    edge = np.flatnonzero(inside).tolist()
+    return (Quotient(datum.I, edge),
+            [Quotient(emb.target, normal) for (_, emb), normal in zip(datum.ends, normals)])
+
+
 class MVComplex:
     """The Hom-applied mapping-cone cochain complex computing Ext over G.
 
-    Degree j is Hom_I(Q_{j-1}, V2) (+) Hom_K(P_j, V2) for each end (tag, emb) of
-    datum.ends, K = emb.target, realized as plain coefficient spaces by the
-    free-module adjunction.  The differential combines the coefficient complexes
-    of Q and of each P with the pullbacks along the lifted chain maps, with cone
-    signs d(a, b) = (-d a, phi(a) + d b) and phi = (phi_1, -phi_2): + on the
-    first end, - on the second.  Out of the top degree P maps by
-    kernel_cover(degree), which has the cocycles d_{degree+1} has.
+    Each group resolves over its quotient by N (see vertex_quotients): Q is a
+    resolution of V1 over I/N_I and each P one over K/N_K, K = emb.target for
+    an end (tag, emb) of datum.ends, and Hom out of an inflated free module
+    k[K/N]^r is (W^N)^r.  Degree j is Hom_I(Q_{j-1}, W^{N_I}) (+)
+    Hom_K(P_j, W^{N_K}) for each end, realized as plain coefficient spaces by
+    the free-module adjunction, W = V2.  The differential combines the
+    coefficient complexes of Q and of each P with the pullbacks along the
+    chain maps lifted along I/N_I -> K/N_K, each followed by the inclusion
+    W^{N_K} ⊆ W^{N_I}, with cone signs d(a, b) = (-d a, phi(a) + d b) and
+    phi = (phi_1, -phi_2): + on the first end, - on the second.  Out of the
+    top degree P maps by kernel_cover(degree), which has the cocycles
+    d_{degree+1} has.  Where N is trivial the quotient is the group and W^N is
+    W, the same objects, so nothing is added.
 
     One rule shares work between the ends, by content (array_key): a
-    resolution is a function of the group table and V1's action, a lift also of
-    the embedding, and a coefficient complex of the resolution and V2's action.
-    So Q is resolved first, then there is one P per distinct (table, V1 action),
-    resolved in the one chain_lift_pi call that lifts every distinct embedding
-    into it (degree j eliminates d_P,j once, for each phi_j and for ker d_P,j,
-    from which P selects d_P,j+1 or, at the top degree, its kernel cover), and
-    one coefficient complex per (P, V2 action).  Ends that share content share
-    the object (p[1] is p[0], and likewise x and delta_p), whose
-    AlgebraMatrix.group is the first such end's group.
+    resolution is a function of the table of K/N and V1's action on it, a lift
+    also of the map I/N_I -> K/N_K, and a coefficient complex of the
+    resolution and the action on W^N.  So Q is resolved first, then there is
+    one P per distinct (table, V1 action), resolved in the one chain_lift_pi
+    call that lifts every distinct map into it (degree j eliminates d_P,j
+    once, for each phi_j and for ker d_P,j, from which P selects d_P,j+1 or,
+    at the top degree, its kernel cover), and one coefficient complex per
+    (P, W^N action).  Ends that share content share the object (p[1] is p[0],
+    and likewise x and delta_p), whose AlgebraMatrix.group is the first such
+    end's quotient.
     """
 
     def __init__(self, v1: GRep, v2: GRep, degree: int):
         _check_pair(v1, v2)
         self.degree = degree
-        self.field = v1.field
-        self.d2 = v2.dim
+        self.field = f = v1.field
         key = array_key
 
         # Q, each P and the lifts are read through degree.  Each P is resolved by
         # the lifts into it, and leaves the kernel that closes the top.
-        ends = [(emb, v1.module(tag), v2.module(tag)) for tag, emb in v1.datum.ends]
-        self.q = free_resolution(v1.module(TAG_I), degree)
-        into = {}  # (table, V1 action) -> (V1's module, {embedding's mapping: embedding})
-        for emb, m, _ in ends:
+        edge, cuts = vertex_quotients(v1)
+        self.q = free_resolution(edge.inflated(v1.module(TAG_I)), degree)
+        w_i, _, free_i = edge.fixed(v2.module(TAG_I))
+        ends = []  # (I/N_I -> K/N_K, V1 over K/N_K, W^N_K, its inclusion into W^N_I or None)
+        for (tag, emb), cut in zip(v1.datum.ends, cuts):
+            bar = SubgroupEmbedding(edge.group, cut.group, cut.projection[emb.mapping[edge.reps]])
+            w, basis, _ = cut.fixed(v2.module(tag))
+            inclusion = basis if basis is None or free_i is None else basis[free_i]
+            ends.append((bar, cut.inflated(v1.module(tag)), w, inclusion))
+        into = {}  # (table, V1 action) -> (V1's module, {map's array: map})
+        for emb, m, _, _ in ends:
             _, embs = into.setdefault((key(emb.target.table), key(m.mats)), (m, {}))
             embs.setdefault(key(emb.mapping), emb)
-        lifted = {}  # (P's key, embedding's mapping) -> (P, its top cover, the lift)
+        lifted = {}  # (P's key, map's array) -> (P, its top cover, the lift)
         for p_key, (m, embs) in into.items():
             p = free_resolution(m, 0)
             lifts = chain_lift_pi(list(embs.values()), self.q, p, degree)
@@ -132,25 +205,36 @@ class MVComplex:
         # coefficient complexes: delta_q[j] maps degree j to j+1 (index from 0);
         # each distinct (differential, module) pair of objects is expanded once
         delta = functools.cache(coefficient_delta)
-        self.delta_q = [delta(self.q.diffs[j + 1], v2.module(TAG_I)) for j in range(degree)]
-        blocks, complexes = [], {}  # complexes: (P's key, V2 action) -> (W, its complex)
-        for emb, m, w in ends:
+        self.delta_q = [delta(self.q.diffs[j + 1], w_i) for j in range(degree)]
+        blocks, complexes = [], {}  # complexes: (P's key, W^N action) -> (W^N, its complex)
+        for emb, m, w, inclusion in ends:
             p_key = key(emb.target.table), key(m.mats)
             p, top, x = lifted[p_key, key(emb.mapping)]
             c_key = p_key, key(w.mats)
             if c_key not in complexes:
                 complexes[c_key] = w, [delta(d, w) for d in p.diffs[1:] + [top]]
-            blocks.append((p, x, *complexes[c_key]))
-        self.p, self.x, ws, self.delta_p = map(list, zip(*blocks))
-        # precomposition with the lifts: V2^(rank P_j) -> V2^(rank Q_j)
-        self.deltas = [self._delta(j, [delta(x[j], w) for x, w in zip(self.x, ws)])
+            blocks.append((p, x, *complexes[c_key], inclusion))
+        self.p, self.x, ws, self.delta_p, inclusions = map(list, zip(*blocks))
+        self._widths = w_i.dim, [w.dim for w in ws]
+
+        @functools.cache
+        def pulled(x: AlgebraMatrix, end: int) -> np.ndarray:
+            """Precomposition with a lift, (W^N_K)^(rank P_j) -> (W^N_I)^(rank Q_j)."""
+            fmap, inclusion = delta(x, ws[end]), inclusions[end]
+            if inclusion is None:
+                return fmap
+            blocks = fmap.reshape(x.rows, inclusion.shape[1], fmap.shape[1])
+            return f.matmul(inclusion, blocks).reshape(x.rows * len(inclusion), fmap.shape[1])
+
+        self.deltas = [self._delta(j, [pulled(x[j], end) for end, x in enumerate(self.x)])
                        for j in range(degree + 1)]
-        self.cone = CochainComplex(self.field, self.deltas)
+        self.cone = CochainComplex(f, self.deltas)
 
     def _sizes(self, j: int) -> tuple[int, ...]:
         """(a, *b): the widths of I's block and of each end's block in degree j."""
-        a = self.q.ranks[j - 1] * self.d2 if j >= 1 else 0
-        return (a, *(p.ranks[j] * self.d2 for p in self.p))
+        d_i, d_k = self._widths
+        a = self.q.ranks[j - 1] * d_i if j >= 1 else 0
+        return (a, *(p.ranks[j] * d for p, d in zip(self.p, d_k)))
 
     def _delta(self, j: int, fmaps: list[np.ndarray]) -> np.ndarray:
         """The cone differential out of degree j; its top right block is

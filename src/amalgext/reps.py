@@ -50,6 +50,60 @@ class KModule:
         return True
 
 
+class Quotient:
+    """K/N for a normal subgroup N of K, and K-modules read over it.
+
+    group is K/N, projection the map K -> K/N as an index array, and coset c
+    acts through its least element reps[c].  inflated(v) is a module on which
+    N acts trivially, as a K/N-module; fixed(w) is W^N, the N-fixed vectors of
+    any K-module, as a K/N-module.  Both are images of a checked module, so
+    the action law holds and is not checked again.  For the trivial N, group
+    is K itself and both return the module itself, so nothing is built.
+    """
+
+    def __init__(self, parent: FiniteGroup, normal: list[int]):
+        self.parent = parent
+        self.normal = normal
+        if len(normal) == 1:
+            self.group, self.projection = parent, np.arange(parent.order)
+            self.reps = self.projection
+        else:
+            self.group, self.projection, self.reps = parent.quotient(normal)
+
+    def _module(self, field: Field, mats: np.ndarray) -> KModule:
+        """The K/N-module of matrices that obey the action law by construction."""
+        module = KModule.__new__(KModule)
+        module.group, module.field, module.mats, module.dim = self.group, field, mats, mats.shape[1]
+        return module
+
+    def inflated(self, v: KModule) -> KModule:
+        """v, on which N acts trivially, as a K/N-module: coset c acts by v(reps[c])."""
+        if self.group is self.parent:
+            return v
+        return self._module(v.field, v.mats[self.reps])
+
+    def fixed(self, w: KModule) -> tuple[KModule, np.ndarray | None, np.ndarray | None]:
+        """(W^N as a K/N-module, its basis as columns of W, the free rows), or
+        (inflated(w), None, None) when N acts trivially, W^N = W.
+
+        The basis is one kernel_matrix of W(n) - 1 stacked over generators n of
+        N.  Its column for free column c is 1 at row c and 0 at the other free
+        rows, so a vector v of W^N has the coordinates v[free], and g acts by
+        W(g)[free] @ basis, with no solve.  W^N is K-stable as N is normal.
+        """
+        if self.group is self.parent:
+            return w, None, None
+        f = w.field
+        eye = f.eye(w.dim)
+        moves = [f.sub(w.mats[n], eye) for n in self.parent.generating_set(self.normal)]
+        if not np.any(moves):
+            return self.inflated(w), None, None
+        basis = f.kernel_matrix(np.concatenate(moves))
+        # free column c is the last nonzero row of its column: the others are pivots left of c
+        free = w.dim - 1 - np.argmax(basis[::-1] != 0, axis=0)
+        return self._module(f, f.matmul(w.mats[self.reps][:, free], basis)), basis, free
+
+
 def trivial_module(group: FiniteGroup, field: Field, dim: int = 1) -> KModule:
     return KModule(group, field, np.broadcast_to(field.eye(dim), (group.order, dim, dim)))
 

@@ -67,10 +67,13 @@ class AlgebraMatrix:
         return AlgebraMatrix(self.group, self.field, prod.reshape(self.rows, other.cols, n))
 
     def map_entries(self, emb: SubgroupEmbedding) -> "AlgebraMatrix":
-        """Push every algebra element along a subgroup embedding (induction of free modules)."""
+        """Push every algebra element along a group homomorphism (induction of free
+        modules along an embedding, inflated along a map of quotients): the
+        coefficients of the elements the map sends to one element are summed,
+        which for an embedding moves each to its image."""
         out = self.field.zeros(self.rows, self.cols, emb.target.order)
-        out[:, :, emb.mapping] = self.coeffs
-        return AlgebraMatrix(emb.target, self.field, out)
+        np.add.at(out, (..., emb.mapping), self.coeffs)
+        return AlgebraMatrix(emb.target, self.field, self.field.reduce(out))
 
     def to_k_matrix(self) -> np.ndarray:
         """Row-convention expansion: coords(x * D) = coords(x) @ to_k_matrix(D).
@@ -157,6 +160,14 @@ class FreeResolution:
         its memos hold it, else the k-basis of ker d_n as rows.  A map on F_n kills its
         image exactly when it kills im d_{n+1}: Hom of it has the cocycles of d_{n+1}'s."""
         return self.diffs[n + 1] if self.length() > n else self._successor(n, select=False)
+
+    def rescale(self, j: int, unit):
+        """Replace d_j by unit * d_j, which has d_j's kernel and image: the resolution
+        stays one, and d_{j+1} follows from it as from d_j."""
+        old = self.diffs[j]
+        self.diffs[j] = AlgebraMatrix(self.group, self.field, self.field.scale(unit, old.coeffs))
+        if (key := array_key(old.coeffs)) in self._next:
+            self._next[array_key(self.diffs[j].coeffs)] = self._next[key]
 
     def take_kernel(self, j: int, kernel: np.ndarray):
         """Keep ker d_j, in kernel_matrix's column form, for the next read of d_{j+1}

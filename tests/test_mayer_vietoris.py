@@ -1,4 +1,5 @@
 import ast
+import itertools
 import re
 from functools import reduce
 from pathlib import Path
@@ -21,6 +22,7 @@ from amalgext.mayer_vietoris import (
     hom_G_direct,
     hom_sequence_check,
     verify_les,
+    vertex_quotients,
 )
 from amalgext.reps import hom_space
 from amalgext.resolutions import (
@@ -139,6 +141,55 @@ def test_a_reused_lift_is_the_one_a_fresh_solve_gives(path, p):
                     assert lifts[j] is lifts[first[key]]
                     reused += 1
     assert bool(reused) == ((path.stem, p) in LIFTS_REPEAT)
+
+
+def _c5_amalgams():
+    """F20 *_{Z/5} D10 and Z/5 *_{Z/5} Z/5 over the 5-cycle, at F5; the second
+    glues the generator of Z/5 to the cycle and to its square, so two maps
+    lift into one P, with units whose ratio is neither 1 nor -1."""
+    cycle = [1, 2, 3, 4, 0]
+    z5 = FiniteGroup.from_permutations([cycle])
+    f20 = FiniteGroup.from_permutations([cycle, [0, 2, 4, 1, 3]])
+    d10 = FiniteGroup.from_permutations([cycle, [0, 4, 3, 2, 1]])
+
+    def power(k, step):
+        """Z/5 -> k, a^i -> (the cycle, k's element 1)^(step i)."""
+        c = k.identity
+        for _ in range(step):
+            c = k.mul(c, 1)
+        return SubgroupEmbedding(z5, k, list(itertools.accumulate(range(4), lambda x, _: k.mul(x, c),
+                                                                  initial=k.identity)))
+
+    for k1, k2, step in ((f20, d10, 1), (z5, z5, 2)):
+        yield trivial_grep(AmalgamDatum(k1, k2, z5, power(k1, 1), power(k2, step)), Field(5))
+
+
+def test_a_period_up_to_a_unit_rescales_the_differential():
+    """Over the 5-cycle at F5 the lifts repeat up to units other than -1.  Through
+    degree 14 each lift is the first back-substitution solution from the lift
+    before it against the cone's P; each differential of P is a unit times the
+    one free_resolution gives (N = 1 here), some unit c with c^2 != 1, and where
+    the unit is not 1 the lift of the first map into P is an earlier one itself
+    (a second map into the same P takes its own multiple, which the fresh
+    solves check)."""
+    units = set()
+    for v in _c5_amalgams():
+        f = v.field
+        mv = MVComplex(v, v, 14)
+        firsts = set()
+        for (tag, emb), p, lifts in zip(v.datum.ends, mv.p, mv.x):
+            first = id(p) not in firsts
+            firsts.add(id(p))
+            own = free_resolution(v.module(tag), 14)
+            for j in range(1, 15):
+                rows = mv.q.diffs[j].map_entries(emb).coeffs.reshape(mv.q.ranks[j], -1)
+                sols, _ = f.solve(p.diff_operator(j), f.matmul(lifts[j - 1].to_k_matrix().T, rows.T))
+                assert lifts[j].coeffs.tobytes() == sols.T.tobytes(), j
+                unit, = [c for c in range(1, 5) if np.array_equal(p.diffs[j].coeffs, f.scale(c, own.diffs[j].coeffs))]
+                if unit != 1:
+                    units.add(unit)
+                    assert not first or any(lifts[j] is lifts[i] for i in range(1, j)), j
+    assert units - {1, 4}
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -505,37 +556,56 @@ def test_a_kernel_cover_closes_the_cone_as_the_next_differential_does(path, p, m
                 assert array_key(own.cocycles[n]) == array_key(full.cocycles[n])
 
 
-def _two_pass(v1, v2, n):
-    """The cone as resolving first and lifting after builds it: Q, P1 and P2 from
-    free_resolution (each kernel by its own kernel_matrix), each lift degree by a
-    standalone solve, the top closed by kernel_cover(n) of the resolved P, and the
-    cone's differentials assembled from these blocks.  Returns (Q, [(P, lifts) per
-    factor], differentials)."""
-    d, f, d2 = v1.datum, v1.field, v2.dim
-    q = free_resolution(v1.module(TAG_I), n)
+def _quotient_map(emb, edge, cut):
+    """The map I/N_I -> K/N_K that emb induces, as the cone lifts along it."""
+    return SubgroupEmbedding(edge.group, cut.group, cut.projection[emb.mapping[edge.reps]])
+
+
+def _two_pass(v1, v2, n, mv):
+    """The cone as resolving first and lifting after builds it, over the same
+    quotients: Q and each P from free_resolution of V1 over I/N_I and K/N_K
+    (each kernel by its own kernel_matrix), each d_j of P taken times the unit
+    that makes it mv's (the cone rescales d_P,j where the lifts repeat up to a
+    unit; any other difference fails here), each lift degree by a standalone
+    solve along I/N_I -> K/N_K, the top closed by kernel_cover(n) of the
+    resolved P, the lift blocks followed by W^N_K in W^N_I as a Kronecker
+    product, and the cone's differentials assembled from these blocks.
+    Returns (Q, [(P, lifts) per factor], differentials)."""
+    d, f = v1.datum, v1.field
+    edge, cuts = vertex_quotients(v1)
+    q = free_resolution(edge.inflated(v1.module(TAG_I)), n)
+    w_i, _, free_i = edge.fixed(v2.module(TAG_I))
     factors, maps = [], []
-    for emb, tag in ((d.emb1, TAG_K1), (d.emb2, TAG_K2)):
-        res, k = free_resolution(v1.module(tag), n), emb.target
+    for (tag, emb), cut, own in zip(d.ends, cuts, mv.p):
+        bar = _quotient_map(emb, edge, cut)
+        res, k = free_resolution(cut.inflated(v1.module(tag)), n), cut.group
+        for j in range(1, n + 1):
+            units = [c for c in range(1, f.p) if np.array_equal(own.diffs[j].coeffs, f.scale(c, res.diffs[j].coeffs))]
+            assert units, j  # 1 comes first, and any unit fits a zero d_j
+            res.diffs[j] = res.diffs[j] if units[0] == 1 else AlgebraMatrix(k, f, f.scale(units[0], res.diffs[j].coeffs))
         phi = f.zeros(q.ranks[0], res.ranks[0], k.order)
         phi[:, :, k.identity] = f.eye(q.ranks[0])
         lifts = [AlgebraMatrix(k, f, phi)]
         for j in range(1, n + 1):
-            image = q.diffs[j].map_entries(emb).mul(lifts[-1])
+            image = q.diffs[j].map_entries(bar).mul(lifts[-1])
             rhs = image.coeffs.reshape(q.ranks[j], res.ranks[j - 1] * k.order).T
             sols, _ = f.solve(res.diff_operator(j), rhs)
             lifts.append(AlgebraMatrix(k, f, sols.T.reshape(q.ranks[j], res.ranks[j], k.order)))
         factors.append((res, lifts))
-        w = v2.module(tag)
-        maps.append(([coefficient_delta(x, w) for x in lifts],
-                     [coefficient_delta(m, w) for m in res.diffs[1:] + [res.kernel_cover(n)]]))
-    (phi1, out1), (phi2, out2) = maps
+        w, basis, _ = cut.fixed(v2.module(tag))
+        inclusion = f.eye(w.dim) if basis is None else basis if free_i is None else basis[free_i]
+        maps.append(([f.matmul(np.kron(f.eye(x.rows), inclusion), coefficient_delta(x, w)) for x in lifts],
+                      [coefficient_delta(m, w) for m in res.diffs[1:] + [res.kernel_cover(n)]],
+                      w.dim))
+    (phi1, out1, d1), (phi2, out2, d2) = maps
     deltas = []
     for j in range(n + 1):
-        a, b1, b2 = q.ranks[j - 1] * d2 if j else 0, factors[0][0].ranks[j] * d2, factors[1][0].ranks[j] * d2
-        top = q.ranks[j] * d2
+        a = q.ranks[j - 1] * w_i.dim if j else 0
+        b1, b2 = factors[0][0].ranks[j] * d1, factors[1][0].ranks[j] * d2
+        top = q.ranks[j] * w_i.dim
         delta = f.zeros(top + len(out1[j]) + len(out2[j]), a + b1 + b2)
         if j:
-            delta[:top, :a] = f.neg(coefficient_delta(q.diffs[j], v2.module(TAG_I)))
+            delta[:top, :a] = f.neg(coefficient_delta(q.diffs[j], w_i))
         delta[:top, a : a + b1] = phi1[j]
         delta[:top, a + b1 :] = f.neg(phi2[j])
         delta[top : top + len(out1[j]), a : a + b1] = out1[j]
@@ -545,20 +615,27 @@ def _two_pass(v1, v2, n):
 
 
 def _glued_twice(f):
-    """V4 *_{Z/2} V4 with Z/2 sent to two different involutions: K2 is K1, so one
-    resolution serves both factors, but the two lifts into it differ."""
-    v4 = FiniteGroup.from_permutations([[1, 0, 3, 2], [2, 3, 0, 1]])
+    """K *_{Z/2} K with Z/2 sent to two different involutions, K = V4 at F2 and S3
+    at F3, where N = 1: K2 is K1, so one resolution serves both factors, but the
+    two lifts into it differ."""
     z2 = cyclic(2)
-    d = AmalgamDatum(v4, v4, z2, SubgroupEmbedding(z2, v4, [0, 1]), SubgroupEmbedding(z2, v4, [0, 2]))
+    if f.p == 2:
+        k = FiniteGroup.from_permutations([[1, 0, 3, 2], [2, 3, 0, 1]])
+    else:
+        k = FiniteGroup.from_permutations([[1, 0, 2], [1, 2, 0]])
+    involutions = [x for x in range(k.order) if x != k.identity and k.mul(x, x) == k.identity]
+    d = AmalgamDatum(k, k, z2, SubgroupEmbedding(z2, k, [k.identity, involutions[0]]),
+                     SubgroupEmbedding(z2, k, [k.identity, involutions[1]]))
     return trivial_grep(d, f)
 
 
 def _assert_lockstep_is_two_pass(v1, v2):
     for n in range(7):
         mv = MVComplex(v1, v2, n)
-        q, ((p1, x1), (p2, x2)), deltas = _two_pass(v1, v2, n)
+        q, ((p1, x1), (p2, x2)), deltas = _two_pass(v1, v2, n, mv)
         for own, ref in ((mv.q, q), (mv.p[0], p1), (mv.p[1], p2)):
             assert own.ranks == ref.ranks, n
+            assert array_key(own.group.table) == array_key(ref.group.table)
             assert [array_key(m.coeffs) for m in own.diffs[1:]] == [array_key(m.coeffs) for m in ref.diffs[1:]]
         for own, ref in ((mv.x[0], x1), (mv.x[1], x2)):
             assert [array_key(x.coeffs) for x in own] == [array_key(x.coeffs) for x in ref], n
@@ -588,6 +665,7 @@ def test_two_lifts_into_one_resolution_share_each_elimination(p, monkeypatch):
     monkeypatch.setattr(Field, "solve", lambda f, a, b: solved.append(np.shape(b)) or solve(f, a, b))
     mv = MVComplex(v, v, 4)
     assert mv.p[1] is mv.p[0] and mv.x[1] is not mv.x[0]
+    assert mv.p[0].group is v.datum.K1  # N = 1: the cone resolves over K itself
     # one lift solve per degree, on the columns of both sides (kernel_matrix solves none)
     assert [shape[1] for shape in solved if shape[1]] == [2 * mv.q.ranks[j] for j in range(1, 5)]
 
@@ -596,19 +674,27 @@ def test_two_lifts_into_one_resolution_share_each_elimination(p, monkeypatch):
 def test_a_repeated_factor_is_resolved_and_lifted_once(p):
     """On s4-s3-s4 the two factors, their actions and the embeddings of I are
     equal, so K2's resolution, lift and coefficient complexes are K1's objects,
-    and these equal, entry for entry, what K2's own resolution and lift give
-    through degree n; the top coefficient map has the cocycles of K2's own d_{n+1}."""
+    and these equal, entry for entry, what K2's own resolution over K2/N and lift
+    give through degree n; the top coefficient map has the cocycles of K2's own
+    d_{n+1}.  At F2, N = 1; at F3, N = V4 and both vertices resolve over S4/V4,
+    which is S3 by one table."""
     v = parse(str(S4_S3_S4)).build(p).grep("triv")
-    d, n, w = v.datum, 6, v.module(TAG_K2)
+    d, n = v.datum, 6
     mv = MVComplex(v, v, n)
     assert mv.p[1] is mv.p[0] and mv.x[1] is mv.x[0] and mv.delta_p[1] is mv.delta_p[0]
-    p2 = free_resolution(w, n)
-    x2, = chain_lift_pi([d.emb2], free_resolution(v.module(TAG_I), n), p2, n)
+    edge, (cut1, cut2) = vertex_quotients(v)
+    assert [len(cut.normal) for cut in (edge, cut1, cut2)] == ([1, 1, 1] if p == 2 else [1, 4, 4])
+    assert mv.p[0].group.order == (24 if p == 2 else 6)
+    assert array_key(cut1.group.table) == array_key(cut2.group.table)
+    m2, (w2, _, _) = cut2.inflated(v.module(TAG_K2)), cut2.fixed(v.module(TAG_K2))
+    p2 = free_resolution(m2, n)
+    q = free_resolution(edge.inflated(v.module(TAG_I)), n)
+    x2, = chain_lift_pi([_quotient_map(d.emb2, edge, cut2)], q, p2, n)
     assert mv.p[1].ranks == p2.ranks
     for j in range(1, n + 1):
         assert np.array_equal(mv.p[1].diffs[j].coeffs, p2.diffs[j].coeffs)
-        assert np.array_equal(mv.delta_p[1][j - 1], coefficient_delta(p2.diffs[j], w))
-    own_top = coefficient_delta(free_resolution(w, n + 1).diffs[n + 1], w)
+        assert np.array_equal(mv.delta_p[1][j - 1], coefficient_delta(p2.diffs[j], w2))
+    own_top = coefficient_delta(free_resolution(m2, n + 1).diffs[n + 1], w2)
     assert array_key(CochainComplex(p2.field, [mv.delta_p[1][n]]).cocycles[0]) == \
         array_key(CochainComplex(p2.field, [own_top]).cocycles[0])
     assert len(mv.x[1]) == len(x2)
@@ -617,13 +703,16 @@ def test_a_repeated_factor_is_resolved_and_lifted_once(p):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_d_infinity_shares_the_lift_but_not_the_flip2_coefficients(p):
+def test_d_infinity_shares_the_flip2_coefficients_only_over_the_quotient(p):
     """K1 = K2 = Z/2 over the trivial subgroup: triv's resolution and lift serve
-    both factors, while flip2 acts by different matrices on the two."""
+    both factors.  flip2 acts by different matrices on the two, so at F2 (N = 1)
+    the coefficient complexes differ; at F3, N = Z/2 and each fixed line is the
+    trivial module of the trivial group, so they are one complex."""
     built = bundled("d-infinity").build(p)
     mv = MVComplex(built.grep("triv"), built.grep("flip2"), 4)
     assert mv.p[1] is mv.p[0] and mv.x[1] is mv.x[0]
-    assert mv.delta_p[1] is not mv.delta_p[0]
+    assert (mv.delta_p[1] is mv.delta_p[0]) == (p == 3)
+    assert mv.p[0].group.order == (2 if p == 2 else 1)
     code, text = run(["les", str(FIXTURES / "d-infinity.amg"), "--char", str(p), "--degree", "3",
                       "--v1", "triv", "--v2", "flip2"])
     assert code == 0 and text.splitlines()[-1] == "RESULT: PASS"
@@ -666,8 +755,9 @@ def renumbered(old: FiniteGroup, new: FiniteGroup, names) -> np.ndarray:
 @pytest.mark.parametrize("p", [2, 3])
 def test_reordered_s4_s3_s4_reports_what_the_shared_run_reports(p, tmp_path):
     """The oracle without sharing: s4-s3-s4 with K2's generators listed in the other
-    order numbers K2 otherwise, so nothing is shared, and every ext and les line
-    but the instance name is the shared run's."""
+    order numbers K2 otherwise, so at F2 nothing is shared (at F3 only the
+    resolution over S4/V4 is), and every ext and les line but the instance name
+    is the shared run's."""
     text = S4_S3_S4.read_text(encoding="utf-8")
     old = parse(str(S4_S3_S4)).datum
     k2 = FiniteGroup.from_permutations([[1, 2, 3, 0], [1, 0, 2, 3]], gen_names=["d", "c"])
@@ -682,7 +772,9 @@ def test_reordered_s4_s3_s4_reports_what_the_shared_run_reports(p, tmp_path):
     v = parse(str(path)).build(p).grep("triv")
     assert np.array_equal(v.datum.K2.table, k2.table)
     mv = MVComplex(v, v, 2)
-    assert mv.p[1] is not mv.p[0] and mv.x[1] is not mv.x[0]
+    # at F2, N = 1 and the tables differ; at F3 both vertices resolve over S4/V4,
+    # whose cosets numbered by least element give one table, and only the lifts differ
+    assert (mv.p[1] is mv.p[0]) == (p == 3) and mv.x[1] is not mv.x[0]
 
     for command, degree in (("ext", 12), ("les", 6)):
         assert s4_report(path, command, p, degree) == s4_report(S4_S3_S4, command, p, degree)
