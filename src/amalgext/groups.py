@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from functools import cached_property
 
 import numpy as np
@@ -159,8 +158,16 @@ class FiniteGroup:
             whole = (part == self.order) == p_group
             self._cores[p, p_group] = list(range(self.order)) if whole else [self.identity]
             return self._cores[p, p_group]
-        # conj[g, x] = g^-1 x g
-        conj = self.table[self.table[self.inverse_table], np.arange(self.order)[:, None]]
+        if not p_group:
+            # O_p' and O_p are normal and meet in 1, so they commute: O_p' is 1
+            # when only elements of O_p centralize O_p
+            o_p = self._core(p, True)
+            central = (self.table[:, o_p] == self.table[o_p].T).all(axis=1)
+            central[o_p] = False
+            if not central.any():
+                self._cores[p, p_group] = [self.identity]
+                return self._cores[p, p_group]
+        least = self._class_least
         # x^m is the identity for every x of the core, m = |G|_p for a p-group
         # and |G|_p' for a p'-group, and the core's order divides m
         m = part if p_group else self.order // part
@@ -169,7 +176,6 @@ class FiniteGroup:
             if e & 1:
                 power = self.table[power, base]
             base, e = self.table[base, base], e >> 1
-        least = conj.min(axis=0)  # the least element of each class names it
         core = np.zeros(self.order, dtype=bool)
         core[self.identity] = True
         candidates = (least == np.arange(self.order)) & (power == self.identity)
@@ -182,6 +188,13 @@ class FiniteGroup:
                 core[cls] = (part % size == 0) if p_group else (size % p != 0)
         self._cores[p, p_group] = np.flatnonzero(core).tolist()
         return self._cores[p, p_group]
+
+    @cached_property
+    def _class_least(self) -> np.ndarray:
+        """The least element of each element's conjugacy class, which names the class."""
+        # conj[g, x] = g^-1 x g
+        conj = self.table[self.table[self.inverse_table], np.arange(self.order)[:, None]]
+        return conj.min(axis=0)
 
     def _generated(self, elements: list[int]) -> np.ndarray:
         """The subgroup the elements generate, as a mask: the identity closed
@@ -226,25 +239,6 @@ class FiniteGroup:
             cosets.append(coset)
         cosets.sort(key=lambda c: c[0])
         return cosets
-
-    def renamed(self, gen_names: list[str], name: str) -> "FiniteGroup":
-        """This group as from_permutations built it, its generators (elements
-        1, 2, ...) under other names: a FiniteGroup object of its own that shares
-        the table, inverses, generators and cores, so nothing is validated or
-        computed again, labelled by the words from_permutations gives the names.
-
-        Element j was first reached as element i times generator s for the
-        least (i, s) with table[i, s + 1] = j, so its word is i's and then s.
-        """
-        other = copy.copy(self)
-        other.name = name
-        m = len(gen_names)
-        first = np.unique(self.table[:, 1 : m + 1], return_index=True)[1]
-        other.labels = ["e"]
-        for j, position in enumerate(first[1:].tolist(), 1):
-            i, s = divmod(position, m)
-            other.labels.append(gen_names[s] if i == 0 else other.labels[i] + gen_names[s])
-        return other
 
     @classmethod
     def from_permutations(cls, gens: list[list[int]], gen_names=None, name: str = "") -> "FiniteGroup":

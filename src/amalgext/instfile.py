@@ -149,12 +149,8 @@ def _parse_int_list(value: str, line: int) -> list[int]:
     return out
 
 
-def _build_group(section: _Section, name: str, built: dict) -> tuple[FiniteGroup, dict]:
-    """Returns the group and a map generator-name -> element index.
-
-    built maps the permutation lists of the file's groups so far to their groups:
-    a section that lists the same permutations gets that group renamed, with the
-    table and its validation shared."""
+def _build_group(section: _Section, name: str) -> tuple[FiniteGroup, dict]:
+    """Returns the group and a map generator-name -> element index."""
     perms = []
     perm_names = []
     table = None
@@ -196,15 +192,10 @@ def _build_group(section: _Section, name: str, built: dict) -> tuple[FiniteGroup
         return group, {}
     if not perms:
         raise ParseError(section.line, f"group {name} needs perm generators or a table")
-    key = tuple(map(tuple, perms))
-    if key in built:
-        group = built[key].renamed(perm_names, name)
-    else:
-        try:
-            group = FiniteGroup.from_permutations(perms, gen_names=perm_names, name=name)
-        except ValueError as exc:
-            raise ValidationError(section.line, f"group {name}: {exc}") from exc
-        built[key] = group
+    try:
+        group = FiniteGroup.from_permutations(perms, gen_names=perm_names, name=name)
+    except ValueError as exc:
+        raise ValidationError(section.line, f"group {name}: {exc}") from exc
     # distinct nontrivial generators are the first elements after the
     # identity in breadth-first order, in the order they were written
     return group, {nm: k for k, nm in enumerate(perm_names, start=1)}
@@ -255,10 +246,9 @@ def parse_text(text: str) -> InstanceFile:
     k1_section = unique("group K1")
     k2_section = unique("group K2")
     i_section = unique("subgroup I")
-    built = {}
-    k1, gens1 = _build_group(k1_section, "K1", built)
-    k2, gens2 = _build_group(k2_section, "K2", built)
-    sub, gens_i = _build_group(i_section, "I", built)
+    k1, gens1 = _build_group(k1_section, "K1")
+    k2, gens2 = _build_group(k2_section, "K2")
+    sub, gens_i = _build_group(i_section, "I")
 
     embeds = {}
     for key, value, line in i_section.items:

@@ -128,12 +128,17 @@ def vertex_quotients(v1: GRep) -> tuple[Quotient, list[Quotient]]:
     induces a homomorphism I/N_I -> K/N_K.
     """
     f, datum = v1.field, v1.datum
-    normals = []
+    normals, cores = [], {}  # cores: K's table -> O_p'(K), so equal tables share it
     for tag, emb in datum.ends:
         m = v1.module(tag)
-        core = emb.target.p_prime_core(f.p)
-        acts = np.any(m.mats[core] != f.eye(m.dim), axis=(1, 2))
-        normals.append([x for x, moves in zip(core, acts.tolist()) if not moves])
+        table = array_key(emb.target.table)
+        if table not in cores:
+            cores[table] = emb.target.p_prime_core(f.p)
+        core = cores[table]
+        if len(core) > 1:
+            acts = np.any(m.mats[core] != f.eye(m.dim), axis=(1, 2))
+            core = [x for x, moves in zip(core, acts.tolist()) if not moves]
+        normals.append(core)
     inside = np.ones(datum.I.order, dtype=bool)
     for (_, emb), normal in zip(datum.ends, normals):
         mask = np.zeros(emb.target.order, dtype=bool)

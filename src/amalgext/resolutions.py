@@ -137,6 +137,7 @@ class FreeResolution:
                                    for h in range(self.group.order)})
         self._trials = min(SAMPLE_TRIALS, SAMPLE_ROWS // len(self._coset_reps))
         self._next: dict[tuple, AlgebraMatrix] = {}  # array_key of d_j -> d_{j+1}, j >= 1
+        self._scaled: dict[tuple, AlgebraMatrix] = {}  # (array_key of d_j, unit) -> unit * d_j
         self._kernels: dict[tuple, list[AlgebraMatrix]] = {}  # shape of ker d_j -> d_{j+1}s
         self._handed: dict[int, np.ndarray] = {}  # j -> ker d_j as rows, until d_{j+1} is read
 
@@ -163,10 +164,14 @@ class FreeResolution:
 
     def rescale(self, j: int, unit):
         """Replace d_j by unit * d_j, which has d_j's kernel and image: the resolution
-        stays one, and d_{j+1} follows from it as from d_j."""
-        old = self.diffs[j]
-        self.diffs[j] = AlgebraMatrix(self.group, self.field, self.field.scale(unit, old.coeffs))
-        if (key := array_key(old.coeffs)) in self._next:
+        stays one, and d_{j+1} follows from it as from d_j.  Each (d_j, unit) is
+        scaled once, so a period up to a unit repeats the scaled object itself."""
+        key = array_key(self.diffs[j].coeffs)
+        if (key, unit) not in self._scaled:
+            coeffs = self.field.scale(unit, self.diffs[j].coeffs)
+            self._scaled[key, unit] = AlgebraMatrix(self.group, self.field, coeffs)
+        self.diffs[j] = self._scaled[key, unit]
+        if key in self._next:
             self._next[array_key(self.diffs[j].coeffs)] = self._next[key]
 
     def take_kernel(self, j: int, kernel: np.ndarray):

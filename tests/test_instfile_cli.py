@@ -360,10 +360,9 @@ def test_each_generator_index_is_the_element_labelled_with_its_name():
         "s4-s3-s4", "gl2z")]
     checked = 0
     for path in paths:
-        built = {}  # as parse_text shares them: s4-s3-s4's K2 is K1 renamed
         for section in instfile._split_sections(Path(path).read_text()):
             if section.header in ("group K1", "group K2", "subgroup I"):
-                group, index = instfile._build_group(section, section.header, built)
+                group, index = instfile._build_group(section, section.header)
                 assert all(group.labels[k] == nm for nm, k in index.items())
                 checked += len(index)
     assert checked > 0

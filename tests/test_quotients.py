@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amalgext import groups
 from amalgext.amalgam import TAG_I, TAG_K2
 from amalgext.groups import FiniteGroup, SubgroupEmbedding
 from amalgext.instfile import parse
@@ -77,6 +76,16 @@ def test_each_core_is_computed_once_per_group(monkeypatch):
     assert len(closures) == first
 
 
+def test_a_p_prime_core_outside_every_centralizer_reads_no_class(monkeypatch):
+    """O_p' and O_p commute, so where only O_p's elements centralize O_p (S4 at
+    p = 2, C(V4) = V4) O_p' is 1 from p_core's work, which a resolution over S4
+    reads anyway: no conjugacy class is read for it."""
+    s4 = FiniteGroup.from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
+    assert len(s4.p_core(2)) == 4
+    monkeypatch.setattr(FiniteGroup, "_class_least", property(lambda g: pytest.fail("a class was read")))
+    assert s4.p_prime_core(2) == [s4.identity]
+
+
 def _quotient_cases():
     for path in INSTANCE_FILES:
         for p in [2, 3, 5] if path.stem.endswith("-f5") else [2, 3]:
@@ -126,6 +135,18 @@ def test_quotient_modules_are_the_actions_on_fixed_points(path, p):
                 for g in range(k.order):
                     assert np.array_equal(f.matmul(w.mats[g], basis),
                                           f.matmul(basis, fixed.mats[proj[g]]))
+
+
+def test_vertex_groups_with_equal_tables_share_one_p_prime_core():
+    """K1 and K2 of s4-s3-s4 are separate objects with equal tables: the
+    p'-core is found once, on K1, and serves both ends."""
+    for p in (2, 3):
+        v = parse(str(BENCH / "s4-s3-s4.amg")).build(p).grep("triv")
+        d = v.datum
+        assert d.K1 is not d.K2 and np.array_equal(d.K1.table, d.K2.table)
+        _, cuts = vertex_quotients(v)
+        assert not d.K2._cores
+        assert cuts[0].normal == cuts[1].normal == d.K1.p_prime_core(p) == d.K2.p_prime_core(p)
 
 
 def test_d12_of_gl2z_resolves_over_v4_at_f2():
@@ -210,23 +231,6 @@ def test_lifts_into_s3_repeat_once_d5_is_rescaled(monkeypatch):
         unit = 2 if j in (5, 9) else 1
         assert np.array_equal(p.diffs[j].coeffs, f.scale(unit, own.diffs[j].coeffs)), j
     assert all(x[j + 4] is x[j] for j in range(1, 6))
+    assert p.diffs[9] is p.diffs[5]  # the scaled d_5, repeated by the period
     # lift solves have a right-hand side (kernel_matrix solves none)
     assert len([1 for unknowns, columns in solved if unknowns and columns]) == 4
-
-
-def test_equal_permutation_sections_share_one_table(monkeypatch):
-    """s4-s3-s4 lists K1's permutations again for K2 under other names: K2 is a
-    group object of its own, with its own name and labels (those from_permutations
-    gives the names), that shares K1's table, so one closure builds both."""
-    calls = []
-    build = FiniteGroup.from_permutations.__func__
-    monkeypatch.setattr(FiniteGroup, "from_permutations",
-                        classmethod(lambda cls, *a, **k: calls.append(a) or build(cls, *a, **k)))
-    d = parse(str(BENCH / "s4-s3-s4.amg")).datum
-    assert len(calls) == 2  # K1 and I
-    monkeypatch.undo()
-    assert d.K2 is not d.K1 and d.K2.table is d.K1.table
-    assert (d.K1.name, d.K2.name) == ("K1", "K2")
-    own = FiniteGroup.from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]], gen_names=["c", "d"])
-    assert d.K2.labels == own.labels and d.K1.labels != own.labels
-    assert groups.FiniteGroup.renamed(d.K1, ["a", "b"], "K1").labels == d.K1.labels
