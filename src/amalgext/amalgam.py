@@ -8,7 +8,10 @@ right, so right cosets K\\g canonicalize by stripping from the left.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
+
+import numpy as np
 
 from amalgext.groups import FiniteGroup, SubgroupEmbedding
 
@@ -17,6 +20,7 @@ TAG_K1 = "K1"
 TAG_K2 = "K2"
 TAG_I = "I"
 _SIDES = {TAG_K1: 1, TAG_K2: 2, TAG_I: None}
+_BOTH_SIDES = np.array([[1], [2]])  # a column of sides, against which EdgeTree.lead broadcasts
 
 
 class LetterOutOfGroup(ValueError):
@@ -86,6 +90,67 @@ class CosetRep(NamedTuple):
     word: GWord
 
 
+class EdgeTree:
+    """The edge ball of one radius as a tree of index arrays (AmalgamDatum._edge_ball).
+
+    Entry i is the i-th representative in sort order: reps[i] is its (letters,
+    tail), depth[i] its word length and lead[i] the side of its first letter (0
+    for the root ((), 0)).  Where it leads on side s, its K_s end is the
+    representative parent[i], one letter shorter, and witness[i] * w_i =
+    w_parent[i] with witness[i] in K_s.  It holds no word and no datum.
+    """
+
+    __slots__ = ("radius", "reps", "lead", "parent", "witness", "depth")
+
+    def __init__(self, radius, reps, lead, parent, witness, depth):
+        self.radius, self.reps = radius, reps
+        self.lead, self.parent, self.witness, self.depth = (
+            np.array(x, dtype=np.intp) for x in (lead, parent, witness, depth))
+
+    def ends(self, identities) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge's two vertex ends, as two (2, edges) arrays: row s - 1 holds its
+        K_s end's index in the vertex list, the K1 ball and then the K2 ball, and
+        the k in K_s with k * w = that vertex's representative (identities: K1's
+        and K2's).  The K_s ball is the edges that do not lead on side s, in
+        order (see AmalgamDatum.ball), so one count over both rows gives the
+        indices."""
+        leads = self.lead == _BOTH_SIDES
+        index = np.cumsum(~leads).reshape(leads.shape) - 1
+        return (np.where(leads, index[:, self.parent], index),
+                np.where(leads, self.witness, np.array(identities)[:, None]))
+
+
+class CosetBall:
+    """The canonical coset representatives of AmalgamDatum.ball, in sort order.
+
+    They are held as (letters, tail) tuples, and each item read is made a GWord
+    then.  For tag I, tree is the ball's EdgeTree, else None.
+    """
+
+    def __init__(self, datum, reps, tree=None):
+        self.datum, self.reps, self.tree = datum, reps, tree
+
+    def __len__(self):
+        return len(self.reps)
+
+    def __getitem__(self, i):
+        return GWord(self.datum, *self.reps[i])
+
+    def __iter__(self):
+        datum = self.datum
+        return (GWord(datum, letters, tail) for letters, tail in self.reps)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, CosetBall)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def _sort_key(rep):
+    """GWord.sort_key of a (letters, tail) tuple."""
+    return len(rep[0]), rep[0], rep[1]
+
+
 class AmalgamDatum:
     """The construction data of G = K1 *_I K2 plus derived normal-form tables.
 
@@ -144,9 +209,9 @@ class AmalgamDatum:
             for side, K, emb in ((1, K1, emb1), (2, K2, emb2))
         }
         self._I_table = I.table.tolist()
-        self._identity_word = GWord(self, (), I.identity)
-        self._ball_cache = {}
-        self._lead_ends = {}  # (letters, tail) of an edge rep -> its leading end (_edge_ball)
+        self._ball_cache = {}  # (tag, r) -> the ball's (letters, tail) tuples and, for I, its EdgeTree
+        # the edge tree of the largest radius built, which canon_from_edge reads
+        self._deepest = EdgeTree(-1, [], [], [], [], [])
 
     def __repr__(self):
         return f"AmalgamDatum({self.name or 'unnamed'})"
@@ -161,13 +226,13 @@ class AmalgamDatum:
 
     @property
     def identity_word(self) -> GWord:
-        return self._identity_word
+        return GWord(self, (), self.I.identity)
 
     def word_from_factor(self, tag: str, k: int) -> GWord:
         """The normal form of a single factor element (tag K1, K2 or I)."""
         if tag == TAG_I:
             return GWord(self, (), k)
-        return self._absorb(_SIDES[tag], k, self._identity_word)
+        return self._absorb(_SIDES[tag], k, self.identity_word)
 
     def _push_tail(self, i: int, letters, tail: int):
         """Move an I-element through a normal word from the left.
@@ -204,7 +269,7 @@ class AmalgamDatum:
         letters: iterable of (tag, element_index); processed right to left,
         maintaining a normalized suffix.
         """
-        w = self._identity_word
+        w = self.identity_word
         for tag, k in reversed(list(letters)):
             if tag == TAG_I:
                 side, k = 1, self.emb1(self._check_letter(TAG_I, k))
@@ -284,14 +349,19 @@ class AmalgamDatum:
         of the factor's side, the shortest elements of its orbit are the
         j * w for j in I (see canon_with_witness), and w is the least of them,
         so w is its own representative with the identity as witness.  The end
-        on the leading side was recorded when the edge ball that holds w was
-        built (see _edge_ball), so it is read, not searched for: w must be a
-        word of ball(TAG_I, r) for some r already requested.
+        on the leading side is read from the parent and witness arrays of the
+        deepest edge tree built (see _edge_ball), where w is found by bisection
+        in sort order, not searched for: w must be a word of ball(TAG_I, r) for
+        some r already requested.
         """
         side = _SIDES[tag]
         if not (w.letters and w.letters[0][0] == side):
             return CosetRep(tag, w), self._factor(side).identity
-        return self._lead_ends[w.letters, w.tail]
+        tree, rep = self._deepest, (w.letters, w.tail)
+        i = bisect_left(tree.reps, _sort_key(rep), key=_sort_key)
+        if tree.reps[i : i + 1] != [rep]:
+            raise KeyError(f"{w!r} is in no edge ball built")
+        return CosetRep(tag, GWord(self, *tree.reps[tree.parent[i]])), int(tree.witness[i])
 
     def reduced_words(self, max_len: int) -> list[GWord]:
         """All normal forms of word length at most max_len, shortest first."""
@@ -325,19 +395,20 @@ class AmalgamDatum:
             total += ends1 + ends2
         return total
 
-    def ball(self, tag: str, r: int) -> list[GWord]:
+    def ball(self, tag: str, r: int) -> CosetBall:
         """Canonical coset representatives of word length <= r, in sort order.
 
-        The edge ball (tag I) is built by _edge_ball, which also records each
-        representative's vertex end on its leading side.  Canonicalizing never
-        lengthens a word, and by the length argument of canon_with_witness
-        canon(K_s, w) = canon(I, strip_s(w)), where strip_s removes a leading
-        side-s letter.  As canonicalizing over I keeps the side of the first
-        letter, the ball of K_s is the edge ball without the representatives
-        that start with a side-s letter, in the same order.  For those
-        representatives w the witness is the identity of K_s:
+        The edge ball (tag I) is the EdgeTree built by _edge_ball, which also
+        records each representative's vertex end on its leading side.
+        Canonicalizing never lengthens a word, and by the length argument of
+        canon_with_witness canon(K_s, w) = canon(I, strip_s(w)), where strip_s
+        removes a leading side-s letter.  As canonicalizing over I keeps the
+        side of the first letter, the ball of K_s is the edge ball without the
+        representatives that start with a side-s letter, in the same order.
+        For those representatives w the witness is the identity of K_s:
         canon_with_witness(K_s, w) is (w, identity), which is what
-        canon_from_edge returns without a search.
+        canon_from_edge returns without a search.  The cache holds tuples and
+        trees; the returned CosetBall makes a GWord per item read.
         """
         if r < 0:
             raise ValueError("radius must be nonnegative")
@@ -345,13 +416,17 @@ class AmalgamDatum:
         if key not in self._ball_cache:
             side = _SIDES[tag]
             if side is None:
-                self._ball_cache[key] = self._edge_ball(r)
+                tree = self._edge_ball(r)
+                self._ball_cache[key] = tree.reps, tree
+                if r > self._deepest.radius:
+                    self._deepest = tree
             else:
-                self._ball_cache[key] = [w for w in self.ball(TAG_I, r)
-                                         if not (w.letters and w.letters[0][0] == side)]
-        return self._ball_cache[key]
+                tree = self.ball(TAG_I, r).tree
+                self._ball_cache[key] = [rep for rep, lead in zip(tree.reps, tree.lead.tolist())
+                                         if lead != side], None
+        return CosetBall(self, *self._ball_cache[key])
 
-    def _edge_ball(self, r: int) -> list[GWord]:
+    def _edge_ball(self, r: int) -> EdgeTree:
         """The minima of the I-orbits of reduced words of length <= r, in sort
         order, built one word length at a time from (letters, tail) tuples.
 
@@ -368,36 +443,38 @@ class AmalgamDatum:
         and (i' a) * rep_c is entry i'a of rep_c's orbit table, so no word is
         walked letter by letter.  All of an orbit is marked when its first
         word is met, and the orbit's words are met in sort order, so the first
-        one met is its minimum; only the minima become GWords.  The one orbit
-        of length 0 is all of I, and its minimum is ((), 0), which is the
-        identity word only when I's identity is element 0.
+        one met is its minimum.  The one orbit of length 0 is all of I, and
+        its minimum is ((), 0), which is the identity word only when I's
+        identity is element 0.
 
         The vertex end of w on its leading side s is canon_with_witness(K_s,
         w): stripping (s, t) leaves x, whose minimum rep_c is reached by
-        a^-1, so it is (rep_c, emb_s(a^-1) t^-1).  It is recorded for
-        canon_from_edge.  The orbit tables of one length are dropped once the
+        a^-1, so it is (rep_c, emb_s(a^-1) t^-1).  The tree records, per
+        minimum, its leading side s, its parent rep_c's index, that witness
+        and its length.  The orbit tables of one length are dropped once the
         next length is built.
         """
         I = self.I
         n, e = I.order, I.identity
         times = I.table.T.tolist()  # times[a][i] = i * a
-        sides = []  # per side: its tag, and per nontrivial t its letter, pushes and witnesses
-        for s, tag in ((1, TAG_K1), (2, TAG_K2)):
+        sides = []  # per side: per nontrivial t its letter, pushes and witnesses
+        for s in (1, 2):
             K, ts = self._factor(s), self.nontrivial_transversal[s]
             # witnesses[t][a] = emb_s(a^-1) t^-1
             witnesses = K.table[self._emb(s).mapping[I.inverse_table][:, None],
                                 K.inverse_table[ts]].T.tolist()
-            sides.append((s, tag, {t: (((s, t),), self._push[s][t], w)
-                                   for t, w in zip(ts, witnesses)}))
-        reps, first = [GWord(self, (), 0)], 0  # first: index in reps of the length's first
+            sides.append((s, {t: (((s, t),), self._push[s][t], w)
+                              for t, w in zip(ts, witnesses)}))
+        reps, first = [((), 0)], 0  # first: index in reps of the length's first
+        lead, parent, ks, depth = [0], [0], [0], [0]  # the EdgeTree's arrays; ks: witnesses
         tails = I.table[:, 0].tolist()  # tails[a] = a * 0
         orbits = [[((), i) for i in tails]]  # orbits[c][a] = a * rep_(first + c)
         # a * rep_(first + c) has id c * n + a; follow[s] lists, in sort order,
         # the ids of the words that may follow a side-s letter
         follow = dict.fromkeys((1, 2), sorted(range(n), key=tails.__getitem__))
-        for _ in range(r):
+        for length in range(1, r + 1):
             new_orbits, starts = [], {}
-            for s, tag, steps in sides:
+            for s, steps in sides:
                 # marks[t][x]: the id of (s, t) x once its orbit is met
                 marks = {t: [None] * (len(orbits) * n) for t in steps}
                 out = starts[s] = []
@@ -415,14 +492,16 @@ class AmalgamDatum:
                                 orbit.append((letter + letters, tail))
                                 mark2[x - a + b] = g + j
                             new_orbits.append(orbit)
-                            reps.append(GWord(self, *orbit[e]))
-                            self._lead_ends[orbit[e]] = (CosetRep(tag, reps[first + c]),
-                                                         witness[a])
+                            reps.append(orbit[e])
+                            lead.append(s)
+                            parent.append(first + c)
+                            ks.append(witness[a])
+                            depth.append(length)
                             hit = g + e
                         out.append(hit)
             first = len(reps) - len(new_orbits)
             orbits, follow = new_orbits, {1: starts[2], 2: starts[1]}
-        return reps
+        return EdgeTree(r, reps, lead, parent, ks, depth)
 
     def right_transversal_of_I(self, side: int) -> list[int]:
         """Representatives of the right cosets image(I) * k in the side factor."""

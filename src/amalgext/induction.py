@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from amalgext.amalgam import AmalgamDatum, GWord, TAG_I, TAG_K1, TAG_K2
+from amalgext.amalgam import AmalgamDatum, EdgeTree, GWord, TAG_I, TAG_K1, TAG_K2
 from amalgext.groups import GroupMismatch
 from amalgext.linalg import Field
 from amalgext.reps import KModule, module_from_generators, restrict_module, trivial_module
@@ -291,90 +291,88 @@ def mv_truncated_check(v: GRep, r: int) -> MVCheckReport:
 
         0 -> ind_I(V) -> ind_K1(V) (+) ind_K2(V) -> V -> 0
 
-    with first map (gamma_1, -gamma_2) and second map pi_1 + pi_2.
-    Injectivity is full column rank on the edge r-ball; middle exactness
-    checks kernel elements supported in the vertex (r-1)-balls against the
-    image of the edge r-ball; surjectivity uses the section given by iota.
-
-    Coordinates run coset by coset in ball order, dim per coset.  Each block
-    of columns is the map applied to the element whose value on one coset is
-    the identity block, and both maps are read off the normal forms:
-
-    - gamma_s of the edge coset I*w is the single block module_s(k), negated
-      for s = 2, at the K_s coset rep, where (rep, k) = canon_from_edge(K_s,
-      w): the value moved to the vertex representative, as gamma does.
-    - pi of the vertex coset K*w is rho(w^-1).  For w = t*u with t its first
-      letter on side s, rho(w^-1) = rho(u^-1) rho_s(t^-1), so pi_blocks
-      builds them suffix by suffix, one product per suffix not met before.
+    with first map (gamma_1, -gamma_2) and second map pi_1 + pi_2, as
+    mv_matrices assembles them.  Injectivity is full column rank on the edge
+    r-ball; middle exactness checks kernel elements supported in the vertex
+    (r-1)-balls against the image of the edge r-ball; surjectivity uses the
+    section given by iota.
     """
     if r < 1:
         raise ValueError("radius must be at least 1")
-    d = v.datum
     fld = v.field
-    dim = v.dim
-    eye = fld.eye(dim)
-    edge = d.ball(TAG_I, r)
-    # first row of each vertex coset: the K1 ball, then the K2 ball
-    first_row = {}
-    for tag in (TAG_K1, TAG_K2):
-        for w in d.ball(tag, r):
-            first_row[tag, w] = len(first_row) * dim
-
-    gamma_matrix = fld.zeros(len(first_row) * dim, len(edge) * dim)
-    signed_actions = ((TAG_K1, v.module1.mats), (TAG_K2, fld.neg(v.module2.mats)))
-    for c, w in enumerate(edge):
-        for tag, mats in signed_actions:
-            rep, k = d.canon_from_edge(tag, w)
-            row = first_row[tag, rep.word]
-            gamma_matrix[row : row + dim, c * dim : (c + 1) * dim] = mats[k]
+    eye = fld.eye(v.dim)
+    gamma_matrix, pi_sum, rows = mv_matrices(v, r)
     # deepest edges first: the columns are a tree's incidence, so leaves first
     # leaves no long reduction chains (at F2 the rows enter in this order)
     gamma_span = Span(fld, gamma_matrix.shape[0], gamma_matrix.T[::-1])
     gamma_rank = len(gamma_span)
     injective = gamma_rank == gamma_matrix.shape[1]
 
-    # pi_1 + pi_2 on pairs supported in the vertex (r-1)-balls; each small
-    # coordinate lands on the row of the same coset and component.  These are
-    # the (r-1)-balls in their order: canonicalizing keeps word length.
-    small = [(tag, w) for tag in (TAG_K1, TAG_K2) for w in d.ball(tag, r) if len(w) < r]
-    pi_sum = fld.zeros(dim, len(small) * dim)
-    for c, block in enumerate(pi_blocks(v, [w for _tag, w in small])):
-        pi_sum[:, c * dim : (c + 1) * dim] = block
     kernel = fld.kernel_matrix(pi_sum)
-    rows = [first_row[key] + t for key in small for t in range(dim)]
     embedded_kernel = fld.zeros(gamma_matrix.shape[0], kernel.shape[1])
     embedded_kernel[rows] = kernel
     middle_exact = not gamma_span.reduce(embedded_kernel.T).any()
 
     surjective = np.array_equal(pi(iota(TAG_K1, v, eye)), eye)
 
-    return MVCheckReport(r, dim, len(edge), gamma_rank, injective, middle_exact, surjective)
+    edges = gamma_matrix.shape[1] // v.dim
+    return MVCheckReport(r, v.dim, edges, gamma_rank, injective, middle_exact, surjective)
 
 
-def pi_blocks(v: GRep, words) -> list[np.ndarray]:
-    """rho(w^-1) for each w of words: pi of the identity block on the coset of w.
+def mv_matrices(v: GRep, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mv_truncated_check's matrices: (gamma_1, -gamma_2) on the edge r-ball,
+    pi_1 + pi_2 on the vertex (r-1)-balls, and the rows of the vertex r-balls
+    that pi's columns stand for.
 
-    With w = t_1 ... t_n * i, rho(w^-1) = rho(i^-1) rho(t_n^-1) ... rho(t_1^-1).
-    Each suffix t_k ... t_n * i is looked up, or built from the next one with
-    one product, and kept for the rest of the call.  The walk is a loop, so
-    word length is not bounded by the recursion limit.
+    Coordinates run coset by coset in ball order, the K1 ball's then the K2
+    ball's, dim per coset.  Each block of columns is the map applied to the
+    element whose value on one coset is the identity block, and both maps are
+    read off the edge ball's EdgeTree, with no word per coset:
+
+    - gamma_s of the edge coset I*w is the single block module_s(k), negated
+      for s = 2, at the row of w's K_s end, where EdgeTree.ends gives that
+      end's index among the vertex cosets and k: the value moved to the vertex
+      representative, as gamma does.  One fancy-index assignment per side
+      places all of them.
+    - pi of the vertex coset K_s*w is rho(w^-1), which pi_blocks makes length
+      by length.  The small K_s cosets are the edges of length < r that do not
+      lead on side s, each its own K_s end, so EdgeTree.ends gives their rows.
     """
+    dim = v.dim
     fld = v.field
     d = v.datum
-    factors = {1: v.module1, 2: v.module2}
-    memo = {}
-    out = []
-    for w in words:
-        letters, tail = w.letters, w.tail
-        k = 0
-        while k < len(letters) and (letters[k:], tail) not in memo:
-            k += 1
-        block = memo.get((letters[k:], tail))
-        if block is None:
-            block = memo[(), tail] = v.module(TAG_I).mats[d.I.inv(tail)]
-        for j in range(k - 1, -1, -1):
-            side, t = letters[j]
-            module = factors[side]
-            block = memo[letters[j:], tail] = fld.matmul(block, module.mats[module.group.inv(t)])
-        out.append(block)
+    tree = d.ball(TAG_I, r).tree
+    edges = len(tree.reps)
+    ends, ks = tree.ends((d.K1.identity, d.K2.identity))
+    blocks = fld.zeros(edges + 1, dim, edges, dim)
+    columns = np.arange(edges)
+    blocks[ends[0], :, columns, :] = v.module1.mats[ks[0]]
+    blocks[ends[1], :, columns, :] = fld.neg(v.module2.mats[ks[1]])
+    inner = pi_blocks(v, tree, r)
+    small = [tree.lead[: len(inner)] != side for side in (1, 2)]
+    pi_sum = np.concatenate([inner[m] for m in small]).transpose(1, 0, 2).reshape(dim, -1)
+    first = np.concatenate([ends[s, : len(inner)][m] for s, m in enumerate(small)])
+    rows = (first[:, None] * dim + np.arange(dim)).ravel()
+    return blocks.reshape((edges + 1) * dim, edges * dim), pi_sum, rows
+
+
+def pi_blocks(v: GRep, tree: EdgeTree, r: int) -> np.ndarray:
+    """rho(w^-1) for each representative w of tree of word length < r: pi of the
+    identity block on the coset K_s*w, for either factor whose ball holds w.
+
+    Where w leads on side s, witness * w = parent, so rho(w^-1) =
+    rho(parent^-1) rho_s(witness).  In sort order the representatives of one
+    length and leading side are contiguous, side 1 first, and their parents
+    are shorter: the blocks are made one such run at a time, one batched
+    product per length and side.  The root ((), 0) takes rho_I(0^-1).  The
+    walk is a loop, so depth is not bounded by the recursion limit.
+    """
+    runs = [3 * length + side for length in range(1, r) for side in (1, 2)]
+    bounds = np.searchsorted(3 * tree.depth + tree.lead, runs + [3 * r]).tolist()
+    root = v.module(TAG_I).mats[v.datum.I.inv(tree.reps[0][1])]
+    out = np.empty((bounds[-1], v.dim, v.dim), dtype=root.dtype)
+    out[0] = root
+    mats = {1: v.module1.mats, 2: v.module2.mats}
+    for run, lo, hi in zip(runs, bounds, bounds[1:]):
+        out[lo:hi] = v.field.matmul(out[tree.parent[lo:hi]], mats[run % 3][tree.witness[lo:hi]])
     return out

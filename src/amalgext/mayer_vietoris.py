@@ -55,8 +55,9 @@ def chain_lift_pi(embs: list[SubgroupEmbedding], q: FreeResolution, p: FreeResol
     resolution), against which that map's lift is the earlier lift itself.  A
     period up to a unit, as where an odd p restarts a periodic resolution with
     a sign, thus becomes a period of the lifts and of the cone, which
-    verify_les ranks once.  P eliminates d_P,j itself if it still needs its
-    kernel.
+    verify_les ranks once.  Where P_j = 0 (P over the trivial group, say),
+    phi_j is the empty map, one object per shape, with no solve.  P eliminates
+    d_P,j itself if it still needs its kernel.
     """
     f = q.field
     n = embs[0].target.order
@@ -70,8 +71,16 @@ def chain_lift_pi(embs: list[SubgroupEmbedding], q: FreeResolution, p: FreeResol
     # per embedding: (d_P,j, d_Q,j, array_key of phi_{j-1} / c) -> (c, phi_j), for lifts
     # that succeeded, c the first nonzero coefficient of phi_{j-1} (1 if there is none)
     seen = [{} for _ in embs]
+    empty = {}  # rows -> the empty map from ind(Q_j) of that rank, one object per shape
     for j in range(1, length + 1):
         p.extend(j)
+        if not p.ranks[j]:  # P_j = 0: phi_j is the empty map, and P finds its zero kernel itself
+            rows = q.ranks[j]
+            if rows not in empty:
+                empty[rows] = AlgebraMatrix(embs[0].target, f, f.zeros(rows, 0, n))
+            for x in lifts:
+                x.append(empty[rows])
+            continue
         leads = [_lead(f, x[j - 1].coeffs) for x in lifts]
         keys = [(p.diffs[j], q.diffs[j], array_key(_over(f, x[j - 1].coeffs, c)))
                 for c, x in zip(leads, lifts)]

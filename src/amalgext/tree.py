@@ -23,13 +23,10 @@ class TreeBall:
         v2 = datum.ball(TAG_K2, r)
         self.vertices = [CosetRep(TAG_K1, w) for w in v1] + [CosetRep(TAG_K2, w) for w in v2]
         self.vertex_index = {(rep.tag, rep.word): i for i, rep in enumerate(self.vertices)}
-        self.edges = [CosetRep(TAG_I, w) for w in datum.ball(TAG_I, r)]
-        self.endpoints = []
-        for rep in self.edges:
-            a = datum.canon_from_edge(TAG_K1, rep.word)[0].word
-            b = datum.canon_from_edge(TAG_K2, rep.word)[0].word
-            self.endpoints.append((self.vertex_index[(TAG_K1, a)],
-                                   self.vertex_index[(TAG_K2, b)]))
+        edges = datum.ball(TAG_I, r)
+        self.edges = [CosetRep(TAG_I, w) for w in edges]
+        ends, _ = edges.tree.ends((datum.K1.identity, datum.K2.identity))
+        self.endpoints = list(zip(*ends.tolist()))
 
     @property
     def num_vertices(self) -> int:

@@ -1,10 +1,21 @@
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2, DatumMismatch, GWord, LetterOutOfGroup
+from amalgext.amalgam import (
+    TAG_I,
+    TAG_K1,
+    TAG_K2,
+    AmalgamDatum,
+    DatumMismatch,
+    GWord,
+    LetterOutOfGroup,
+)
+from amalgext.cli import run
 from amalgext.groups import SubgroupEmbedding
 from amalgext.instfile import ValidationError, parse, parse_text
 from amalgext.tree import build_ball
@@ -301,6 +312,56 @@ def test_a_deep_edge_ball_of_d_infinity_is_its_reduced_words(monkeypatch):
     words = d.reduced_words(250)
     assert orbit_minima(d, words) == words
     assert_edge_balls_and_ends(monkeypatch, d, words, [250, 3, 200])
+
+
+@pytest.mark.parametrize("case", DATUM_CASES)
+def test_the_edge_tree_records_each_edges_depth_side_parent_and_witness(case):
+    d = case_datum(case)
+    ball = d.ball(TAG_I, 3)
+    tree = ball.tree
+    assert [len(w) for w in ball] == tree.depth.tolist()
+    for i, w in enumerate(ball):
+        side = w.letters[0][0] if w.letters else 0
+        assert tree.lead[i] == side, w
+        if side:
+            tag = (TAG_K1, TAG_K2)[side - 1]
+            rep, k = d.canon_with_witness(tag, w)
+            assert (rep.word, k) == (ball[tree.parent[i]], tree.witness[i]), w
+
+
+def test_canon_from_edge_reads_only_balls_already_built():
+    d = file_datum(ROOT / "fixtures" / "sl2z.amg")
+    w = d.reduce([(TAG_K1, 1), (TAG_K2, 1), (TAG_K1, 1)])
+    with pytest.raises(KeyError):
+        d.canon_from_edge(TAG_K1, w)
+    d.ball(TAG_I, 2)
+    with pytest.raises(KeyError):
+        d.canon_from_edge(TAG_K1, w)
+    d.ball(TAG_I, 3)
+    assert d.canon_from_edge(TAG_K1, w) == d.canon_with_witness(TAG_K1, w)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mv-check", "bench/instances/s4-s3-s4.amg", "--radius", "3"],
+    ["mv-check", "fixtures/sl2z.amg", "--radius", "3", "--grep", "std2"],
+    ["tree", "fixtures/psl2z.amg", "--radius", "3"],
+], ids=lambda argv: f"{argv[0]}-{Path(argv[1]).stem}")
+def test_a_datum_is_freed_by_reference_counting(monkeypatch, argv):
+    """The datum keeps no GWord or CosetRep, so no reference cycle runs through it:
+    with the cyclic collector off, the datum of one command is gone when it returns."""
+    refs = []
+    init = AmalgamDatum.__init__
+    monkeypatch.setattr(AmalgamDatum, "__init__",
+                        lambda self, *args, **kw: refs.append(weakref.ref(self)) or init(self, *args, **kw))
+    argv = [argv[0], str(ROOT / argv[1]), *argv[2:]]
+    gc.collect()
+    gc.disable()
+    try:
+        code, _text = run(argv)
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert code == 0 and alive == [False]
 
 
 def test_parsing_validates_each_embedding_once_at_its_own_line(monkeypatch):

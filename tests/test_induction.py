@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import amalgext.induction as induction
-from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2, AmalgamDatum
+from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2, AmalgamDatum, GWord
 from amalgext.cli import MAX_BALL_CELLS
 from amalgext.induction import (
     IndElement,
@@ -17,6 +17,7 @@ from amalgext.induction import (
     gamma,
     gamma_sum_formula,
     iota,
+    mv_matrices,
     mv_truncated_check,
     pi,
     pi_blocks,
@@ -24,10 +25,12 @@ from amalgext.induction import (
     tensor_identity_inverse,
     trivial_grep,
 )
+from amalgext.instfile import parse
 from amalgext.linalg import Field
 from amalgext.spans import Span
 
 from conftest import (
+    FIXTURES,
     INSTANCE_FILES,
     bundled,
     grep2,
@@ -426,12 +429,15 @@ def test_mv_check_canonicalizes_each_edge_once_and_calls_neither_gamma_nor_pi(
 
 
 def assert_pi_blocks_are_pi(v, radius):
-    """pi_blocks over the vertex balls, in mv-check's order, against pi coset by coset."""
-    eye = v.field.eye(v.dim)
-    small = [(tag, w) for tag in (TAG_K1, TAG_K2) for w in v.datum.ball(tag, radius)]
-    blocks = pi_blocks(v, [w for _tag, w in small])
-    for (tag, w), block in zip(small, blocks, strict=True):
-        assert np.array_equal(block, pi(IndElement(tag, v, {w: eye}))), (tag, w)
+    """pi_blocks over the edge tree, on each coset of the vertex balls as mv-check
+    takes them, against pi coset by coset."""
+    d, eye = v.datum, v.field.eye(v.dim)
+    blocks = pi_blocks(v, d.ball(TAG_I, radius + 1).tree, radius + 1)
+    index = {w: i for i, w in enumerate(d.ball(TAG_I, radius))}
+    assert len(blocks) == len(index)
+    for tag in (TAG_K1, TAG_K2):
+        for w in d.ball(tag, radius):
+            assert np.array_equal(blocks[index[w]], pi(IndElement(tag, v, {w: eye}))), (tag, w)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -444,10 +450,100 @@ def test_pi_blocks_are_pi_of_the_identity_block_on_each_small_coset(all_datums, 
 def test_pi_blocks_walk_deep_words_without_recursion(d_inf):
     v = grep2(d_inf, Field(3))
     assert_pi_blocks_are_pi(v, 200)
-    # alone, a word longer than the recursion limit is walked letter by letter
-    w = d_inf.reduce([(TAG_K1, 1), (TAG_K2, 1)] * 750)
+    # a word longer than the recursion limit is reached length by length
+    d = parse(str(FIXTURES / "d-infinity.amg")).datum  # a datum of its own for the deep ball
+    v = grep2(d, Field(3))
+    w = d.reduce([(TAG_K1, 1), (TAG_K2, 1)] * 750)
     assert len(w) == 1500
-    assert np.array_equal(pi_blocks(v, [w])[0], pi(IndElement(TAG_K2, v, {w: v.field.eye(2)})))
+    ball = d.ball(TAG_I, 1501)
+    blocks = pi_blocks(v, ball.tree, 1501)
+    assert np.array_equal(blocks[list(ball).index(w)], pi(IndElement(TAG_K2, v, {w: v.field.eye(2)})))
+
+
+# -- the tree assembly against the word-by-word one ---------------------------
+
+def suffix_products(v, words):
+    """rho(w^-1) for each w of words, suffix by suffix: with w = t_1 ... t_n * i,
+    rho(w^-1) = rho(i^-1) rho(t_n^-1) ... rho(t_1^-1), each suffix built from
+    the next with one product and kept for the rest of the call."""
+    fld, d = v.field, v.datum
+    factors = {1: v.module1, 2: v.module2}
+    memo, out = {}, []
+    for w in words:
+        letters, tail = w.letters, w.tail
+        k = 0
+        while k < len(letters) and (letters[k:], tail) not in memo:
+            k += 1
+        block = memo.get((letters[k:], tail))
+        if block is None:
+            block = memo[(), tail] = v.module(TAG_I).mats[d.I.inv(tail)]
+        for j in range(k - 1, -1, -1):
+            side, t = letters[j]
+            module = factors[side]
+            block = memo[letters[j:], tail] = fld.matmul(block, module.mats[module.group.inv(t)])
+        out.append(block)
+    return out
+
+
+def mv_matrices_by_words(v, r):
+    """mv_matrices assembled word by word, as a reference: the vertex rows keyed by
+    (tag, word), each edge's ends read by canon_from_edge, pi by suffix products."""
+    d, fld, dim = v.datum, v.field, v.dim
+    edge = d.ball(TAG_I, r)
+    first_row = {}
+    for tag in (TAG_K1, TAG_K2):
+        for w in d.ball(tag, r):
+            first_row[tag, w] = len(first_row) * dim
+    gamma_matrix = fld.zeros(len(first_row) * dim, len(edge) * dim)
+    signed_actions = ((TAG_K1, v.module1.mats), (TAG_K2, fld.neg(v.module2.mats)))
+    for c, w in enumerate(edge):
+        for tag, mats in signed_actions:
+            rep, k = d.canon_from_edge(tag, w)
+            row = first_row[tag, rep.word]
+            gamma_matrix[row : row + dim, c * dim : (c + 1) * dim] = mats[k]
+    small = [(tag, w) for tag in (TAG_K1, TAG_K2) for w in d.ball(tag, r) if len(w) < r]
+    pi_sum = fld.zeros(dim, len(small) * dim)
+    for c, block in enumerate(suffix_products(v, [w for _tag, w in small])):
+        pi_sum[:, c * dim : (c + 1) * dim] = block
+    rows = [first_row[key] + t for key in small for t in range(dim)]
+    return gamma_matrix, pi_sum, rows
+
+
+def assert_tree_assembly_is_the_word_assembly(v, r):
+    gamma_matrix, pi_sum, rows = mv_matrices(v, r)
+    ref_gamma, ref_pi, ref_rows = mv_matrices_by_words(v, r)
+    for got, ref in ((gamma_matrix, ref_gamma), (pi_sum, ref_pi)):
+        assert (got.shape, got.dtype, got.tobytes()) == (ref.shape, ref.dtype, ref.tobytes()), r
+    assert rows.tolist() == ref_rows, r
+
+
+@pytest.mark.parametrize("path, p", [
+    (path, p) for path in INSTANCE_FILES for p in (2, 3, 5)[: 3 if path.stem.endswith("-f5") else 2]
+], ids=lambda x: getattr(x, "name", x))
+def test_mv_matrices_equal_the_word_by_word_assembly(path, p):
+    for v in instance_greps(path, p):
+        for r in (1, 2, 3, 4):
+            assert_tree_assembly_is_the_word_assembly(v, r)
+
+
+def test_deep_mv_matrices_equal_the_word_by_word_assembly(d_inf):
+    for v in (trivial_grep(d_inf, Field(3)), grep2(d_inf, Field(3))):
+        assert_tree_assembly_is_the_word_assembly(v, 200)
+
+
+def test_mv_check_makes_no_word_per_coset(monkeypatch):
+    """The GWords mv_truncated_check makes, on a fresh datum, do not grow with the radius."""
+    made = []
+    init = GWord.__init__
+    monkeypatch.setattr(GWord, "__init__", lambda self, *args: made.append(1) or init(self, *args))
+    counts = []
+    for r in (1, 4):
+        path = next(path for path in INSTANCE_FILES if path.name == "s4-s3-s4.amg")
+        v = trivial_grep(parse(str(path)).datum, Field(2))  # a fresh datum: no ball built yet
+        made.clear()
+        assert all_pass(mv_truncated_check(v, r))
+        counts.append(len(made))
+    assert counts[0] == counts[1], counts
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import re
+import sys
 from functools import reduce
 from pathlib import Path
 
@@ -522,6 +523,25 @@ def test_ext_s4_eliminates_each_operator_once(monkeypatch):
     code, _ = run(["ext", str(S4_S3_S4), "--char", "2", "--degree", "3"])
     assert code == 0 and len(rrefs) == 11
     assert len(solved) == len(set(solved)) == 7
+
+
+def test_a_lift_into_a_zero_module_solves_nothing(monkeypatch):
+    """les gl2z.amg --char 3 --degree 8 resolves its D8 end over the trivial group,
+    where P_j = 0 from degree 1 on: the lifts there are the empty map, with no solve
+    against the empty d_P,j.  The four lift solves left are the S3 end's."""
+    solved = []
+    solve, lift = Field.solve, mayer_vietoris.chain_lift_pi.__code__
+
+    def counted(f, a, b):
+        if sys._getframe(1).f_code is lift:  # a solve chain_lift_pi makes itself
+            solved.append(np.shape(a))
+        return solve(f, a, b)
+
+    monkeypatch.setattr(Field, "solve", counted)
+    path = Path(__file__).resolve().parents[1] / "bench" / "instances" / "gl2z.amg"
+    code, _ = run(["les", str(path), "--char", "3", "--degree", "8", "--v1", "triv", "--v2", "signs4"])
+    assert code == 0
+    assert len(solved) == 4 and all(columns for _rows, columns in solved), solved
 
 
 def _cover_by_the_next_differential(res, n):
