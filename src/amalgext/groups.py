@@ -133,12 +133,12 @@ class FiniteGroup:
         return reached
 
     def p_core(self, p: int) -> list[int]:
-        """O_p(G), the largest normal p-subgroup, as sorted indices (trivial when p = 0)."""
+        """O_p(G), the largest normal p-subgroup, as sorted indices, for prime p."""
         return self._core(p, True)
 
     def p_prime_core(self, p: int) -> list[int]:
         """O_p'(G), the largest normal subgroup of order prime to p, as sorted
-        indices (G itself when p = 0, where every order is invertible)."""
+        indices, for prime p."""
         return self._core(p, False)
 
     def _core(self, p: int, p_group: bool) -> list[int]:
@@ -152,7 +152,7 @@ class FiniteGroup:
         if (p, p_group) in self._cores:
             return self._cores[p, p_group]
         part = 1  # the p-part of |G|
-        while p and self.order % (part * p) == 0:
+        while self.order % (part * p) == 0:
             part *= p
         if part in (1, self.order):  # a p'-group or a p-group: one core is G, the other 1
             whole = (part == self.order) == p_group

@@ -86,9 +86,7 @@ class InstanceFile:
         char = self.characteristic if characteristic is None else characteristic
         if char == self.characteristic and self._declared is not None:
             return self._declared
-        if char == 0 or not is_prime(char):
-            raise ValueError(f"characteristic must be a prime, got {char}")
-        fld = Field(char)  # refuses a prime too large for exact arithmetic
+        fld = Field(char)  # refuses a non-prime, or a prime too large for exact arithmetic
         d = self.datum
         groups = {TAG_K1: d.K1, TAG_K2: d.K2, TAG_I: d.I}
         modules = {}

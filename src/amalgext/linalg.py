@@ -1,9 +1,8 @@
-"""Exact dense linear algebra over prime fields F_p and the rationals."""
+"""Exact dense linear algebra over prime fields F_p."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -52,11 +51,10 @@ def is_prime(n: int) -> bool:
 
 
 class Field:
-    """F_p for prime p, or Q when the characteristic is 0.
+    """F_p for prime p.
 
-    Matrices are plain numpy arrays: int64 with entries canonically in
-    [0, p) for prime characteristic, object arrays of Fraction for Q.
-    Every operation is exact and equality is structural; there are no
+    Matrices are plain numpy arrays of int64 with entries canonically in
+    [0, p).  Every operation is exact and equality is structural; there are no
     tolerances anywhere.  A prime is accepted only while (p - 1)^2 fits in
     int64, so elementwise products are exact; matmul switches to Python
     integers when a dot product of its length could overflow.
@@ -64,24 +62,24 @@ class Field:
     Over F_2, add and sub are xor on the canonical {0, 1} entries.  At every
     p with an exact lane layout (see `spans.lanes`: one-bit xor lanes at 2, byte
     or 16-bit lanes with Barrett reduction at 3, 5, 7, 11, 13 and 19) rref is
-    a fresh PackedSpan over the rows.  Every other prime, and Q, takes the
-    dense elimination.  The reduced row echelon form of a row space is
-    unique, so both paths return the same bytes.
+    a fresh PackedSpan over the rows.  Every other prime takes the dense
+    elimination.  The reduced row echelon form of a row space is unique, so
+    both paths return the same bytes.
     """
 
     def __init__(self, characteristic: int):
-        if characteristic != 0 and not is_prime(characteristic):
-            raise ValueError(f"characteristic must be 0 or a prime, got {characteristic}")
+        if not is_prime(characteristic):
+            raise ValueError(f"characteristic must be a prime, got {characteristic}")
         if characteristic > MAX_CHARACTERISTIC:
             raise ValueError(f"characteristic {characteristic} is too large for exact int64 "
                              f"arithmetic (at most {MAX_CHARACTERISTIC})")
         self.p = int(characteristic)
         # longest contraction whose int64 dot products cannot overflow
-        self._exact_len = (2**63 - 1) // (self.p - 1) ** 2 if self.p else np.inf
+        self._exact_len = (2**63 - 1) // (self.p - 1) ** 2
         self._lanes = lanes(self.p)  # None where rref eliminates densely
 
     def __repr__(self):
-        return "Field(Q)" if self.p == 0 else f"Field(F_{self.p})"
+        return f"Field(F_{self.p})"
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -92,34 +90,20 @@ class Field:
     # -- construction -----------------------------------------------------
 
     def array(self, data) -> np.ndarray:
-        if self.p:
-            return np.asarray(data, dtype=np.int64) % self.p
-        a = np.asarray(data, dtype=object)
-        flat = [Fraction(x) for x in a.reshape(-1)]
-        out = np.empty(a.shape, dtype=object)
-        out.reshape(-1)[:] = flat
-        return out
+        return np.asarray(data, dtype=np.int64) % self.p
 
     def zeros(self, *shape) -> np.ndarray:
-        if self.p:
-            return np.zeros(shape, dtype=np.int64)
-        out = np.empty(shape, dtype=object)
-        out.reshape(-1)[:] = [Fraction(0)] * out.size
-        return out
+        return np.zeros(shape, dtype=np.int64)
 
     def eye(self, n) -> np.ndarray:
         m = self.zeros(n, n)
-        m.reshape(-1)[:: n + 1] = self.one  # the diagonal of a fresh array, as a view
+        m.reshape(-1)[:: n + 1] = 1  # the diagonal of a fresh array, as a view
         return m
-
-    @property
-    def one(self):
-        return np.int64(1) if self.p else Fraction(1)
 
     # -- arithmetic --------------------------------------------------------
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
-        return a % self.p if self.p else a
+        return a % self.p
 
     def matmul(self, a, b) -> np.ndarray:
         if a.shape[-1] > self._exact_len:
@@ -144,9 +128,7 @@ class Field:
         return self.reduce(c * a)
 
     def inv_scalar(self, x):
-        if self.p:
-            return np.int64(pow(int(x), -1, self.p))
-        return Fraction(1) / x
+        return np.int64(pow(int(x), -1, self.p))
 
     # -- elimination ---------------------------------------------------
 
@@ -174,7 +156,6 @@ class Field:
         already zero in the pivot row).
         """
         m, n = r.shape
-        p = self.p
         pivots: list[int] = []
         row = 0
         col = 0
@@ -198,8 +179,7 @@ class Field:
                 r[row, col:] = self.reduce(r[row, col:] * self.inv_scalar(head))
             if hits.size:
                 # |entries| < p and (p - 1)^2 < 2^63, so the update is exact in int64
-                upd = r[hits, col:] - r[hits, col, None] * r[row, col:]
-                r[hits, col:] = upd % p if p else upd
+                r[hits, col:] = (r[hits, col:] - r[hits, col, None] * r[row, col:]) % self.p
             pivots.append(col)
             row += 1
             col += 1
@@ -237,7 +217,7 @@ class Field:
         pivot_set = set(pivots)
         free = [c for c in range(n) if c not in pivot_set]
         kernel = self.zeros(n, len(free))
-        kernel[free, np.arange(len(free))] = self.one
+        kernel[free, np.arange(len(free))] = 1
         kernel[pivots[:k]] = self.neg(r[:k, free])
         if k < len(pivots):
             return None, kernel
@@ -255,9 +235,8 @@ class Field:
 
 
 def array_key(a: np.ndarray) -> tuple:
-    """A key equal for two arrays exactly when shape, dtype and entries are: the
-    bytes, or over Q the entries (an object array's bytes are pointers)."""
-    return a.shape, a.dtype.str, tuple(a.flat) if a.dtype == object else a.tobytes()
+    """A key equal for two arrays exactly when shape, dtype and entries are."""
+    return a.shape, a.dtype.str, a.tobytes()
 
 
 class CochainComplex:

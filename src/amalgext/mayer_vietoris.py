@@ -81,7 +81,7 @@ def chain_lift_pi(embs: list[SubgroupEmbedding], q: FreeResolution, p: FreeResol
             for x in lifts:
                 x.append(empty[rows])
             continue
-        leads = [_lead(f, x[j - 1].coeffs) for x in lifts]
+        leads = [_lead(x[j - 1].coeffs) for x in lifts]
         keys = [(p.diffs[j], q.diffs[j], array_key(_over(f, x[j - 1].coeffs, c)))
                 for c, x in zip(leads, lifts)]
         todo = [i for i, key in enumerate(keys) if key not in seen[i]]
@@ -101,7 +101,7 @@ def chain_lift_pi(embs: list[SubgroupEmbedding], q: FreeResolution, p: FreeResol
         # phi_{j-1} is ratios[i] times the earlier one, and so is the solution against d_P,j
         ratios = [f.reduce(lead * f.inv_scalar(seen[i][key][0]))
                   for i, (lead, key) in enumerate(zip(leads, keys))]
-        unit = f.one if todo else ratios[0]
+        unit = 1 if todo else ratios[0]
         if unit != 1:
             p.rescale(j, unit)
         for i, x in enumerate(lifts):
@@ -110,10 +110,10 @@ def chain_lift_pi(embs: list[SubgroupEmbedding], q: FreeResolution, p: FreeResol
     return lifts
 
 
-def _lead(f: Field, coeffs: np.ndarray):
+def _lead(coeffs: np.ndarray):
     """The first nonzero entry of an array, or 1 if it is zero."""
     nonzero = np.flatnonzero(coeffs)
-    return coeffs.flat[nonzero[0]] if len(nonzero) else f.one
+    return coeffs.flat[nonzero[0]] if len(nonzero) else 1
 
 
 def _over(f: Field, coeffs: np.ndarray, c) -> np.ndarray:

@@ -23,7 +23,7 @@ class KModule:
             raise ValueError("need one matrix per group element")
         try:
             self.mats = field.array(mats)
-        except (TypeError, ValueError):  # ragged: numpy refuses, or Q meets an array entry
+        except (TypeError, ValueError):  # ragged: numpy refuses
             raise ValueError("action matrices must be square of equal size") from None
         if self.mats.ndim != 3 or self.mats.shape[1] != self.mats.shape[2]:
             raise ValueError("action matrices must be square of equal size")

@@ -258,7 +258,7 @@ class FreeResolution:
             for _ in range(self._trials):
                 if best[0] >= ideal:
                     break
-                coeffs = f.array([rng.choices(range(f.p or 3), k=target)])
+                coeffs = f.array([rng.choices(range(f.p), k=target)])
                 trial = self._score(span, trivial, missing, f.matmul(coeffs, kernel)[0], rank)
                 if trial[0] > best[0]:
                     best = trial

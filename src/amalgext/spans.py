@@ -1,5 +1,5 @@
-"""Row spans over F_p and Q: the dense reference form, and the packed form at
-the primes with an exact lane layout.
+"""Row spans over F_p: the dense reference form, and the packed form at the
+primes with an exact lane layout.
 
 A Span keeps a fully reduced echelon basis of the rows added to it.  At
 2, 3, 5, 7, 11, 13 and 19 (see `lanes`) Span(...) makes a PackedSpan, whose
@@ -25,12 +25,10 @@ def lanes(p: int) -> tuple[int, int, int] | None:
     and rows are added by xor.  At odd p it is the first 1- or 2-byte lane
     where x // p == (x * mult) >> shift for every lane value x <= p(p - 1),
     with x * mult < 2^bits so that no lane spills into the next.  None when no
-    such lane is exact, and for Q.
+    such lane is exact.
     """
     if p == 2:
         return 1, 0, 0
-    if p < 2:
-        return None
     top = p * (p - 1)  # the largest lane value a row update leaves: (p - 1) + (p - 1)^2
     for bits in (8, 16):
         for shift in range(bits - 1, 0, -1):

@@ -93,10 +93,10 @@ def chain_complex(ball: TreeBall, field: Field) -> tuple[np.ndarray, np.ndarray]
     """
     boundary = field.zeros(ball.num_vertices, ball.num_edges)
     for j, (a, b) in enumerate(ball.endpoints):
-        boundary[a, j] = field.add(boundary[a, j], field.one)
-        boundary[b, j] = field.sub(boundary[b, j], field.one)
+        boundary[a, j] = field.add(boundary[a, j], 1)
+        boundary[b, j] = field.sub(boundary[b, j], 1)
     augmentation = field.zeros(1, ball.num_vertices)
-    augmentation[:] = field.one
+    augmentation[:] = 1
     return boundary, augmentation
 
 

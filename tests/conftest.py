@@ -61,15 +61,13 @@ def regular_module(group: FiniteGroup, field: Field) -> KModule:
     """k[group] acting on itself by left multiplication: g sends basis vector h to gh."""
     n = group.order
     mats = field.zeros(n, n, n)
-    mats[np.arange(n)[:, None], group.table, np.arange(n)] = field.one
+    mats[np.arange(n)[:, None], group.table, np.arange(n)] = 1
     return KModule(group, field, mats)
 
 
 def random_matrix(field, rng: np.random.Generator, m, n) -> np.ndarray:
-    """Seeded entries, uniform over F_p and in -5..5 over Q."""
-    if field.p:
-        return np.asarray(rng.integers(0, field.p, size=(m, n)), dtype=np.int64)
-    return field.array(rng.integers(-5, 6, size=(m, n)))
+    """Seeded entries, uniform over F_p."""
+    return np.asarray(rng.integers(0, field.p, size=(m, n)), dtype=np.int64)
 
 
 def random_invertible(field, rng: np.random.Generator, n) -> np.ndarray:
@@ -122,8 +120,7 @@ def instance_greps(path, p):
 def grep2(datum, field):
     """The two-dimensional representation of a bundled datum's fixture (flip2 or std2).
 
-    Built over this datum and field from the file's generator matrices, so
-    that it also exists over Field(0), which InstanceFile.build refuses.
+    Built over this datum and field from the file's generator matrices.
     """
     (gens1, gens2, _line), = bundled(datum.name).grep_specs.values()
     return grep_from_generators(datum, field, gens1, gens2)
@@ -198,7 +195,7 @@ def _det(field, a):
             for j in range(i + 1, n):
                 if seen[i] > seen[j]:
                     sign = -sign
-        term = field.one if sign > 0 else field.reduce(-field.one)
+        term = field.reduce(sign)
         for i in range(n):
             term = field.reduce(term * a[i, perm[i]])
         total = field.reduce(total + term)

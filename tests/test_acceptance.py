@@ -206,7 +206,7 @@ def test_criterion_6_tree_and_chain_checks():
 def _seeded_vector(rng, field, dim):
     v = field.array([rng.randrange(max(field.p, 2)) for _ in range(dim)])
     if not np.any(v != 0):
-        v[rng.randrange(dim)] = field.one
+        v[rng.randrange(dim)] = 1
     return v
 
 

@@ -294,7 +294,6 @@ def test_p_core_is_the_largest_normal_p_subgroup(name):
     group = FiniteGroup.from_permutations(GROUPS_BY_PERMUTATIONS[name])
     for p in (2, 3, 5):
         assert group.p_core(p) == _largest_normal_p_subgroup(group, p)
-    assert group.p_core(0) == [group.identity]
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS_BY_PERMUTATIONS))
@@ -326,7 +325,7 @@ def _set_p_core(group, p):
     for x in range(group.order):
         cls = {group.mul(group.inv(g), group.mul(x, g)) for g in range(group.order)}
         order = len(_generated(group, cls))
-        while p and order % p == 0:
+        while order % p == 0:
             order //= p
         if order == 1:
             core |= cls
@@ -340,7 +339,7 @@ def test_closure_agrees_with_the_set_closure(path):
     d = parse(str(path)).datum
     rng = np.random.default_rng(7)
     for group in (d.K1, d.K2, d.I):
-        for p in (0, 2, 3, 5, 7):
+        for p in (2, 3, 5, 7):
             core = group.p_core(p)
             assert core == _set_p_core(group, p)
             order = core + [x for x in range(group.order) if x not in core]

@@ -45,7 +45,7 @@ from conftest import (
 def random_vec(rng, field, dim, nonzero=False):
     v = field.array([rng.randrange(max(field.p, 2)) for _ in range(dim)])
     if nonzero and not np.any(v != 0):
-        v[rng.randrange(dim)] = field.one
+        v[rng.randrange(dim)] = 1
     return v
 
 
@@ -138,7 +138,7 @@ def test_pi_iota_identity_on_all_bases(all_datums):
                 for tag in (TAG_K1, TAG_K2, TAG_I):
                     for j in range(v.dim):
                         e = f.zeros(v.dim)
-                        e[j] = f.one
+                        e[j] = 1
                         assert np.array_equal(pi(iota(tag, v, e)), e)
 
 
@@ -206,7 +206,7 @@ def test_gamma_of_iota_is_iota(all_datums):
         v = grep2(d, f)
         for j in range(v.dim):
             e = f.zeros(v.dim)
-            e[j] = f.one
+            e[j] = 1
             for side, tag in ((1, TAG_K1), (2, TAG_K2)):
                 assert gamma(side, iota(TAG_I, v, e)) == iota(tag, v, e)
 
@@ -377,7 +377,7 @@ def test_maps_on_blocks_are_their_column_by_column_results(all_datums):
     rng = random.Random(52)
     nprng = np.random.default_rng(52)
     for d in all_datums:
-        for p in (2, 3, 0):
+        for p in (2, 3, 17):
             f = Field(p)
             v = random_grep(d, f, nprng)
             words = d.reduced_words(2)
@@ -547,9 +547,9 @@ def test_mv_check_makes_no_word_per_coset(monkeypatch):
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_mv_check_over_the_rationals_equals_the_column_by_column_reference(all_datums, r):
+def test_mv_check_over_f17_equals_the_column_by_column_reference(all_datums, r):
     for d in all_datums:
-        v = grep2(d, Field(0))
+        v = grep2(d, Field(17))
         assert vars(mv_truncated_check(v, r)) == mv_check_by_columns(v, r), d.name
 
 

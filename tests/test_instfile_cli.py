@@ -136,9 +136,13 @@ def test_cli_huge_characteristic_exits_two_fast():
      "--char: characteristic 3037000507 is too large for exact int64 arithmetic "
      "(at most 3037000500)"),
     (["validate", "sl2z.amg", "--char", "9"], "--char: characteristic must be a prime, got 9"),
+    (["validate", "sl2z.amg", "--char", "0"], "--char: characteristic must be a prime, got 0"),
+    (["validate", "sl2z.amg", "--char", "1"], "--char: characteristic must be a prime, got 1"),
+    (["validate", "sl2z.amg", "--char", "-3"], "--char: characteristic must be a prime, got -3"),
     (["ext", "sl2z.amg", "--degree", "-1"], "--degree: degree must be nonnegative"),
     (["les", "sl2z.amg", "--degree", "0"], "--degree: degree must be at least 1"),
-], ids=["char-too-large", "char-not-prime", "ext-degree-negative", "les-degree-zero"])
+], ids=["char-too-large", "char-not-prime", "char-zero", "char-one", "char-negative",
+        "ext-degree-negative", "les-degree-zero"])
 def test_option_errors_name_the_option(argv, message):
     command, name, *options = argv
     assert run([command, fixture(name)] + options) == (2, f"error: {message}\n")

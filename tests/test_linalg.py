@@ -82,19 +82,22 @@ def test_kernel_seeded_5x7_f3():
         assert not np.any(f.matmul(a, v))
 
 
-def test_rationals_exact():
-    f = Field(0)
+def test_dense_rref_and_solve_exact_f17():
+    f = Field(17)
+    assert f._lanes is None  # 17 has no lane layout: the dense elimination
     a = f.array([[1, 2], [3, 4]])
     r, pivots = f.rref(a)
     assert pivots == [0, 1]
     assert np.array_equal(r, f.eye(2))
     x, _ = f.solve(a, f.array([1, 1]))
+    assert np.array_equal(x, f.array([16, 1]))  # (-1, 1), the solution over Z
     assert np.array_equal(f.matmul(a, x), f.array([1, 1]))
 
 
-def test_field_rejects_composite_characteristic():
-    with pytest.raises(ValueError):
-        Field(6)
+@pytest.mark.parametrize("n", [0, 1, 6, -3])
+def test_field_rejects_composite_characteristic(n):
+    with pytest.raises(ValueError, match=f"^characteristic must be a prime, got {n}$"):
+        Field(n)
 
 
 def test_solve_returns_first_back_substitution_solution():
@@ -151,7 +154,7 @@ def _random_low_rank(f, rng, m, n, k):
     return f.matmul(random_matrix(f, rng, m, k), random_matrix(f, rng, k, n))
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 0])
+@pytest.mark.parametrize("p", [2, 3, 7, 17])
 def test_rref_rank_matches_minor_oracle_over_shapes(p):
     f = Field(p)
     rng = np.random.default_rng(100 + p)
@@ -173,7 +176,7 @@ def test_rref_rank_matches_minor_oracle_over_shapes(p):
 
 F2_SHAPES = [(0, 5), (5, 0), (0, 0), (9, 1), (9, 7), (9, 8), (9, 9), (70, 63), (70, 64),
              (70, 65), (40, 200), (1200, 48)]
-# every prime with a packed layout; the others, and Q, eliminate densely
+# every prime with a packed layout; the others eliminate densely
 PACKED_PRIMES = [2, 3, 5, 7, 11, 13, 19]
 
 
@@ -246,7 +249,7 @@ def test_packed_layouts_are_exact_for_every_lane_value():
     the lane's quotient mask; and the primes with a layout are exactly these."""
     primes = [q for q in range(2, 400) if is_prime(q)]
     assert [q for q in primes if Field(q)._lanes] == PACKED_PRIMES
-    for q in (0, 65521, 3037000493):
+    for q in (65521, 3037000493):
         assert Field(q)._lanes is None
     rng = np.random.default_rng(5)
     for p in PACKED_PRIMES[1:]:
@@ -286,12 +289,12 @@ def test_f2_add_sub_neg_are_the_mod_2_forms():
     a, b = random_matrix(f, rng, 9, 65), random_matrix(f, rng, 9, 65)
     for got, want in ((f.add(a, b), (a + b) % 2), (f.sub(a, b), (a - b) % 2), (f.neg(a), -a % 2)):
         assert got.dtype == np.int64 and np.array_equal(got, want)
-    assert f.add(f.one, f.one) == 0 and f.sub(f.zeros(1)[0], f.one) == 1
+    assert f.add(1, 1) == 0 and f.sub(0, 1) == 1
 
 
 def test_solve_block_matches_columnwise_solve():
     rng = np.random.default_rng(8)
-    for p in (2, 3, 7, 0):
+    for p in (2, 3, 7, 17):
         f = Field(p)
         for m, n, k in ((5, 7, 3), (7, 4, 4), (6, 6, 2), (4, 9, 4)):
             a = _random_low_rank(f, rng, m, n, k)
@@ -306,7 +309,7 @@ def test_solve_block_matches_columnwise_solve():
 
 def test_solve_block_is_none_when_one_column_is_inconsistent():
     rng = np.random.default_rng(9)
-    for p in (2, 5, 0):
+    for p in (2, 5, 17):
         f = Field(p)
         a = _random_low_rank(f, rng, 6, 5, 2)
         b = f.matmul(a, random_matrix(f, rng, 5, 4))
@@ -320,7 +323,7 @@ def test_solve_block_is_none_when_one_column_is_inconsistent():
 def test_solve_returns_the_shape_of_b():
     """A vector gives a vector, a one-column block a one-column block, the same entries."""
     rng = np.random.default_rng(10)
-    for p in (2, 3, 0):
+    for p in (2, 3, 17):
         f = Field(p)
         a = _random_low_rank(f, rng, 5, 6, 3)
         v = f.matmul(a, random_matrix(f, rng, 6, 1))[:, 0]
@@ -334,18 +337,18 @@ def _kernel_of_the_rref(f, a):
     r, pivots = f.rref(a)
     free = [c for c in range(r.shape[1]) if c not in pivots]
     out = f.zeros(r.shape[1], len(free))
-    out[free, np.arange(len(free))] = f.one
+    out[free, np.arange(len(free))] = 1
     out[pivots] = f.neg(r[: len(pivots), free])
     return out
 
 
-@given(p=st.sampled_from([2, 3, 5, 17, 0]), m=st.integers(0, 9), n=st.integers(0, 9),
+@given(p=st.sampled_from([2, 3, 5, 17, 3037000493]), m=st.integers(0, 9), n=st.integers(0, 9),
        k=st.integers(0, 3), data=st.data())
 def test_solve_returns_the_kernel_of_a_alone(p, m, n, k, data):
     """The kernel half of solve(a, b) is the kernel of rref(a) alone, byte for byte,
     whether b lies in the column span of a or not; kernel_matrix is that half."""
     f = Field(p)
-    entries = st.integers(-2 * (p or 3), 2 * (p or 3))
+    entries = st.integers(-2 * p, 2 * p)
 
     def draw(rows, cols):
         flat = data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
@@ -425,7 +428,7 @@ def test_is_prime_large_inputs_fast():
 SPAN_SHAPES = [(0, 4), (3, 0), (0, 0), (1, 5), (4, 4), (5, 3), (2, 5)]
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 0])
+@pytest.mark.parametrize("p", [2, 3, 7, 17])
 def test_span_dimension_matches_minor_oracle(p):
     f = Field(p)
     rng = np.random.default_rng(200 + p)
@@ -440,7 +443,7 @@ def test_span_dimension_matches_minor_oracle(p):
                 assert np.array_equal(span.basis[:, span.pivots], f.eye(len(span)))
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 0])
+@pytest.mark.parametrize("p", [2, 3, 7, 17])
 def test_span_reduce_vanishes_exactly_on_members(p):
     f = Field(p)
     rng = np.random.default_rng(300 + p)
@@ -458,7 +461,7 @@ def test_span_reduce_vanishes_exactly_on_members(p):
             assert not span.reduce(inside).any()
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 0])
+@pytest.mark.parametrize("p", [2, 3, 7, 17])
 def test_span_added_in_blocks_equals_one_rref(p):
     f = Field(p)
     rng = np.random.default_rng(400 + p)
@@ -489,7 +492,7 @@ def _random_complex(f, rng, widths):
     return deltas
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 0])
+@pytest.mark.parametrize("p", [2, 3, 7, 17])
 def test_cochain_complex_dims_match_minor_oracle(p):
     f = Field(p)
     rng = np.random.default_rng(500 + p)
@@ -511,7 +514,7 @@ def test_cochain_complex_dims_match_minor_oracle(p):
                 assert np.array_equal(cx.coboundaries(j).basis, fresh.basis)
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 0])
+@pytest.mark.parametrize("p", [2, 3, 7, 17])
 def test_rank_modulo_coboundaries_is_the_rank_difference(p):
     f = Field(p)
     rng = np.random.default_rng(600 + p)
@@ -525,18 +528,18 @@ def test_rank_modulo_coboundaries_is_the_rank_difference(p):
         assert f.rank(span.reduce(image.T)) == expected
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 0])
+@pytest.mark.parametrize("p", [2, 3, 7, 17])
 def test_cochain_complex_refuses_maps_that_do_not_compose_to_zero(p):
     f = Field(p)
     with pytest.raises(CompositionNonzero):
         CochainComplex(f, [f.eye(2), f.eye(2)])
     first, second = f.zeros(3, 2), f.zeros(2, 3)
-    first[0, 1] = second[1, 0] = f.one
+    first[0, 1] = second[1, 0] = 1
     with pytest.raises(CompositionNonzero):
         CochainComplex(f, [f.zeros(2, 1), first, second])
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 0])
+@pytest.mark.parametrize("p", [2, 3, 7, 17])
 def test_span_extend_by_a_reduced_echelon_equals_add(p):
     f = Field(p)
     rng = np.random.default_rng(700 + p)
@@ -551,7 +554,7 @@ def test_span_extend_by_a_reduced_echelon_equals_add(p):
             assert np.array_equal(extended.basis, added.basis)
 
 
-@pytest.mark.parametrize("p", [2, 3, 7, 0])
+@pytest.mark.parametrize("p", [2, 3, 7, 17])
 def test_each_cochain_map_costs_one_elimination(p, monkeypatch):
     f = Field(p)
     rng = np.random.default_rng(900 + p)
@@ -577,14 +580,14 @@ def _periodic_pair(f, rng):
     the regular summand, zero on the trivial one, in a random basis."""
     a, b = f.zeros(4, 4), f.zeros(4, 4)
     for i in range(3):
-        a[i, i], a[(i + 1) % 3, i] = f.one, f.neg(f.one)
-        b[:3, i] = f.one
+        a[i, i], a[(i + 1) % 3, i] = 1, f.neg(1)
+        b[:3, i] = 1
     conj = random_invertible(f, rng, 4)
     inverse, _ = f.solve(conj, f.eye(4))
     return f.matmul(f.matmul(conj, a), inverse), f.matmul(f.matmul(conj, b), inverse)
 
 
-@pytest.mark.parametrize("p", [3, 0])
+@pytest.mark.parametrize("p", [3, 17])
 def test_cochain_complex_with_repeated_maps(p, monkeypatch):
     """[A, B, A, B, A] has at each degree the cohomology of its two neighbouring
     maps alone, eliminates each distinct map once and composes each distinct
@@ -619,7 +622,7 @@ def test_cochain_complex_with_repeated_maps(p, monkeypatch):
     assert cx.cocycles[1] is cx.cocycles[3]
 
 
-@pytest.mark.parametrize("p", [3, 0])
+@pytest.mark.parametrize("p", [3, 17])
 def test_cochain_complex_tells_equal_bytes_of_other_shapes_apart(p):
     f = Field(p)
     assert array_key(f.zeros(2, 3)) != array_key(f.zeros(3, 2))
@@ -629,7 +632,7 @@ def test_cochain_complex_tells_equal_bytes_of_other_shapes_apart(p):
     assert [len(cx.coboundaries(j)) for j in range(4)] == [0, 0, 0, 0]
 
 
-@pytest.mark.parametrize("p", [3, 0])
+@pytest.mark.parametrize("p", [3, 17])
 def test_cochain_complex_checks_every_pair_of_repeated_maps(p):
     """A repeated map is still checked against the map before it."""
     f = Field(p)

@@ -56,7 +56,7 @@ def test_chain_lift_degree_zero_compatibility(sl2z):
         for i in range(q.ranks[0]):
             for g in range(n):
                 col = f.zeros(q.ranks[0] * n)
-                col[i * n + g] = f.one
+                col[i * n + g] = 1
                 lhs = f.matmul(aug_p, f.matmul(x0_op, col))
                 # counit of ind(aug_Q): basis (i, g) goes to g . v_i
                 rhs = f.matmul(module.mats[g], f.eye(v1.dim)[:, i])
@@ -76,7 +76,7 @@ def test_degree_zero_lift_is_the_identity(path, p):
         for emb, K, tag in ((d.emb1, d.K1, TAG_K1), (d.emb2, d.K2, TAG_K2)):
             (phi0,), = chain_lift_pi([emb], q, free_resolution(v.module(tag), 0), 0)
             identity = f.zeros(v.dim, v.dim, K.order)
-            identity[np.arange(v.dim), np.arange(v.dim), K.identity] = f.one
+            identity[np.arange(v.dim), np.arange(v.dim), K.identity] = 1
             assert np.array_equal(phi0.coeffs, identity)
 
 
@@ -433,8 +433,9 @@ def test_semisimple_collapse_psl2z_f5(psl2z):
         assert rep.exact
 
 
-def test_ext_g_works_over_rationals_smoke(psl2z):
-    f = Field(0)
+def test_ext_g_works_over_f7_smoke(psl2z):
+    """7 divides neither factor order and Hom(Z/6, F7) = 0: only Ext^0 survives."""
+    f = Field(7)
     k = trivial_grep(psl2z, f)
     assert ext_G(k, k, 2) == [1, 0, 0]
 

@@ -61,7 +61,6 @@ def _seeded_groups():
 def test_p_prime_core_is_the_largest_normal_p_prime_subgroup(group):
     for p in (2, 3, 5):
         assert group.p_prime_core(p) == _largest_normal_p_prime_subgroup(group, p), p
-    assert group.p_prime_core(0) == list(range(group.order))
 
 
 def test_each_core_is_computed_once_per_group(monkeypatch):

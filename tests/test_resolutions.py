@@ -12,7 +12,6 @@ import pytest
 from amalgext.amalgam import TAG_I, TAG_K1, TAG_K2
 from amalgext.cli import run
 from amalgext.groups import FiniteGroup
-from amalgext.induction import grep_from_generators, trivial_grep
 from amalgext.instfile import parse
 from amalgext.linalg import Field, array_key
 from amalgext.reps import (
@@ -324,7 +323,7 @@ class GreedyResolution(FreeResolution):
 def _permutation_matrix(field, perm):
     m = field.zeros(len(perm), len(perm))
     for i, image in enumerate(perm):
-        m[image, i] = field.one
+        m[image, i] = 1
     return m
 
 
@@ -376,39 +375,20 @@ INSTANCES = sorted((ROOT / "fixtures").glob("*.amg")) + sorted((ROOT / "bench" /
 ORACLE_DEGREE = 7
 
 
-def _over_q(inst):
-    """The file's representations over Q, leaving out those that are none there."""
-    f = Field(0)
-    out = {"triv": trivial_grep(inst.datum, f)}
-    for name, (gens1, gens2, _) in inst.grep_specs.items():
-        try:
-            out[name] = grep_from_generators(inst.datum, f, {g: f.array(m) for g, m in gens1.items()},
-                                             {g: f.array(m) for g, m in gens2.items()})
-        except ValueError:
-            continue
-    return out, {}
-
-
 def _factor_modules():
     """(id, module): each representation of each instance restricted to K1, K2 and I,
-    and each module a file declares, over F2 and F3, and over Q for the bundled
-    fixtures (over Q the order-12 and order-24 factors of the bench instances
-    take minutes in Fraction arithmetic)."""
+    and each module a file declares, over F2 and F3, and over F7, which divides
+    no factor order, for the bundled fixtures."""
     for path in INSTANCES:
         inst = parse(str(path))
-        for p in (2, 3, 0) if path.parent.name == "fixtures" else (2, 3):
-            if p:
-                built = inst.build(p)
-                greps = {"triv": built.grep("triv"), **built.greps}
-                modules = built.modules
-            else:
-                greps, modules = _over_q(inst)
-            field = "Q" if p == 0 else f"F{p}"
+        for p in (2, 3, 7) if path.parent.name == "fixtures" else (2, 3):
+            built = inst.build(p)
+            greps = {"triv": built.grep("triv"), **built.greps}
             for name, grep in greps.items():
                 for tag in (TAG_K1, TAG_K2, TAG_I):
-                    yield f"{path.stem}-{field}-{name}-{tag}", grep.module(tag)
-            for name, module in modules.items():
-                yield f"{path.stem}-{field}-{name}", module
+                    yield f"{path.stem}-F{p}-{name}-{tag}", grep.module(tag)
+            for name, module in built.modules.items():
+                yield f"{path.stem}-F{p}-{name}", module
 
 
 FACTOR_MODULES = dict(_factor_modules())
@@ -423,15 +403,16 @@ def _greedy(case) -> FreeResolution:
 
 
 def _is_p_group(order, p):
-    while p and order % p == 0:
+    while order % p == 0:
         order //= p
-    return p > 0 and order == 1
+    return order == 1
 
 
 @pytest.mark.parametrize("case", sorted(FACTOR_MODULES))
 def test_resolution_rank_oracles(case):
-    """Exactness at every degree, r_j >= dim Ext^j(V, k), and equality from degree 2
-    on (degree 1 when F_0 is a projective cover) for p-groups."""
+    """Exactness at every degree, r_j >= dim Ext^j(V, k), equality from degree 2
+    on (degree 1 when F_0 is a projective cover) for p-groups, and Ext^j = 0 for
+    j >= 1 where p does not divide the group order (Maschke)."""
     module = FACTOR_MODULES[case]
     f = module.field
     res = free_resolution(module, ORACLE_DEGREE)
@@ -441,6 +422,8 @@ def test_resolution_rank_oracles(case):
     ext = ext_finite(module, triv, ORACLE_DEGREE - 1, resolution=_greedy(case)).dims
     assert ext_finite(module, triv, ORACLE_DEGREE - 1, resolution=res).dims == ext
     assert all(r >= e for r, e in zip(res.ranks, ext))
+    if module.group.order % f.p:
+        assert not any(ext[1:])
     if _is_p_group(module.group.order, f.p):
         start = 1 if res.ranks[0] == ext[0] else 2
         assert res.ranks[start:ORACLE_DEGREE] == ext[start:]
@@ -575,22 +558,6 @@ def test_d1_follows_exactly_the_kernels_equal_to_the_augmentations(path, p):
         for j in range(1, 8):
             kernel = f.kernel_matrix(res.diff_operator(j)).T if res.ranks[j] else f.zeros(0, 0)
             assert (res.diffs[j + 1] is res.diffs[1]) == (array_key(kernel) == cover), j
-
-
-def test_resolution_over_q_reuses_by_value():
-    """Over Q the entries are Fraction objects, so equal arrays have different bytes;
-    the resolution still finds the repeat, keyed by the entries."""
-    f = Field(0)
-    res = free_resolution(trivial_module(cyclic(3), f), 8)
-    assert res.verify(8)
-    assert res.diffs[1] is res.diffs[3]
-    # ker d_2 equals the augmentation's kernel by entries, not by bytes
-    kernels = [f.kernel_matrix(res.diff_operator(j)).T for j in (0, 2)]
-    assert kernels[0].tobytes() != kernels[1].tobytes()
-    assert array_key(kernels[0]) == array_key(kernels[1])
-    assert all(res.diffs[j] is res.diffs[j + 2] for j in range(1, 7))
-    a, b = f.array([[1, 2]]) / 3, f.array([[1, 2]]) / 3
-    assert a.tobytes() != b.tobytes() and array_key(a) == array_key(b)
 
 
 @pytest.mark.parametrize("p", [2, 3])
