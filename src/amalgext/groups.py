@@ -6,6 +6,8 @@ from functools import cached_property
 
 import numpy as np
 
+from amalgext.linalg import is_prime
+
 
 class NotInjective(ValueError):
     pass
@@ -31,6 +33,11 @@ class FiniteGroup:
     table[i, j] is the index of the product element_i * element_j.
     The table form makes every "for all g" check exhaustively cheap at
     the orders this package targets (at most MAX_ORDER).
+
+    FiniteGroup(table) is for outside input, such as a `table =` section of an
+    instance file: it checks the identity, associativity and inverses.
+    from_permutations and quotient build tables that are a group's by
+    construction, so they are not checked again: both go through _unchecked.
     """
 
     def __init__(self, table, labels=None, name: str = ""):
@@ -73,8 +80,19 @@ class FiniteGroup:
             raise ValueError(f"element {bad[0]} has no two-sided inverse")
         self._finish(inv, labels)
 
+    @classmethod
+    def _unchecked(cls, table: np.ndarray, identity: int, inverse: np.ndarray, labels,
+                   name: str) -> "FiniteGroup":
+        """The group of a table that is a group's by construction, with its
+        identity and inverses: nothing is checked."""
+        group = cls.__new__(cls)
+        group.table, group.order, group.name = table, len(table), name
+        group.identity = identity
+        group._finish(inverse, labels)
+        return group
+
     def _finish(self, inverse: np.ndarray, labels):
-        """The attributes read off a checked table, its identity and its inverses."""
+        """The attributes read off a group's table, its identity and its inverses."""
         self.inverse_table = inverse
         # quotient_table[x, y] is the index of x^-1 y
         self.quotient_table = self.table[inverse]
@@ -133,12 +151,13 @@ class FiniteGroup:
         return reached
 
     def p_core(self, p: int) -> list[int]:
-        """O_p(G), the largest normal p-subgroup, as sorted indices, for prime p."""
+        """O_p(G), the largest normal p-subgroup, as sorted indices, for prime p
+        (ValueError for any other p)."""
         return self._core(p, True)
 
     def p_prime_core(self, p: int) -> list[int]:
         """O_p'(G), the largest normal subgroup of order prime to p, as sorted
-        indices, for prime p."""
+        indices, for prime p (ValueError for any other p)."""
         return self._core(p, False)
 
     def _core(self, p: int, p_group: bool) -> list[int]:
@@ -151,6 +170,8 @@ class FiniteGroup:
         """
         if (p, p_group) in self._cores:
             return self._cores[p, p_group]
+        if not is_prime(p):  # the p-part loop below ends only for p >= 2
+            raise ValueError(f"p must be a prime, got {p}")
         part = 1  # the p-part of |G|
         while self.order % (part * p) == 0:
             part *= p
@@ -220,11 +241,10 @@ class FiniteGroup:
         first = least == np.arange(self.order)
         reps = first.nonzero()[0]
         projection = (np.cumsum(first) - 1)[least]
-        group = FiniteGroup.__new__(FiniteGroup)
-        group.table = projection[self.table[reps][:, reps]]
-        group.order, group.name = len(reps), f"{self.name}/N"
-        group.identity = int(projection[self.identity])
-        group._finish(projection[self.inverse_table[reps]], [self.labels[r] for r in reps])
+        group = FiniteGroup._unchecked(projection[self.table[reps][:, reps]],
+                                       int(projection[self.identity]),
+                                       projection[self.inverse_table[reps]],
+                                       [self.labels[r] for r in reps], f"{self.name}/N")
         return group, projection, reps
 
     def right_cosets(self, subset: list[int]) -> list[list[int]]:
@@ -247,6 +267,8 @@ class FiniteGroup:
         Element order is breadth-first from the identity, multiplying by the
         generators in the given order; this makes element indices reproducible.
         A group of order over MAX_ORDER is refused before any table is built.
+        The table composes permutations, so it is a group's and is not checked:
+        element 0 is the identity, and x^-1 is where row x holds 0.
         """
         if not gens:
             raise ValueError("need at least one generator")
@@ -280,7 +302,7 @@ class FiniteGroup:
         table[:, 0] = np.arange(n)
         for j, (i, s) in enumerate(source[1:], 1):
             table[:, j] = right[s][table[:, i]]
-        return cls(table, labels=labels, name=name)
+        return cls._unchecked(table, 0, table.argmin(axis=1), labels, name)
 
 
 class SubgroupEmbedding:

@@ -12,8 +12,11 @@ class KModule:
     """A finite-dimensional representation: one invertible matrix per group element.
 
     mats is one (|G|, dim, dim) array, so induction formulas index it
-    directly and consumers stack nothing.  The constructor checks the action
-    law (see validate).
+    directly and consumers stack nothing.  KModule(...) and
+    module_from_generators take outside input, so they check the action law
+    (see validate).  trivial_module, restrict_module and Quotient build
+    matrices that obey it by construction, through _unchecked, and check
+    nothing.
     """
 
     def __init__(self, group: FiniteGroup, field: Field, mats):
@@ -29,6 +32,13 @@ class KModule:
             raise ValueError("action matrices must be square of equal size")
         self.dim = self.mats.shape[1]
         self.validate()
+
+    @classmethod
+    def _unchecked(cls, group: FiniteGroup, field: Field, mats: np.ndarray) -> "KModule":
+        """The module of field matrices that obey the action law by construction."""
+        module = cls.__new__(cls)
+        module.group, module.field, module.mats, module.dim = group, field, mats, mats.shape[1]
+        return module
 
     def validate(self) -> bool:
         """Check that g -> mats[g] is a homomorphism, on the group's generators.
@@ -70,17 +80,11 @@ class Quotient:
         else:
             self.group, self.projection, self.reps = parent.quotient(normal)
 
-    def _module(self, field: Field, mats: np.ndarray) -> KModule:
-        """The K/N-module of matrices that obey the action law by construction."""
-        module = KModule.__new__(KModule)
-        module.group, module.field, module.mats, module.dim = self.group, field, mats, mats.shape[1]
-        return module
-
     def inflated(self, v: KModule) -> KModule:
         """v, on which N acts trivially, as a K/N-module: coset c acts by v(reps[c])."""
         if self.group is self.parent:
             return v
-        return self._module(v.field, v.mats[self.reps])
+        return KModule._unchecked(self.group, v.field, v.mats[self.reps])
 
     def fixed(self, w: KModule) -> tuple[KModule, np.ndarray | None, np.ndarray | None]:
         """(W^N as a K/N-module, its basis as columns of W, the free rows), or
@@ -101,11 +105,13 @@ class Quotient:
         basis = f.kernel_matrix(np.concatenate(moves))
         # free column c is the last nonzero row of its column: the others are pivots left of c
         free = w.dim - 1 - np.argmax(basis[::-1] != 0, axis=0)
-        return self._module(f, f.matmul(w.mats[self.reps][:, free], basis)), basis, free
+        module = KModule._unchecked(self.group, f, f.matmul(w.mats[self.reps][:, free], basis))
+        return module, basis, free
 
 
 def trivial_module(group: FiniteGroup, field: Field, dim: int = 1) -> KModule:
-    return KModule(group, field, np.broadcast_to(field.eye(dim), (group.order, dim, dim)))
+    """Every element acting as the identity matrix, a module by construction."""
+    return KModule._unchecked(group, field, field.eye(dim)[None].repeat(group.order, axis=0))
 
 
 def module_from_generators(group: FiniteGroup, field: Field, gen_mats: dict[int, np.ndarray]) -> KModule:
@@ -136,10 +142,14 @@ def module_from_generators(group: FiniteGroup, field: Field, gen_mats: dict[int,
 
 
 def restrict_module(emb: SubgroupEmbedding, module: KModule) -> KModule:
-    """Pull a module on the target group back along a subgroup embedding."""
+    """Pull a module on the target group back along a subgroup embedding.
+
+    emb must have passed validate(), as every AmalgamDatum embedding has: a
+    homomorphism pulls the action law back, so the result is not checked.
+    """
     if module.group is not emb.target:
         raise GroupMismatch("module is not over the embedding target")
-    return KModule(emb.source, module.field, module.mats[emb.mapping])
+    return KModule._unchecked(emb.source, module.field, module.mats[emb.mapping])
 
 
 def hom_space(v: KModule, w: KModule) -> list[np.ndarray]:

@@ -41,6 +41,23 @@ SAMPLE_TRIALS = 8
 SAMPLE_ROWS = 64
 SAMPLE_SEED = 2026
 
+# The random() values of random.Random(SAMPLE_SEED), a prefix of its stream
+# that grows on demand.  Each _module_generators call reads it from the start.
+_samples = np.empty(0)
+
+
+def _sample_coefficients(start: int, k: int, p: int) -> np.ndarray:
+    """Values start..start + k - 1 of the sample stream as coefficients in [0, p):
+    floor(x * p), which is what random.Random(SAMPLE_SEED).choices(range(p), k=k)
+    draws when start values were drawn before."""
+    global _samples
+    samples = _samples  # another thread may replace _samples, even by a shorter prefix
+    if len(samples) < start + k:
+        rng = random.Random(SAMPLE_SEED)  # not continued: two calls growing it at once agree
+        _samples = samples = np.array([rng.random()
+                                       for _ in range(max(start + k, 2 * len(samples), 1024))])
+    return (samples[start:start + k] * p).astype(np.int64)  # x * p >= 0, so this is the floor
+
 
 class LiftFailed(RuntimeError):
     pass
@@ -241,7 +258,7 @@ class FreeResolution:
         trivial.add(moved(self._outer_gens))
         rows = span.pack(kernel)
         target = len(kernel)
-        rng = random.Random(SAMPLE_SEED)
+        drawn = 0  # sample values read by the trials so far
         gens = []
         cap = len(self._coset_reps)
         first = 0  # the kernel rows before `first` lie in the span
@@ -258,7 +275,8 @@ class FreeResolution:
             for _ in range(self._trials):
                 if best[0] >= ideal:
                     break
-                coeffs = f.array([rng.choices(range(f.p), k=target)])
+                coeffs = _sample_coefficients(drawn, target, f.p)[None]
+                drawn += target
                 trial = self._score(span, trivial, missing, f.matmul(coeffs, kernel)[0], rank)
                 if trial[0] > best[0]:
                     best = trial

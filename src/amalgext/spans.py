@@ -18,6 +18,7 @@ if TYPE_CHECKING:
     from amalgext.linalg import Field
 
 
+@functools.cache  # a search over every lane value: each Field(p) would repeat it
 def lanes(p: int) -> tuple[int, int, int] | None:
     """The layout (bits, shift, mult) of the packed elimination over F_p, or None.
 

@@ -289,11 +289,32 @@ def test_from_permutations_matches_the_looped_closure(gens, names):
     assert group.labels == labels
 
 
+@pytest.mark.parametrize("gens, names", CLOSURE_CASES)
+def test_from_permutations_builds_a_group_the_full_check_accepts(gens, names):
+    """from_permutations checks nothing of its table: FiniteGroup(table), which
+    checks everything, accepts it and finds the same identity and inverses."""
+    group = FiniteGroup.from_permutations(gens, gen_names=list(names))
+    checked = FiniteGroup(group.table, labels=group.labels)
+    assert checked.identity == group.identity == 0
+    assert np.array_equal(checked.inverse_table, group.inverse_table)
+    assert np.array_equal(checked.quotient_table, group.quotient_table)
+    assert np.array_equal(checked.generators, group.generators)
+
+
 @pytest.mark.parametrize("name", sorted(GROUPS_BY_PERMUTATIONS))
 def test_p_core_is_the_largest_normal_p_subgroup(name):
     group = FiniteGroup.from_permutations(GROUPS_BY_PERMUTATIONS[name])
     for p in (2, 3, 5):
         assert group.p_core(p) == _largest_normal_p_subgroup(group, p)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+def test_cores_refuse_a_p_that_is_not_prime(p):
+    """1 once looped forever, 0 divided by zero and 4 answered the whole of S3."""
+    group = FiniteGroup.from_permutations(GROUPS_BY_PERMUTATIONS["S3"])
+    for core in (group.p_core, group.p_prime_core):
+        with pytest.raises(ValueError, match=f"p must be a prime, got {p}"):
+            core(p)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS_BY_PERMUTATIONS))

@@ -12,6 +12,7 @@ from amalgext.reps import (
     KModule,
     hom_space,
     module_from_generators,
+    restrict_module,
     trivial_module,
 )
 
@@ -20,6 +21,7 @@ from conftest import (
     conjugate_grep,
     conjugate_module,
     cyclic,
+    instance_greps,
     random_invertible,
     regular_module,
 )
@@ -240,3 +242,23 @@ def test_module_from_generators_refuses_a_matrix_for_the_identity():
     for given in (f.eye(1), f.array([[2]])):
         with pytest.raises(ValueError, match="a matrix is given for the identity element e"):
             module_from_generators(z3, f, {z3.identity: given, 1: f.eye(1)})
+
+
+@pytest.mark.parametrize("path, p", [
+    (path, p) for path in INSTANCE_FILES for p in ((5,) if path.stem.endswith("-f5") else (2, 3))
+], ids=lambda x: getattr(x, "name", x))
+def test_modules_built_unchecked_pass_the_action_law(path, p):
+    """trivial_module and restrict_module do not validate what they build:
+    validate() accepts every trivial module and every restriction along the
+    file's embeddings, of the trivial grep and of each grep of the file."""
+    field = Field(p)
+    for v in instance_greps(path, p):
+        datum = v.datum
+        assert v.module(TAG_I).validate()
+        for emb, module in ((datum.emb1, v.module1), (datum.emb2, v.module2)):
+            restricted = restrict_module(emb, module)
+            assert restricted.validate()
+            assert np.array_equal(restricted.mats, v.module(TAG_I).mats)
+    for group in (datum.K1, datum.K2, datum.I):
+        for dim in (1, 3):
+            assert trivial_module(group, field, dim).validate()

@@ -19,7 +19,9 @@ from amalgext.reps import (
     module_from_generators,
     trivial_module,
 )
+import amalgext.resolutions as resolutions
 from amalgext.resolutions import (
+    SAMPLE_SEED,
     AlgebraMatrix,
     FreeResolution,
     coefficient_delta,
@@ -639,3 +641,37 @@ def test_ext_selects_no_generators_past_its_degree(monkeypatch):
             for n in (0, 2, 4):
                 argv = ["ext", str(path), "--char", str(p), "--degree", str(n)]
                 assert all(j < n for j in _selection_degrees(monkeypatch, argv)), (path.name, p, n)
+
+
+def test_sample_coefficients_are_the_seeded_choices(monkeypatch):
+    """Trials that read the cached stream one after another draw what one
+    random.Random(SAMPLE_SEED) draws with choices, at every prime and length,
+    while the cache grows and when it is read again from the start."""
+    monkeypatch.setattr(resolutions, "_samples", np.empty(0))
+    draws = [(2, 5), (3, 1), (5, 700), (2, 0), (7, 2000), (3, 40), (3037000493, 9), (11, 3),
+             (2, 1500), (13, 64)]
+    for _ in range(2):
+        rng, start = random.Random(SAMPLE_SEED), 0
+        for p, k in draws:
+            got = resolutions._sample_coefficients(start, k, p)
+            assert got.dtype == np.int64
+            assert got.tolist() == rng.choices(range(p), k=k), (p, k, start)
+            start += k
+    assert len(resolutions._samples) >= start
+
+
+def test_a_draw_reads_the_prefix_it_checked(monkeypatch):
+    """Any prefix of the stream is a valid cache, so another thread may put a
+    shorter one in place between a draw's length check and its read (here the
+    length check itself does it): the draw still reads the seeded choices."""
+
+    class ShrinksWhenMeasured(np.ndarray):
+        def __len__(self):
+            resolutions._samples = np.asarray(self)[:10]
+            return super().__len__()
+
+    rng = random.Random(SAMPLE_SEED)
+    stream = np.array([rng.random() for _ in range(2000)]).view(ShrinksWhenMeasured)
+    monkeypatch.setattr(resolutions, "_samples", stream)
+    expected = random.Random(SAMPLE_SEED).choices(range(7), k=1500)
+    assert resolutions._sample_coefficients(1000, 500, 7).tolist() == expected[1000:]
